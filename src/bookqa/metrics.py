@@ -21,22 +21,53 @@ from .text import normalize_eval, normalize_squad
 ROUGE_BETA = 1.2
 
 
+def position_masks(reference: Sequence[str]) -> dict[str, int]:
+    """Map each token to a bitmask of its positions in ``reference``."""
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(reference):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return masks
+
+
+def lcs_with_masks(candidate: Sequence[str], masks: dict[str, int], ref_len: int) -> int:
+    """LCS length of ``candidate`` against the reference of length
+    ``ref_len`` whose ``position_masks`` are ``masks``.
+
+    Bit-parallel recurrence (Allison & Dix 1986; Hyyro 2004): ``v`` holds
+    the current row of the LCS table in difference form, bit ``j`` cleared
+    where the row steps up by one at column ``j``, so the LCS is the number
+    of cleared bits.  One pass over ``candidate`` costs O(|candidate|)
+    big-int operations of ``ref_len`` bits.
+    """
+    full = (1 << ref_len) - 1
+    v = full
+    for tok in candidate:
+        mask = masks.get(tok)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return ref_len - v.bit_count()
+
+
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length in O(|a|*|b|) time, O(min) space."""
-    if len(b) > len(a):
+    """Longest common subsequence length by the bit-parallel kernel: masks
+    over the longer side, one pass over the shorter, so O(min(|a|, |b|))
+    big-int operations of max(|a|, |b|) bits."""
+    if len(b) < len(a):
         a, b = b, a
-    if not b:
+    if not a:
         return 0
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        cur = [0]
-        for j, tok_b in enumerate(b, 1):
-            if tok_a == tok_b:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    return lcs_with_masks(a, position_masks(b), len(b))
+
+
+def rouge_from_lcs(lcs: int, cand_len: int, ref_len: int, beta: float) -> float:
+    """Rouge-L F-measure from an LCS length and the two sequence lengths."""
+    if lcs == 0:
+        return 0.0
+    precision = lcs / cand_len
+    recall = lcs / ref_len
+    beta_sq = beta * beta
+    return (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 
 def rouge_l(
@@ -46,12 +77,7 @@ def rouge_l(
     if not candidate or not reference:
         return 0.0
     lcs = lcs_length(candidate, reference)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(candidate)
-    recall = lcs / len(reference)
-    beta_sq = beta * beta
-    return (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
+    return rouge_from_lcs(lcs, len(candidate), len(reference), beta)
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:

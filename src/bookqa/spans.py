@@ -10,12 +10,13 @@ window reaches a Rouge-L of 1.0.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Paragraph
 from .errors import EvalError
-from .metrics import ROUGE_BETA, rouge_l
+from .metrics import ROUGE_BETA, lcs_with_masks, position_masks, rouge_from_lcs
 from .text import normalize_eval, normalize_eval_tokens
 
 
@@ -45,19 +46,46 @@ def best_span_tokens(
 
     Both inputs must already be normalized.  Returns ``(start, end, score)``;
     a paragraph that normalized to nothing yields ``(0, 0, 0.0)``.
+
+    Every window has the same width ``w`` and the answer length ``a`` is
+    fixed, so Rouge-L ``(1+beta^2)*L / (w + beta^2*a)`` strictly increases in
+    the window's LCS ``L``: windows are compared by integer LCS and the score
+    is computed once, by the same float expression as ``rouge_l``.  The
+    multiset overlap between window and answer bounds ``L`` from above and
+    is kept as the window slides; a window whose overlap is no more than the
+    best LCS so far could at most tie, and a tie keeps the earlier start, so
+    its LCS is never computed.
     """
     width = min(len(answer_tokens), len(para_tokens))
     if width == 0:
         return 0, 0, 0.0
-    best_start, best_score = 0, -1.0
-    for start in range(len(para_tokens) - width + 1):
-        window = para_tokens[start : start + width]
-        value = rouge_l(window, answer_tokens, beta)
-        if value > best_score:
-            best_start, best_score = start, value
-            if best_score >= 1.0:  # verbatim match; later windows can only tie
-                break
-    return best_start, best_start + width, best_score
+    ref_len = len(answer_tokens)
+    masks = position_masks(answer_tokens)
+    need = Counter(answer_tokens)
+    held = dict.fromkeys(need, 0)
+    overlap = 0
+    best_start, best_lcs = 0, 0
+    for end, tok in enumerate(para_tokens):
+        if tok in held:
+            held[tok] += 1
+            if held[tok] <= need[tok]:
+                overlap += 1
+        start = end + 1 - width
+        if start < 0:
+            continue
+        if overlap > best_lcs:
+            lcs = lcs_with_masks(para_tokens[start : end + 1], masks, ref_len)
+            if lcs > best_lcs:
+                best_start, best_lcs = start, lcs
+                if lcs == width:  # no window can beat a full-width LCS
+                    break
+        gone = para_tokens[start]
+        if gone in held:
+            if held[gone] <= need[gone]:
+                overlap -= 1
+            held[gone] -= 1
+    score = rouge_from_lcs(best_lcs, width, ref_len, beta)
+    return best_start, best_start + width, score
 
 
 def best_span(paragraph: Paragraph, answer: str, question_id: str = "") -> WeakSpanLabel:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from bookqa.metrics import (
     rouge_l,
     token_f1,
 )
-from bookqa.oracles import brute_ngram_counts, enumerated_lcs
+from bookqa.oracles import _recursive_lcs, brute_ngram_counts, enumerated_lcs
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_eval.json").read_text())
 
@@ -41,6 +42,15 @@ def test_lcs_examples():
 @given(token_lists, token_lists)
 def test_lcs_matches_enumeration(a, b):
     assert lcs_length(a, b) == enumerated_lcs(a, b)
+
+
+def test_lcs_matches_recursive_oracle_on_long_small_alphabet_pairs():
+    rng = random.Random(150)
+    for _ in range(60):
+        alphabet = "abcd"[: rng.randint(2, 4)]
+        a = rng.choices(alphabet, k=rng.randint(0, 150))
+        b = rng.choices(alphabet, k=rng.randint(0, 150))
+        assert lcs_length(a, b) == lcs_length(b, a) == _recursive_lcs(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookqa.errors import EvalError
+from bookqa.metrics import rouge_l
 from bookqa.oracles import brute_best_span
 from bookqa.spans import (
     any_contains_answer,
@@ -72,6 +73,55 @@ def test_best_span_matches_brute_force_sweep():
         want = brute_best_span(para, answer)
         assert got[:2] == want[:2]
         assert got[2] == pytest.approx(want[2], abs=1e-12)
+
+
+def _assert_matches_sweep(para, answer):
+    start, end, score = best_span_tokens(para, answer)
+    assert (start, end) == brute_best_span(para, answer)[:2]
+    assert score == rouge_l(para[start:end], answer)
+
+
+def test_best_span_matches_sweep_on_answers_wider_than_a_word():
+    rng = random.Random(2024)
+    for _ in range(30):
+        answer = [rng.choice(VOCAB) for _ in range(rng.randint(60, 80))]
+        para = [rng.choice(VOCAB) for _ in range(rng.randint(60, 110))]
+        _assert_matches_sweep(para, answer)
+
+
+def test_best_span_matches_sweep_on_paragraphs_shorter_than_answer():
+    rng = random.Random(31)
+    for _ in range(100):
+        para = [rng.choice(VOCAB) for _ in range(rng.randint(1, 12))]
+        answer = [rng.choice(VOCAB) for _ in range(len(para) + rng.randint(1, 20))]
+        _assert_matches_sweep(para, answer)
+
+
+def test_best_span_answer_sharing_no_token():
+    rng = random.Random(8)
+    for _ in range(50):
+        para = [rng.choice(VOCAB) for _ in range(rng.randint(1, 40))]
+        answer = [rng.choice(["zebu", "ibex"]) for _ in range(rng.randint(1, 10))]
+        width = min(len(answer), len(para))
+        assert best_span_tokens(para, answer) == (0, width, 0.0)
+        assert brute_best_span(para, answer) == (0, width, 0.0)
+
+
+def test_best_span_matches_sweep_on_skewed_three_token_vocabulary():
+    rng = random.Random(3)
+    for _ in range(150):
+        para = rng.choices(["a", "b", "c"], weights=[8, 3, 1], k=rng.randint(1, 70))
+        answer = rng.choices(["a", "b", "c"], weights=[1, 3, 8], k=rng.randint(1, 25))
+        _assert_matches_sweep(para, answer)
+
+
+def test_best_span_tie_keeps_earlier_start_over_higher_overlap():
+    # Window 0 (a b x) has LCS 2 and overlap 2; window 3 (b a c) has overlap
+    # 3 but its LCS only ties at 2, so the earlier start must stand.
+    para = ["a", "b", "x", "b", "a", "c"]
+    answer = ["a", "b", "c"]
+    assert best_span_tokens(para, answer) == (0, 3, rouge_l(para[0:3], answer))
+    assert brute_best_span(para, answer)[:2] == (0, 3)
 
 
 @settings(max_examples=150)
