@@ -18,6 +18,7 @@ from . import __version__, bm25, ir_eval, reranker, supervision
 from .corpus import (
     DEFAULT_CHUNK_WIDTH,
     chunk_book,
+    group_by_book,
     load_books,
     load_paragraphs,
     load_qa,
@@ -25,7 +26,7 @@ from .corpus import (
     write_paragraphs,
     write_qa,
 )
-from .errors import BookQaError, ConfigError, CorpusError, EvalError
+from .errors import BookQaError, CorpusError, EvalError
 from .fileio import iter_jsonl, parallel_map, require_field, write_lines, write_sidecar
 from .metrics import evaluate_qa
 from .spans import best_span
@@ -178,10 +179,12 @@ def _load_indexes(path) -> dict[str, bm25.Bm25Index]:
     return indexes
 
 
-def _require_book_coverage(indexes, qa) -> None:
-    missing = sorted({q.book_id for q in qa} - set(indexes))
-    if missing:
-        raise CorpusError(f"no index for books: {', '.join(missing[:10])}")
+def _require_book_coverage(indexes, qa, grouped_paras=None) -> None:
+    books = {q.book_id for q in qa}
+    for what, known in (("index", indexes), ("paragraphs", grouped_paras)):
+        missing = sorted(books - set(known)) if known is not None else []
+        if missing:
+            raise CorpusError(f"no {what} for books: {', '.join(missing[:10])}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +202,12 @@ def _retrieve_worker(task):
     return lines
 
 
-def _group_by_book(qa):
-    grouped: dict[str, list] = {}
-    for q in qa:
-        grouped.setdefault(q.book_id, []).append(q)
-    return grouped
-
-
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     indexes = _load_indexes(args.index)
     qa = load_qa(args.qa)
     _require_book_coverage(indexes, qa)
     mode = MODES[args.mode]
-    grouped = _group_by_book(qa)
+    grouped = group_by_book(qa)
     tasks = [(indexes[b], grouped[b], args.k, mode) for b in grouped]
     by_question = {
         qid: line
@@ -258,11 +254,8 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     indexes = _load_indexes(args.index)
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)
-    _require_book_coverage(indexes, qa)
-    missing = sorted({q.book_id for q in qa} - set(grouped_paras))
-    if missing:
-        raise CorpusError(f"no paragraphs for books: {', '.join(missing[:10])}")
-    grouped_qa = _group_by_book(qa)
+    _require_book_coverage(indexes, qa, grouped_paras)
+    grouped_qa = group_by_book(qa)
     tasks = [
         (indexes[b], grouped_paras[b], grouped_qa[b], cfg) for b in grouped_qa
     ]
@@ -401,138 +394,43 @@ def _cmd_eval_qa(args: argparse.Namespace) -> int:
 # eval-ir
 
 
-def _ablation_worker(task):
-    index, paragraphs, examples, scorer_tag, k_base, k_top = task
-    scorer = (
-        reranker.LexicalReranker() if scorer_tag == "lexical" else reranker.IdentityReranker()
-    )
-    return [
-        ir_eval.ablation_for_question(index, paragraphs, q, scorer, k_base, k_top)
-        for q in examples
-    ]
-
-
-def _build_requests(indexes, grouped_paras, qa, k_base):
-    requests = []
-    for q in qa:
-        result = bm25.retrieve(
-            indexes[q.book_id], bm25.question_query(q), k_base, q.question_id
-        )
-        if not result.ranked:
-            raise EvalError(
-                f"question {q.question_id!r} has no BM25 candidates; "
-                "its query shares no terms with the book"
-            )
-        by_index = {p.para_index: p for p in grouped_paras[q.book_id]}
-        requests.append(
-            reranker.RerankRequest(
-                question_id=q.question_id,
-                question=q.question,
-                candidates=tuple(
-                    reranker.RerankCandidate(p, by_index[p].text())
-                    for p in result.para_indexes()
-                ),
-            )
-        )
-    return requests
-
-
 def _cmd_eval_ir(args: argparse.Namespace) -> int:
     indexes = _load_indexes(args.index)
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)
-    _require_book_coverage(indexes, qa)
-    missing = sorted({q.book_id for q in qa} - set(grouped_paras))
-    if missing:
-        raise CorpusError(f"no paragraphs for books: {', '.join(missing[:10])}")
+    _require_book_coverage(indexes, qa, grouped_paras)
 
     inputs = [args.index, args.paragraphs, args.qa]
+    with reranker.open_scorer(args.reranker) as scorer:
+        result = ir_eval.run_ablation(
+            indexes,
+            grouped_paras,
+            qa,
+            scorer,
+            args.candidates,
+            args.top,
+            jobs=args.jobs,
+        )
+    config = {
+        "index": str(args.index),
+        "paragraphs": str(args.paragraphs),
+        "qa": str(args.qa),
+        "candidates": args.candidates,
+    }
     if args.emit_rerank_requests:
-        requests = _build_requests(indexes, grouped_paras, qa, args.candidates)
-        reranker.write_requests_file(args.emit_rerank_requests, requests)
-        config = {
-            "index": str(args.index),
-            "paragraphs": str(args.paragraphs),
-            "qa": str(args.qa),
-            "candidates": args.candidates,
-            "out": str(args.emit_rerank_requests),
-        }
+        out = args.emit_rerank_requests
+        reranker.write_requests_file(out, result.requests)
         write_sidecar(
-            args.emit_rerank_requests, "eval-ir-requests", config, inputs, __version__
+            out, "eval-ir-requests", {**config, "out": str(out)}, inputs, __version__
         )
+    if isinstance(scorer, reranker.FileReranker):
+        inputs.append(scorer.scores_path)
 
-    spec = args.reranker
-    if spec in ("none", "lexical"):
-        grouped_qa = _group_by_book(qa)
-        tasks = [
-            (
-                indexes[b],
-                grouped_paras[b],
-                grouped_qa[b],
-                spec,
-                args.candidates,
-                args.top,
-            )
-            for b in grouped_qa
-        ]
-        by_question = {
-            item.question_id: item
-            for group in parallel_map(_ablation_worker, tasks, args.jobs)
-            for item in group
-        }
-        items = [by_question[q.question_id] for q in qa]
-    elif spec.startswith("exec:"):
-        command = spec[len("exec:") :]
-        if not command:
-            raise ConfigError("exec: reranker needs a command")
-        with reranker.ExternalProcessReranker(command) as scorer:
-            items = [
-                ir_eval.ablation_for_question(
-                    indexes[q.book_id],
-                    grouped_paras[q.book_id],
-                    q,
-                    scorer,
-                    args.candidates,
-                    args.top,
-                )
-                for q in qa
-            ]
-    elif spec.startswith("file:"):
-        scores_path = spec[len("file:") :]
-        if not scores_path:
-            raise ConfigError("file: reranker needs a scores path")
-        scorer = reranker.FileReranker(scores_path)
-        inputs = inputs + [scores_path]
-        items = [
-            ir_eval.ablation_for_question(
-                indexes[q.book_id],
-                grouped_paras[q.book_id],
-                q,
-                scorer,
-                args.candidates,
-                args.top,
-            )
-            for q in qa
-        ]
-    else:
-        raise ConfigError(
-            f"unknown reranker {spec!r}; expected none, lexical, exec:CMD, or file:PATH"
-        )
-
-    result = ir_eval.aggregate_ablation(items, args.candidates, args.top)
     print(result.format_table())
     if args.out:
         payload = json.dumps(result.to_dict(), sort_keys=True, indent=2)
         write_lines(args.out, [payload])
-        config = {
-            "index": str(args.index),
-            "paragraphs": str(args.paragraphs),
-            "qa": str(args.qa),
-            "top": args.top,
-            "candidates": args.candidates,
-            "reranker": args.reranker,
-            "out": str(args.out),
-        }
+        config.update(top=args.top, reranker=args.reranker, out=str(args.out))
         write_sidecar(args.out, "eval-ir", config, inputs, __version__)
     return 0
 

@@ -68,6 +68,14 @@ class QaExample:
         return tokenize(self.question)
 
 
+def group_by_book(examples: Iterable[QaExample]) -> dict[str, list[QaExample]]:
+    """Examples grouped by book, books in first-seen order."""
+    grouped: dict[str, list[QaExample]] = {}
+    for q in examples:
+        grouped.setdefault(q.book_id, []).append(q)
+    return grouped
+
+
 def chunk_book(book: Book, width: int = DEFAULT_CHUNK_WIDTH) -> list[Paragraph]:
     """Partition the book token stream into consecutive windows of ``width``.
 

@@ -4,8 +4,10 @@ The ablation scores four selections per question: the BM25 baseline top-k,
 the reranked top-k drawn from the baseline's top candidate pool, the full
 candidate pool itself (the upper bound for any reranker over it), and the
 question+answer oracle retrieval top-k.  Coverage is reported two ways per
-selection: the fraction of questions whose answer occurs verbatim in some
-selected paragraph (EM), and the mean best same-length-span Rouge-L.
+selection: the mean best same-length-span Rouge-L, and the fraction of
+questions whose answer occurs verbatim in some selected paragraph (EM).  A
+verbatim occurrence is exactly a best-span Rouge-L of 1.0, so EM is derived
+from the span score, which is computed once per (question, paragraph).
 """
 
 from __future__ import annotations
@@ -21,9 +23,18 @@ from .bm25 import (
     question_query,
     retrieve,
 )
-from .corpus import Paragraph, QaExample
+from .corpus import Paragraph, QaExample, group_by_book
 from .errors import EvalError
-from .reranker import RerankCandidate, RerankRequest, Scorer, apply_scores
+from .fileio import parallel_map
+from .reranker import (
+    IdentityReranker,
+    LexicalReranker,
+    RerankCandidate,
+    RerankRequest,
+    Scorer,
+    apply_scores,
+)
+from .spans import coverage_rouge
 
 DEFAULT_K_BASE = 32
 DEFAULT_K_TOP = 5
@@ -51,14 +62,6 @@ def model_selection_score(report: CoverageReport) -> float:
     return (report.em_coverage + report.rouge_coverage) / 2.0
 
 
-def _question_coverage(
-    selected: Sequence[Paragraph], answers: Sequence[str]
-) -> tuple[bool, float]:
-    from .spans import any_contains_answer, coverage_rouge
-
-    return any_contains_answer(selected, answers), coverage_rouge(selected, answers)
-
-
 def evaluate_selection(
     examples: Sequence[QaExample],
     selections: Mapping[str, Sequence[Paragraph]],
@@ -74,8 +77,8 @@ def evaluate_selection(
         selected = selections.get(q.question_id)
         if not selected:
             raise EvalError(f"question {q.question_id!r} has no selected paragraphs")
-        em, rouge = _question_coverage(selected, q.answers)
-        em_sum += float(em)
+        rouge = coverage_rouge(selected, q.answers)
+        em_sum += float(rouge == 1.0)
         rouge_sum += rouge
     n = len(examples)
     return CoverageReport(selection_label, em_sum / n, rouge_sum / n, n)
@@ -92,10 +95,11 @@ def row_labels(k_base: int, k_top: int) -> tuple[str, str, str, str]:
 
 @dataclass(frozen=True)
 class QuestionAblation:
-    """Per-question (EM, Rouge-L) coverage for the four ablation rows."""
+    """Per-question (EM, Rouge-L) coverage for the four ablation rows, and
+    the rerank request that was scored."""
 
-    question_id: str
     rows: tuple[tuple[bool, float], ...]
+    request: RerankRequest
 
 
 def ablation_for_question(
@@ -106,6 +110,8 @@ def ablation_for_question(
     k_base: int = DEFAULT_K_BASE,
     k_top: int = DEFAULT_K_TOP,
 ) -> QuestionAblation:
+    """Retrieve the pool, score its request, and cover the four rows: each
+    row is the maximum of its paragraphs' coverage, computed once each."""
     by_index = {p.para_index: p for p in paragraphs}
 
     baseline = retrieve(
@@ -132,8 +138,7 @@ def ablation_for_question(
         ),
     )
     try:
-        scores = scorer.score(request)
-        reranked = apply_scores(request, scores)
+        reranked = apply_scores(request, scorer.score(request))
     except Exception as exc:
         raise EvalError(
             f"reranker failed on question {example.question_id!r}: {exc}"
@@ -149,11 +154,22 @@ def ablation_for_question(
         )
     oracle_paras = [by_index[p] for p in oracle.para_indexes()]
 
-    answers = example.answers
-    base_cov = _question_coverage(candidates[:k_top], answers)
-    rerank_cov = _question_coverage(reranked_paras, answers)
-    upper_cov = _question_coverage(candidates, answers)
-    oracle_cov = _question_coverage(oracle_paras, answers)
+    rouge_by_para: dict[int, float] = {}
+
+    def cover(selected: Sequence[Paragraph]) -> tuple[bool, float]:
+        best = 0.0
+        for p in selected:
+            if p.para_index not in rouge_by_para:
+                rouge_by_para[p.para_index] = coverage_rouge([p], example.answers)
+            best = max(best, rouge_by_para[p.para_index])
+            if best >= 1.0:
+                break
+        return best == 1.0, best
+
+    base_cov = cover(candidates[:k_top])
+    rerank_cov = cover(reranked_paras)
+    upper_cov = cover(candidates)
+    oracle_cov = cover(oracle_paras)
 
     # Selecting from within the pool can never beat the pool itself.
     for label, cov in (("baseline", base_cov), ("reranked", rerank_cov)):
@@ -163,14 +179,13 @@ def ablation_for_question(
                 f"{label} top-{k_top} exceeds its top-{k_base} superset"
             )
 
-    return QuestionAblation(
-        example.question_id, (base_cov, rerank_cov, upper_cov, oracle_cov)
-    )
+    return QuestionAblation((base_cov, rerank_cov, upper_cov, oracle_cov), request)
 
 
 @dataclass(frozen=True)
 class AblationResult:
     rows: tuple[CoverageReport, ...]
+    requests: tuple[RerankRequest, ...] = ()  # in question order
 
     def to_dict(self) -> dict:
         return {"rows": [r.to_dict() for r in self.rows]}
@@ -198,7 +213,15 @@ def aggregate_ablation(
         em = sum(float(item.rows[row][0]) for item in items) / n
         rouge = sum(item.rows[row][1] for item in items) / n
         reports.append(CoverageReport(label, em, rouge, n))
-    return AblationResult(tuple(reports))
+    return AblationResult(tuple(reports), tuple(item.request for item in items))
+
+
+def _book_worker(task) -> list[QuestionAblation]:
+    index, paragraphs, examples, scorer, k_base, k_top = task
+    return [
+        ablation_for_question(index, paragraphs, q, scorer, k_base, k_top)
+        for q in examples
+    ]
 
 
 def run_ablation(
@@ -208,12 +231,26 @@ def run_ablation(
     scorer: Scorer,
     k_base: int = DEFAULT_K_BASE,
     k_top: int = DEFAULT_K_TOP,
+    jobs: int = 1,
 ) -> AblationResult:
-    items = []
     for q in examples:
         if q.book_id not in indexes:
             raise EvalError(f"no index for book {q.book_id!r}")
-        items.append(
+    # The built-in scorers are cheap to pickle and run in one worker task per
+    # book.  Any other scorer stays in this process and sees the questions
+    # one at a time, in order: a subprocess cannot be pickled into a task,
+    # and a scores file would be copied into every one.
+    if isinstance(scorer, (IdentityReranker, LexicalReranker)):
+        by_book = group_by_book(examples)
+        tasks = [
+            (indexes[b], paragraphs_by_book[b], qs, scorer, k_base, k_top)
+            for b, qs in by_book.items()
+        ]
+        done = parallel_map(_book_worker, tasks, jobs)
+        per_book = {b: iter(items) for b, items in zip(by_book, done)}
+        items = [next(per_book[q.book_id]) for q in examples]
+    else:
+        items = [
             ablation_for_question(
                 indexes[q.book_id],
                 paragraphs_by_book[q.book_id],
@@ -222,5 +259,6 @@ def run_ablation(
                 k_base,
                 k_top,
             )
-        )
+            for q in examples
+        ]
     return aggregate_ablation(items, k_base, k_top)

@@ -6,9 +6,10 @@ descending score with ties keeping the incoming (BM25) order, so a constant
 scorer is exactly the identity reranker.
 
 External scorers speak newline-delimited JSON over stdin/stdout: one
-handshake line ``{"protocol_version": 1, "concurrent": bool}``, then one
-response line per request, in order.  A file-exchange mode (requests file
-out, scores file in) covers batch scoring on other machines.
+handshake line ``{"protocol_version": 1}``, then one response line per
+request, in order, with one request in flight at a time (a ``concurrent``
+handshake field is accepted and ignored).  A file-exchange mode (requests
+file out, scores file in) covers batch scoring on other machines.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import json
 import math
 import shlex
 import subprocess
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .bm25 import DEFAULT_B, DEFAULT_K1, build_index, score
 from .corpus import Paragraph
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .fileio import iter_jsonl, write_lines
 from .text import normalize_eval, tokenize
 
@@ -123,10 +125,6 @@ class Scorer(Protocol):
     def score(self, request: RerankRequest) -> list[float]: ...
 
 
-def rerank(request: RerankRequest, scorer: Scorer) -> list[RerankCandidate]:
-    return apply_scores(request, scorer.score(request))
-
-
 class IdentityReranker:
     """Constant scores: preserves the incoming candidate order exactly."""
 
@@ -163,11 +161,8 @@ class LexicalReranker:
 
 
 class ExternalProcessReranker:
-    """Spawns a scorer subprocess speaking the line protocol.
-
-    One request is in flight at a time unless the scorer's handshake declares
-    ``concurrent`` support, in which case ``score_all`` pipelines.
-    """
+    """Spawns a scorer subprocess speaking the line protocol, one request in
+    flight at a time."""
 
     def __init__(self, command: str | Sequence[str]):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
@@ -193,7 +188,6 @@ class ExternalProcessReranker:
             raise ProtocolError(
                 f"unsupported protocol_version {obj.get('protocol_version')!r}"
             )
-        self.concurrent = bool(obj.get("concurrent", False))
 
     def _read_line(self, what: str) -> str:
         line = self.process.stdout.readline()
@@ -202,14 +196,12 @@ class ExternalProcessReranker:
             raise ProtocolError(f"scorer exited before sending {what} (code {code})")
         return line
 
-    def _send(self, request: RerankRequest) -> None:
+    def score(self, request: RerankRequest) -> list[float]:
         try:
             self.process.stdin.write(request.to_json_line() + "\n")
             self.process.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ProtocolError(f"scorer pipe closed: {exc}") from exc
-
-    def _receive(self, request: RerankRequest) -> list[float]:
         line = self._read_line(f"response for {request.question_id!r}")
         try:
             response = response_from_record(json.loads(line))
@@ -222,17 +214,6 @@ class ExternalProcessReranker:
             )
         validate_scores(request, response.scores)
         return list(response.scores)
-
-    def score(self, request: RerankRequest) -> list[float]:
-        self._send(request)
-        return self._receive(request)
-
-    def score_all(self, requests: Sequence[RerankRequest]) -> list[list[float]]:
-        if self.concurrent:
-            for request in requests:
-                self._send(request)
-            return [self._receive(request) for request in requests]
-        return [self.score(request) for request in requests]
 
     def close(self) -> None:
         if self.process.stdin:
@@ -257,6 +238,7 @@ class FileReranker:
     """Scores read from a file produced by an out-of-band batch scorer."""
 
     def __init__(self, scores_path):
+        self.scores_path = scores_path
         self.scores: dict[str, list[float]] = {}
         for _, obj in iter_jsonl(scores_path, ProtocolError):
             response = response_from_record(obj)
@@ -276,3 +258,23 @@ class FileReranker:
 
 def write_requests_file(path, requests: Iterable[RerankRequest]) -> None:
     write_lines(path, (r.to_json_line() for r in requests))
+
+
+@contextmanager
+def open_scorer(spec: str) -> Iterator[Scorer]:
+    """The scorer a ``--reranker`` spec names; an ``exec:`` scorer's process
+    is closed on exit."""
+    kind, _, arg = spec.partition(":")
+    if spec == "none":
+        yield IdentityReranker()
+    elif spec == "lexical":
+        yield LexicalReranker()
+    elif kind == "exec" and arg:
+        with ExternalProcessReranker(arg) as scorer:
+            yield scorer
+    elif kind == "file" and arg:
+        yield FileReranker(arg)
+    else:
+        raise ConfigError(
+            f"unknown reranker {spec!r}; expected none, lexical, exec:CMD, or file:PATH"
+        )

@@ -130,7 +130,11 @@ def coverage_rouge(paragraphs: Sequence[Paragraph], answers: Sequence[str]) -> f
 
 
 def contains_answer(paragraph: Paragraph, answers: Sequence[str]) -> bool:
-    """True iff some answer occurs contiguously in the normalized paragraph."""
+    """True iff some answer occurs contiguously in the normalized paragraph.
+
+    The exact-match reference: the IR evaluation derives EM from
+    ``coverage_rouge(...) == 1.0`` instead, and the tests hold the two equal.
+    """
     para_tokens = normalize_eval_tokens(paragraph.tokens.tokens)
     for ans in _usable_answer_tokens(answers):
         width = len(ans)
@@ -141,7 +145,3 @@ def contains_answer(paragraph: Paragraph, answers: Sequence[str]) -> bool:
             if para_tokens[start : start + width] == target:
                 return True
     return False
-
-
-def any_contains_answer(paragraphs: Sequence[Paragraph], answers: Sequence[str]) -> bool:
-    return any(contains_answer(p, answers) for p in paragraphs)

@@ -404,3 +404,71 @@ def test_unknown_flag_exits_nonzero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage" in captured.err
+
+
+def eval_ir_args(work, reranker, *extra):
+    return [
+        "eval-ir",
+        "--index", work / "index.jsonl",
+        "--paragraphs", work / "paras.jsonl",
+        "--qa", work / "corpus" / "qa.jsonl",
+        "--reranker", reranker,
+        *extra,
+    ]
+
+
+def test_eval_ir_lexical_table_identical_across_jobs(tmp_path, capsys):
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    outputs = []
+    for jobs in (1, 2):
+        table = tmp_path / f"table{jobs}.json"
+        captured = run_ok(
+            capsys, *eval_ir_args(work, "lexical", "--out", table, "--jobs", jobs)
+        )
+        outputs.append((captured.out, table.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_emitted_requests_identical_across_rerankers(tmp_path, capsys):
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    requests_path = tmp_path / "requests.jsonl"
+    sidecar = tmp_path / "requests.jsonl.meta.json"
+    exec_spec = f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}"
+    emitted = []
+    for spec in ("none", "lexical", exec_spec):
+        run_ok(
+            capsys,
+            *eval_ir_args(work, spec, "--emit-rerank-requests", requests_path, "--jobs", 2),
+        )
+        emitted.append((requests_path.read_bytes(), sidecar.read_bytes()))
+    assert emitted[0][0].count(b"\n") == 2 * 3  # one request per question
+    assert emitted[0] == emitted[1] == emitted[2]
+
+
+def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
+    """Every parallel_map task must pickle, even at --jobs 1: the benchmark's
+    tracer pickles them to count their bytes, and a scorer owning a
+    subprocess cannot be pickled."""
+    import pickle
+
+    import bookqa.cli
+    import bookqa.fileio
+    import bookqa.ir_eval
+
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    original = bookqa.fileio.parallel_map
+    pickled = []
+
+    def pickling_map(fn, items, jobs):
+        pickled.extend(len(pickle.dumps(item)) for item in items)
+        return original(fn, items, jobs)
+
+    for module in (bookqa.fileio, bookqa.ir_eval, bookqa.cli):
+        monkeypatch.setattr(module, "parallel_map", pickling_map)
+    for spec in ("lexical", f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}"):
+        captured = run_ok(capsys, *eval_ir_args(work, spec, "--jobs", 1))
+        assert len(captured.out.splitlines()) == 5
+    assert pickled, "the lexical run should have mapped per-book tasks"

@@ -19,7 +19,6 @@ from bookqa.reranker import (
     RerankResponse,
     apply_scores,
     request_from_record,
-    rerank,
     response_from_record,
     write_requests_file,
 )
@@ -67,7 +66,8 @@ def test_apply_scores_validation():
 
 def test_identity_reranker_is_identity():
     request = make_request(["a", "b", "c"])
-    assert rerank(request, IdentityReranker()) == list(request.candidates)
+    scorer = IdentityReranker()
+    assert apply_scores(request, scorer.score(request)) == list(request.candidates)
 
 
 @settings(max_examples=100)
@@ -126,7 +126,7 @@ def test_lexical_reranker_identical_candidates_tie():
     request = make_request(["red fox", "red fox"], question="red")
     scores = LexicalReranker().score(request)
     assert scores[0] == scores[1] > 0
-    assert rerank(request, LexicalReranker()) == list(request.candidates)
+    assert apply_scores(request, scores) == list(request.candidates)
 
 
 def test_lexical_reranker_micro_collection_hand_value():
@@ -152,28 +152,24 @@ def test_lexical_reranker_ranks_unique_match_first():
         ["stone wall stands", "the falcon nest here", "river runs deep"],
         question="falcon nest",
     )
-    result = rerank(request, LexicalReranker())
+    result = apply_scores(request, LexicalReranker().score(request))
     assert result[0].para_index == 1
 
 
 def test_external_scorer_roundtrip():
     with ExternalProcessReranker(scorer_cmd("length_scorer.py")) as scorer:
-        assert scorer.concurrent is False
         request = make_request(["aa", "bbbb", "c"])
         assert scorer.score(request) == [2.0, 4.0, 1.0]
-        ranked = rerank(request, scorer)
+        ranked = apply_scores(request, scorer.score(request))
         assert [c.para_index for c in ranked] == [1, 0, 2]
-        # serial score_all loops one request at a time
-        batch = [make_request(["x", "yy"], qid=f"q{i}") for i in range(3)]
-        assert scorer.score_all(batch) == [[1.0, 2.0]] * 3
 
 
 def test_external_scorer_pipelined():
+    # A handshake declaring "concurrent" is accepted; requests still go one
+    # at a time.
     with ExternalProcessReranker(scorer_cmd("concurrent_scorer.py")) as scorer:
-        assert scorer.concurrent is True
         requests = [make_request(["a", "b"], qid=f"q{i}") for i in range(4)]
-        all_scores = scorer.score_all(requests)
-        assert all_scores == [[0.0, 1.0]] * 4
+        assert [scorer.score(r) for r in requests] == [[0.0, 1.0]] * 4
 
 
 @pytest.mark.parametrize(
