@@ -57,12 +57,12 @@ def _unit_float(value: str) -> float:
     return number
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
+def _add_jobs(
+    parser: argparse.ArgumentParser,
+    help: str = "worker process bound; output bytes do not depend on it",
+) -> None:
     parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=os.cpu_count() or 1,
-        help="worker process bound; output bytes do not depend on it",
+        "--jobs", type=_positive_int, default=os.cpu_count() or 1, help=help
     )
 
 
@@ -122,15 +122,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # chunk
 
 
-def _chunk_worker(task):
-    book, width = task
-    return chunk_book(book, width)
-
-
 def _cmd_chunk(args: argparse.Namespace) -> int:
+    # Chunking only slices token tuples; a pool would add nothing but the
+    # pickling of every book and paragraph.
     books = load_books(args.books)
-    chunked = parallel_map(_chunk_worker, [(b, args.width) for b in books], args.jobs)
-    paragraphs = [p for group in chunked for p in group]
+    paragraphs = [p for b in books for p in chunk_book(b, args.width)]
     write_paragraphs(args.out, paragraphs)
     config = {"books": str(args.books), "width": args.width, "out": str(args.out)}
     books_path = Path(args.books)
@@ -467,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--books", required=True, help="books JSONL file or directory of .txt")
     p.add_argument("--width", type=_positive_int, default=DEFAULT_CHUNK_WIDTH, help="tokens per paragraph")
     p.add_argument("--out", required=True, help="paragraphs JSONL output")
-    _add_jobs(p)
+    _add_jobs(p, help="accepted like every stage's, but chunk runs in one process")
     p.set_defaults(func=_cmd_chunk)
 
     p = sub("index", help="build per-book BM25 indexes")

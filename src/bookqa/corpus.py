@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import CorpusError
 from .fileio import iter_jsonl, require_field, write_lines
-from .text import TokenSeq, tokenize
+from .text import LazyTokenSeq, TokenSeq, tokenize
 
 DEFAULT_CHUNK_WIDTH = 200
 
@@ -44,7 +44,8 @@ class Paragraph:
     def __post_init__(self) -> None:
         if self.para_index < 0:
             raise ValueError("para_index must be >= 0")
-        if len(self.tokens) == 0:
+        # Truth, not length: a lazy sequence answers it without tokenizing.
+        if not self.tokens:
             raise ValueError("paragraph has no tokens")
 
     def text(self) -> str:
@@ -222,15 +223,19 @@ def write_paragraphs(path: Path | str, paragraphs: Iterable[Paragraph]) -> None:
 
 
 def load_paragraphs(path: Path | str) -> dict[str, list[Paragraph]]:
-    """Load paragraphs grouped per book; indexes must be dense from zero."""
+    """Load paragraphs grouped per book; indexes must be dense from zero.
+
+    Each paragraph keeps its text and is tokenized on first use, so a stage
+    pays only for the paragraphs it reads, and a paragraph sent to a worker
+    carries its text, not its tokens."""
     path = Path(path)
     grouped: dict[str, list[Paragraph]] = {}
     for lineno, obj in iter_jsonl(path, CorpusError):
         book_id = require_field(obj, "book_id", path, lineno, str, CorpusError)
         para_index = require_field(obj, "para_index", path, lineno, int, CorpusError)
         text = require_field(obj, "text", path, lineno, str, CorpusError)
-        tokens = tokenize(text)
-        if len(tokens) == 0:
+        tokens = LazyTokenSeq(text)
+        if not tokens:
             raise CorpusError(f"{path}: line {lineno}: paragraph has no tokens")
         grouped.setdefault(book_id, []).append(Paragraph(book_id, para_index, tokens))
     if not grouped:

@@ -31,3 +31,9 @@ class ProtocolError(BookQaError):
     """External scorer violated the rerank wire protocol."""
 
     code = "protocol"
+
+
+class WorkerError(BookQaError):
+    """A worker process died, or raised something other than a BookQaError."""
+
+    code = "worker"

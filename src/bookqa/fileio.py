@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import BookQaError, FormatError
+from .errors import BookQaError, FormatError, WorkerError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -49,11 +52,26 @@ def require_field(
     return value
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[IO[str]]:
+    """Open a temporary file beside ``path`` that replaces it on success.
+
+    On any failure the temporary file is removed and ``path`` keeps its old
+    bytes, so a crash never leaves a truncated artifact behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_lines(path: Path | str, lines: Iterable[str]) -> None:
     """Write text lines with pinned LF endings for byte-stable artifacts."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(Path(path)) as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
@@ -84,7 +102,7 @@ def write_sidecar(
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
     sidecar = artifact.with_name(artifact.name + ".meta.json")
-    with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(sidecar) as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return sidecar
@@ -94,9 +112,19 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     """Order-preserving map, optionally over a process pool.
 
     Results are returned in input order regardless of ``jobs``, so callers
-    stay deterministic under any parallelism level.
+    stay deterministic under any parallelism level.  A worker that dies, or
+    raises anything but a ``BookQaError``, surfaces as a ``WorkerError``.
     """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    except BookQaError:
+        raise
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a worker process died: {exc}") from exc
+    except Exception as exc:
+        raise WorkerError(
+            f"a worker task failed: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -49,9 +49,11 @@ class TokenSeq:
     offsets: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        for tok in self.tokens:
-            if not tok or _WS_RE.search(tok):
-                raise ValueError(f"invalid token: {tok!r}")
+        # One pass in C over all tokens; the loop only names the bad one.
+        if not all(self.tokens) or _WS_RE.search("".join(self.tokens)):
+            for tok in self.tokens:
+                if not tok or _WS_RE.search(tok):
+                    raise ValueError(f"invalid token: {tok!r}")
         if self.offsets is not None:
             if len(self.offsets) != len(self.tokens):
                 raise ValueError("offsets length does not match tokens")
@@ -75,53 +77,106 @@ class TokenSeq:
         return " ".join(self.tokens)
 
 
+class LazyTokenSeq(TokenSeq):
+    """The ``tokenize`` result for ``source``, computed on first use of
+    ``tokens`` or ``offsets``.
+
+    It pickles as the text alone, so a worker that receives one tokenizes it
+    there, and it compares equal to the eager ``TokenSeq`` with the same
+    tokens and offsets.  Truth is answered from the text, without tokenizing:
+    every whitespace-delimited chunk yields at least one token.
+    """
+
+    def __init__(self, source: str) -> None:
+        object.__setattr__(self, "source", source)
+
+    def _tokenized(self) -> TokenSeq:
+        seq = self.__dict__.get("_seq")
+        if seq is None:
+            seq = tokenize(self.source)
+            object.__setattr__(self, "_seq", seq)
+        return seq
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return self._tokenized().tokens
+
+    @property
+    def offsets(self) -> tuple[tuple[int, int], ...]:
+        return self._tokenized().offsets
+
+    def __bool__(self) -> bool:
+        return _CHUNK_RE.search(self.source) is not None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TokenSeq):
+            return NotImplemented
+        return (self.tokens, self.offsets) == (other.tokens, other.offsets)
+
+    __hash__ = TokenSeq.__hash__
+
+    def __reduce__(self):
+        return LazyTokenSeq, (self.source,)
+
+
+def _emit(piece: str, start: int, tokens: list, offsets: list) -> None:
+    tokens.append(piece)
+    offsets.append((start, start + len(piece)))
+
+
+def _split_chunk(chunk: str, base: int, tokens: list, offsets: list) -> None:
+    """Tokenize one whitespace-delimited chunk starting at ``base``."""
+    # A bare clitic ("'s") comes from re-tokenizing our own output and
+    # must stay whole, or idempotence breaks.
+    if chunk.lower() in _CLITIC_SET:
+        _emit(chunk, base, tokens, offsets)
+        return
+    lo, hi = 0, len(chunk)
+    while lo < hi and is_punct_char(chunk[lo]):
+        _emit(chunk[lo], base + lo, tokens, offsets)
+        lo += 1
+    hi_orig = hi
+    while hi > lo and is_punct_char(chunk[hi - 1]):
+        hi -= 1
+    if hi > lo:
+        _split_clitics(chunk[lo:hi], base + lo, tokens, offsets)
+    for i in range(hi, hi_orig):
+        _emit(chunk[i], base + i, tokens, offsets)
+
+
+def _split_clitics(core: str, base: int, tokens: list, offsets: list) -> None:
+    low = core.lower()
+    for clitic in _CLITICS:
+        if low.endswith(clitic) and len(core) > len(clitic):
+            cut = len(core) - len(clitic)
+            # The head may end in punctuation ("x.'s"), so run it through
+            # the full chunk pipeline again.
+            _split_chunk(core[:cut], base, tokens, offsets)
+            _emit(core[cut:], base + cut, tokens, offsets)
+            return
+    _emit(core, base, tokens, offsets)
+
+
 def tokenize(text: str) -> TokenSeq:
     """Split ``text`` into tokens with character offsets into the input."""
     tokens: list[str] = []
     offsets: list[tuple[int, int]] = []
-
-    def emit(piece: str, start: int) -> None:
-        tokens.append(piece)
-        offsets.append((start, start + len(piece)))
-
-    def split_chunk(chunk: str, base: int) -> None:
-        # A bare clitic ("'s") comes from re-tokenizing our own output and
-        # must stay whole, or idempotence breaks.
-        if chunk.lower() in _CLITIC_SET:
-            emit(chunk, base)
-            return
-        lo, hi = 0, len(chunk)
-        while lo < hi and is_punct_char(chunk[lo]):
-            emit(chunk[lo], base + lo)
-            lo += 1
-        hi_orig = hi
-        while hi > lo and is_punct_char(chunk[hi - 1]):
-            hi -= 1
-        if hi > lo:
-            split_clitics(chunk[lo:hi], base + lo)
-        for i in range(hi, hi_orig):
-            emit(chunk[i], base + i)
-
-    def split_clitics(core: str, base: int) -> None:
-        low = core.lower()
-        for clitic in _CLITICS:
-            if low.endswith(clitic) and len(core) > len(clitic):
-                cut = len(core) - len(clitic)
-                # The head may end in punctuation ("x.'s"), so run it through
-                # the full chunk pipeline again.
-                split_chunk(core[:cut], base)
-                emit(core[cut:], base + cut)
-                return
-        emit(core, base)
-
     for match in _CHUNK_RE.finditer(text):
-        split_chunk(match.group(), match.start())
+        chunk = match.group()
+        # Fast path, exact: no alphanumeric character is punctuation, and
+        # none lowercases to an apostrophe, so ``_split_chunk`` would emit
+        # the chunk whole.
+        if chunk.isalnum():
+            tokens.append(chunk)
+            offsets.append(match.span())
+        else:
+            _split_chunk(chunk, match.start(), tokens, offsets)
     return TokenSeq(tuple(tokens), tuple(offsets))
 
 
 def normalize_eval_tokens(tokens: Iterable[str]) -> list[str]:
     """Lowercase and drop tokens containing no alphanumeric character."""
-    return [t.lower() for t in tokens if any(ch.isalnum() for ch in t)]
+    return [t.lower() for t in tokens if t.isalnum() or any(ch.isalnum() for ch in t)]
 
 
 def normalize_eval(text: str) -> TokenSeq:

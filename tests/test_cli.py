@@ -472,3 +472,31 @@ def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
         captured = run_ok(capsys, *eval_ir_args(work, spec, "--jobs", 1))
         assert len(captured.out.splitlines()) == 5
     assert pickled, "the lexical run should have mapped per-book tasks"
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit"])
+def test_worker_failure_exits_with_error_code(tmp_path, capsys, monkeypatch, failure):
+    """A worker that raises a non-BookQaError, or dies, ends the stage with
+    ``error[worker]`` and no traceback.  Pool workers are forked, so they
+    see the patched ``build_index``; the main process never calls it."""
+    import os
+
+    import bookqa.bm25
+
+    run_ok(capsys, *synth_args(tmp_path / "corpus"))
+    paras = tmp_path / "paras.jsonl"
+    index = tmp_path / "index.jsonl"
+    run_ok(capsys, "chunk", "--books", tmp_path / "corpus" / "books.jsonl", "--out", paras)
+
+    def broken(*args, **kwargs):
+        if failure == "exit":
+            os._exit(3)
+        raise ValueError("index builder broke")
+
+    monkeypatch.setattr(bookqa.bm25, "build_index", broken)
+    err = run_fail(capsys, "index", "--paragraphs", paras, "--out", index, "--jobs", 2)
+    assert err.startswith("error[worker]")
+    assert "Traceback" not in err
+    if failure == "raise":
+        assert "ValueError: index builder broke" in err
+    assert not index.exists()

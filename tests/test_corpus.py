@@ -177,3 +177,57 @@ def test_paragraph_file_rejects_gaps(tmp_path):
     )
     with pytest.raises(CorpusError, match="dense"):
         load_paragraphs(path)
+
+
+def test_paragraph_whitespace_only_line_fails_with_line_number(tmp_path):
+    path = tmp_path / "paras.jsonl"
+    _write_jsonl(
+        path,
+        [
+            {"book_id": "b", "para_index": 0, "text": "x"},
+            {"book_id": "b", "para_index": 1, "text": " \t\u2003\u00a0 "},
+        ],
+    )
+    with pytest.raises(CorpusError, match="line 2: paragraph has no tokens"):
+        load_paragraphs(path)
+
+
+def test_loaded_paragraphs_tokenize_only_when_read(tmp_path, monkeypatch):
+    import bookqa.text
+
+    path = tmp_path / "paras.jsonl"
+    texts = ["alpha beta", "gamma , delta", "epsilon 's zeta"]
+    _write_jsonl(
+        path, [{"book_id": "b", "para_index": i, "text": t} for i, t in enumerate(texts)]
+    )
+    calls = []
+    original = bookqa.text.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(bookqa.text, "tokenize", counting)
+    paras = load_paragraphs(path)["b"]
+    assert calls == []
+    assert paras[1].tokens.tokens == ("gamma", ",", "delta")
+    assert len(paras[1].tokens) == 3 and paras[1].text() == "gamma , delta"
+    assert calls == ["gamma , delta"]
+    assert [p.tokens for p in paras] == [tokenize(t) for t in texts]
+    assert calls == texts[1:2] + texts[0:1] + texts[2:]
+
+
+def test_loaded_paragraph_pickles_without_tokens(tmp_path):
+    import pickle
+    import pickletools
+
+    path = tmp_path / "paras.jsonl"
+    _write_jsonl(path, [{"book_id": "b", "para_index": 0, "text": "alpha beta , gamma"}])
+    (para,) = load_paragraphs(path)["b"]
+    data = pickle.dumps(para, pickle.HIGHEST_PROTOCOL)
+    strings = {arg for _, arg, _ in pickletools.genops(data) if isinstance(arg, str)}
+    assert "alpha beta , gamma" in strings
+    assert not {"alpha", "beta", ",", "gamma"} & strings
+    restored = pickle.loads(data)
+    assert restored == para
+    assert restored.tokens == tokenize("alpha beta , gamma")
