@@ -18,15 +18,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import Paragraph, QaExample
+from .corpus import (
+    DEFAULT_B,
+    DEFAULT_K1,
+    MODE_QUESTION,
+    MODE_QUESTION_ANSWER,
+    Paragraph,
+    QaExample,
+)
 from .errors import CorpusError, FormatError
 from .text import TokenSeq, normalize_eval_tokens, tokenize
-
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
-
-MODE_QUESTION = "question_only"
-MODE_QUESTION_ANSWER = "question_plus_answer"
 
 
 @dataclass(frozen=True)
@@ -138,15 +139,13 @@ def score(index: Bm25Index, query: Iterable[str], para_index: int) -> float:
     return total
 
 
-def retrieve(
-    index: Bm25Index, query: Iterable[str], k: int, question_id: str = "", mode: str = MODE_QUESTION
-) -> RetrievalResult:
-    """Top-k paragraphs by descending score; ties break on ascending
-    para_index and zero-score paragraphs are excluded."""
-    if k < 1:
-        raise CorpusError("retrieval k must be >= 1")
+def accumulate_scores(index: Bm25Index, query: Iterable[str]) -> dict[int, float]:
+    """BM25 score of every paragraph sharing a term with the query, from one
+    pass over the query terms' postings.
+
+    Terms are visited in sorted order, as in ``score``, so each paragraph's
+    float sum is added up in the same order and equals ``score`` exactly."""
     acc: dict[int, float] = {}
-    # Terms visited in sorted order so float accumulation is reproducible.
     for term in sorted(set(normalize_eval_tokens(query))):
         plist = index.postings.get(term)
         if not plist:
@@ -154,8 +153,19 @@ def retrieve(
         idf = _idf(index, term)
         for para, tf in plist:
             acc[para] = acc.get(para, 0.0) + idf * _tf_part(index, tf, index.doc_len[para])
+    return acc
+
+
+def retrieve(
+    index: Bm25Index, query: Iterable[str], k: int, question_id: str = "", mode: str = MODE_QUESTION
+) -> RetrievalResult:
+    """Top-k paragraphs by descending score; ties break on ascending
+    para_index and zero-score paragraphs are excluded."""
+    if k < 1:
+        raise CorpusError("retrieval k must be >= 1")
     ranked = sorted(
-        ((p, s) for p, s in acc.items() if s > 0.0), key=lambda e: (-e[1], e[0])
+        ((p, s) for p, s in accumulate_scores(index, query).items() if s > 0.0),
+        key=lambda e: (-e[1], e[0]),
     )
     return RetrievalResult(question_id, tuple(ranked[:k]), mode)
 
@@ -187,18 +197,52 @@ def index_to_record(index: Bm25Index) -> dict:
 
 
 def index_from_record(obj: dict) -> Bm25Index:
+    """The index a record of ``index_to_record`` describes.
+
+    The record must be consistent with itself: ``n_docs`` counts the
+    ``doc_len`` entries, every posting names a paragraph of ``doc_len`` with
+    a term frequency of at least 1, ``k1 >= 0`` and ``0 <= b <= 1``.  A
+    record that is not fails with ``FormatError`` instead of scoring wrong."""
     try:
-        return Bm25Index(
-            book_id=str(obj["book_id"]),
-            postings={
-                t: tuple((int(p), int(f)) for p, f in v)
-                for t, v in obj["postings"].items()
-            },
-            doc_len={int(p): int(n) for p, n in obj["doc_len"].items()},
-            avg_doc_len=float(obj["avg_doc_len"]),
-            n_docs=int(obj["n_docs"]),
-            k1=float(obj["k1"]),
-            b=float(obj["b"]),
-        )
+        book_id = str(obj["book_id"])
+        doc_len = {int(p): int(n) for p, n in obj["doc_len"].items()}
+        n_docs = int(obj["n_docs"])
+        k1 = float(obj["k1"])
+        b = float(obj["b"])
+        postings = {}
+        for term, plist in obj["postings"].items():
+            entries = tuple((int(p), int(f)) for p, f in plist)
+            for p, f in entries:
+                if p not in doc_len:
+                    raise FormatError(
+                        f"bad index record for book {book_id!r}: term {term!r} "
+                        f"has a posting for unknown paragraph {p}"
+                    )
+                if f < 1:
+                    raise FormatError(
+                        f"bad index record for book {book_id!r}: term {term!r} "
+                        f"has term frequency {f} in paragraph {p}"
+                    )
+            postings[term] = entries
+        avg_doc_len = float(obj["avg_doc_len"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad index record: {exc}") from exc
+    if n_docs != len(doc_len):
+        raise FormatError(
+            f"bad index record for book {book_id!r}: n_docs {n_docs} but "
+            f"{len(doc_len)} doc_len entries"
+        )
+    if not k1 >= 0.0 or not 0.0 <= b <= 1.0:
+        raise FormatError(
+            f"bad index record for book {book_id!r}: k1 {k1} must be >= 0 "
+            f"and b {b} in [0, 1]"
+        )
+    return Bm25Index(
+        book_id=book_id,
+        postings=postings,
+        doc_len=doc_len,
+        avg_doc_len=avg_doc_len,
+        n_docs=n_docs,
+        k1=k1,
+        b=b,
+    )

@@ -4,6 +4,12 @@ Stages exchange newline-delimited JSON files; every artifact is written with
 a ``.meta.json`` sidecar echoing the run configuration and input digests, so
 a rerun with identical config, inputs, and seed is byte-identical (the
 ``--jobs`` knob only bounds parallelism and never changes output bytes).
+
+Every stage runs as its own process, so this module imports only what every
+subcommand needs: argument parsing and the shared data model.  Each
+subcommand imports the layers it runs in its own body, and one that starts a
+process pool imports its workers' layers before the pool starts, so forked
+workers inherit them instead of importing them again.
 """
 
 from __future__ import annotations
@@ -13,10 +19,19 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, bm25, ir_eval, reranker, supervision
+from . import __version__
 from .corpus import (
+    DEFAULT_B,
     DEFAULT_CHUNK_WIDTH,
+    DEFAULT_K1,
+    DEFAULT_K_BASE,
+    DEFAULT_K_TOP,
+    MODE_QUESTION,
+    MODE_QUESTION_ANSWER,
+    POOL_UNION_MINUS_INTERSECTION,
+    POOL_WHOLE_BOOK,
     chunk_book,
     group_by_book,
     load_books,
@@ -28,12 +43,12 @@ from .corpus import (
 )
 from .errors import BookQaError, CorpusError, EvalError
 from .fileio import iter_jsonl, parallel_map, require_field, write_lines, write_sidecar
-from .metrics import evaluate_qa
-from .spans import best_span
-from .synth import synth_corpus
 from .text import normalize_eval
 
-MODES = {"q": bm25.MODE_QUESTION, "qa": bm25.MODE_QUESTION_ANSWER}
+if TYPE_CHECKING:
+    from .bm25 import Bm25Index
+
+MODES = {"q": MODE_QUESTION, "qa": MODE_QUESTION_ANSWER}
 
 
 def _positive_int(value: str) -> int:
@@ -71,6 +86,8 @@ def _add_jobs(
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import synth_corpus
+
     books, qa, truths = synth_corpus(
         seed=args.seed,
         n_books=args.books,
@@ -141,11 +158,15 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
 
 
 def _index_worker(task):
+    from . import bm25
+
     paragraphs, k1, b = task
     return bm25.index_to_record(bm25.build_index(paragraphs, k1=k1, b=b))
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
+    from . import bm25  # noqa: F401  (loaded before the pool forks its workers)
+
     grouped = load_paragraphs(args.paragraphs)
     books = sorted(grouped)
     records = parallel_map(
@@ -163,8 +184,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_indexes(path) -> dict[str, bm25.Bm25Index]:
-    indexes: dict[str, bm25.Bm25Index] = {}
+def _load_indexes(path) -> dict[str, Bm25Index]:
+    from . import bm25
+
+    indexes: dict[str, Bm25Index] = {}
     for lineno, obj in iter_jsonl(path):
         index = bm25.index_from_record(obj)
         if index.book_id in indexes:
@@ -188,10 +211,12 @@ def _require_book_coverage(indexes, qa, grouped_paras=None) -> None:
 
 
 def _retrieve_worker(task):
+    from . import bm25
+
     index, examples, k, mode = task
     lines = []
     for q in examples:
-        query = bm25.question_query(q) if mode == bm25.MODE_QUESTION else bm25.oracle_query(q)
+        query = bm25.question_query(q) if mode == MODE_QUESTION else bm25.oracle_query(q)
         lines.append(
             (q.question_id, bm25.retrieve(index, query, k, q.question_id, mode).to_json_line())
         )
@@ -228,6 +253,8 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def _supervise_worker(task):
+    from . import supervision
+
     index, paragraphs, examples, cfg = task
     out = []
     for q in examples:
@@ -238,6 +265,8 @@ def _supervise_worker(task):
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
+    from . import supervision
+
     # Config is validated before any file work starts.
     cfg = supervision.SupervisionConfig(
         k_retrieve=args.k,
@@ -284,6 +313,8 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def _span_worker(task):
+    from .spans import best_span
+
     paragraphs, records, top = task
     by_index = {p.para_index: p for p in paragraphs}
     out = []
@@ -308,6 +339,9 @@ def _span_worker(task):
 
 
 def _cmd_span_oracle(args: argparse.Namespace) -> int:
+    from . import bm25
+    from . import spans  # noqa: F401  (loaded before the pool forks its workers)
+
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)
     by_id = {q.question_id: q for q in qa}
@@ -368,6 +402,8 @@ def _load_predictions(path) -> dict[str, str]:
 
 
 def _cmd_eval_qa(args: argparse.Namespace) -> int:
+    from .metrics import evaluate_qa
+
     predictions = _load_predictions(args.predictions)
     qa = load_qa(args.qa)
     report = evaluate_qa(predictions, qa)
@@ -391,6 +427,8 @@ def _cmd_eval_qa(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_ir(args: argparse.Namespace) -> int:
+    from . import ir_eval, reranker
+
     indexes = _load_indexes(args.index)
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)
@@ -468,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("index", help="build per-book BM25 indexes")
     p.add_argument("--paragraphs", required=True, help="chunk output file")
-    p.add_argument("--k1", type=float, default=bm25.DEFAULT_K1, help="BM25 term-frequency saturation")
-    p.add_argument("--b", type=float, default=bm25.DEFAULT_B, help="BM25 length normalization")
+    p.add_argument("--k1", type=float, default=DEFAULT_K1, help="BM25 term-frequency saturation")
+    p.add_argument("--b", type=float, default=DEFAULT_B, help="BM25 length normalization")
     p.add_argument("--out", required=True, help="index JSONL output")
     _add_jobs(p)
     p.set_defaults(func=_cmd_index)
@@ -494,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives-per-positive", type=_nonnegative_int, default=1, help="negative sampling quota")
     p.add_argument(
         "--negative-pool",
-        choices=(supervision.POOL_UNION_MINUS_INTERSECTION, supervision.POOL_WHOLE_BOOK),
-        default=supervision.POOL_UNION_MINUS_INTERSECTION,
+        choices=(POOL_UNION_MINUS_INTERSECTION, POOL_WHOLE_BOOK),
+        default=POOL_UNION_MINUS_INTERSECTION,
         help="universe negatives are drawn from",
     )
     p.add_argument("--out", required=True, help="supervision pairs JSONL output")
@@ -521,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True, help="index file from the index stage")
     p.add_argument("--paragraphs", required=True, help="chunk output file")
     p.add_argument("--qa", required=True, help="QA JSONL file")
-    p.add_argument("--top", type=_positive_int, default=ir_eval.DEFAULT_K_TOP, help="selection size per row")
-    p.add_argument("--candidates", type=_positive_int, default=ir_eval.DEFAULT_K_BASE, help="baseline candidate pool size")
+    p.add_argument("--top", type=_positive_int, default=DEFAULT_K_TOP, help="selection size per row")
+    p.add_argument("--candidates", type=_positive_int, default=DEFAULT_K_BASE, help="baseline candidate pool size")
     p.add_argument(
         "--reranker",
         default="none",

@@ -19,7 +19,18 @@ from .errors import CorpusError
 from .fileio import iter_jsonl, require_field, write_lines
 from .text import LazyTokenSeq, TokenSeq, tokenize
 
+# Pipeline defaults and names the CLI parser shows.  They are defined here,
+# in a module every stage loads anyway, so that building the parser imports
+# no stage's layer; each layer imports its own from here.
 DEFAULT_CHUNK_WIDTH = 200
+DEFAULT_K1 = 1.2  # BM25 term-frequency saturation
+DEFAULT_B = 0.75  # BM25 length normalization
+MODE_QUESTION = "question_only"
+MODE_QUESTION_ANSWER = "question_plus_answer"
+POOL_UNION_MINUS_INTERSECTION = "union_minus_intersection"
+POOL_WHOLE_BOOK = "whole_book"
+DEFAULT_K_BASE = 32  # eval-ir baseline candidate pool
+DEFAULT_K_TOP = 5  # eval-ir selection size per row
 
 
 @dataclass(frozen=True)

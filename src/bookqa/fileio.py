@@ -5,8 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -117,6 +115,12 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here, not at module level: the pool machinery (multiprocessing,
+    # threads, logging) takes tens of milliseconds to load, and a process
+    # that never starts a pool should not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))

@@ -15,15 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bm25 import (
+from .bm25 import Bm25Index, oracle_query, question_query, retrieve
+from .corpus import (
+    DEFAULT_K_BASE,
+    DEFAULT_K_TOP,
     MODE_QUESTION,
     MODE_QUESTION_ANSWER,
-    Bm25Index,
-    oracle_query,
-    question_query,
-    retrieve,
+    Paragraph,
+    QaExample,
+    group_by_book,
 )
-from .corpus import Paragraph, QaExample, group_by_book
 from .errors import EvalError
 from .fileio import parallel_map
 from .reranker import (
@@ -35,9 +36,6 @@ from .reranker import (
     apply_scores,
 )
 from .spans import coverage_rouge
-
-DEFAULT_K_BASE = 32
-DEFAULT_K_TOP = 5
 
 
 @dataclass(frozen=True)

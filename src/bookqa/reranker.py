@@ -22,8 +22,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .bm25 import DEFAULT_B, DEFAULT_K1, build_index, score
-from .corpus import Paragraph
+from .bm25 import accumulate_scores, build_index
+from .corpus import DEFAULT_B, DEFAULT_K1, Paragraph
 from .errors import ConfigError, ProtocolError
 from .fileio import iter_jsonl, write_lines
 from .text import normalize_eval, tokenize
@@ -152,12 +152,10 @@ class LexicalReranker:
         if not paragraphs:
             return [0.0] * len(request.candidates)
         index = build_index(paragraphs, k1=self.k1, b=self.b)
-        query = normalize_eval(request.question).tokens
-        indexed = {p.para_index for p in paragraphs}
-        return [
-            score(index, query, position) if position in indexed else 0.0
-            for position in range(len(request.candidates))
-        ]
+        # One pass over the query's postings, summed in the order ``score``
+        # uses, so each value equals ``score(index, query, position)``.
+        scores = accumulate_scores(index, normalize_eval(request.question).tokens)
+        return [scores.get(position, 0.0) for position in range(len(request.candidates))]
 
 
 class ExternalProcessReranker:

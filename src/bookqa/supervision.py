@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bm25 import Bm25Index, oracle_query, question_query, retrieve
-from .corpus import Paragraph, QaExample
+from .corpus import (
+    POOL_UNION_MINUS_INTERSECTION,
+    POOL_WHOLE_BOOK,
+    Paragraph,
+    QaExample,
+)
 from .errors import ConfigError, CorpusError
 from .spans import best_span_tokens
 from .text import normalize_eval, normalize_eval_tokens
@@ -24,8 +29,6 @@ LABEL_POSITIVE = "positive"
 LABEL_NEGATIVE = "negative"
 PROVENANCE_INTERSECTION = "intersection"
 PROVENANCE_COMPLEMENT = "complement"
-POOL_UNION_MINUS_INTERSECTION = "union_minus_intersection"
-POOL_WHOLE_BOOK = "whole_book"
 
 
 @dataclass(frozen=True)

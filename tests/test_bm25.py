@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bookqa.bm25 import (
     MODE_QUESTION,
+    accumulate_scores,
     build_index,
     index_from_record,
     index_to_record,
@@ -17,7 +18,7 @@ from bookqa.bm25 import (
     score,
 )
 from bookqa.corpus import QaExample
-from bookqa.errors import CorpusError
+from bookqa.errors import CorpusError, FormatError
 
 from conftest import make_paragraph
 
@@ -183,6 +184,66 @@ def test_index_record_roundtrip():
     index = build_index(paras, k1=1.5, b=0.6)
     back = index_from_record(json.loads(json.dumps(index_to_record(index))))
     assert back == index
+
+
+def _record_with(**changes):
+    paras = [
+        make_paragraph("b", 0, ["apple", "pie", "apple"]),
+        make_paragraph("b", 1, ["stone", "wall"]),
+    ]
+    record = json.loads(json.dumps(index_to_record(build_index(paras))))
+    record.update(changes)
+    return record
+
+
+def test_index_from_record_rejects_n_docs_mismatch():
+    with pytest.raises(FormatError, match="n_docs 3 but 2 doc_len entries"):
+        index_from_record(_record_with(n_docs=3))
+
+
+def test_index_from_record_rejects_posting_for_unknown_paragraph():
+    record = _record_with()
+    record["postings"]["stone"] = [[7, 1]]
+    with pytest.raises(FormatError, match="term 'stone' has a posting for unknown paragraph 7"):
+        index_from_record(record)
+
+
+def test_index_from_record_rejects_term_frequency_below_one():
+    record = _record_with()
+    record["postings"]["wall"] = [[1, 0]]
+    with pytest.raises(FormatError, match="term 'wall' has term frequency 0 in paragraph 1"):
+        index_from_record(record)
+
+
+@pytest.mark.parametrize(
+    "params", [{"k1": -0.1}, {"k1": float("nan")}, {"b": -0.5}, {"b": 1.01}, {"b": float("nan")}]
+)
+def test_index_from_record_rejects_k1_and_b_out_of_range(params):
+    with pytest.raises(FormatError, match="must be >= 0"):
+        index_from_record(_record_with(**params))
+
+
+def test_index_from_record_accepts_parameter_bounds():
+    for k1, b in ((0.0, 0.0), (0.0, 1.0), (3.0, 1.0)):
+        index = index_from_record(_record_with(k1=k1, b=b))
+        assert (index.k1, index.b) == (k1, b)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_accumulate_scores_equals_score_exactly(data):
+    vocab = ["ash", "oak", "elm", "fir", "yew"]
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    paras = [
+        make_paragraph("b", i, data.draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=10)))
+        for i in range(n)
+    ]
+    index = build_index(paras, k1=data.draw(st.floats(0.0, 3.0)), b=data.draw(st.floats(0.0, 1.0)))
+    query = data.draw(st.lists(st.sampled_from(vocab + ["Oak", "pine"]), max_size=8))
+    acc = accumulate_scores(index, query)
+    for i in range(n):
+        assert acc.get(i, 0.0) == score(index, query, i)
+    assert set(acc) == {p for t in set(q.lower() for q in query) for p, _ in index.postings.get(t, ())}
 
 
 @settings(max_examples=80)

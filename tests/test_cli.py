@@ -293,6 +293,25 @@ def test_eval_ir_file_scorer_roundtrip(tmp_path, capsys):
     assert baseline == reranked
 
 
+def test_inconsistent_index_fails_with_format_error(tmp_path, capsys):
+    """An index record whose ``n_docs`` disagrees with its ``doc_len`` is
+    refused when loaded, before any retrieval runs."""
+    run_ok(capsys, *synth_args(tmp_path / "corpus"))
+    paras, index = tmp_path / "paras.jsonl", tmp_path / "index.jsonl"
+    run_ok(capsys, "chunk", "--books", tmp_path / "corpus" / "books.jsonl", "--out", paras)
+    run_ok(capsys, "index", "--paragraphs", paras, "--out", index)
+    records = [json.loads(line) for line in index.read_text(encoding="utf-8").splitlines()]
+    records[1]["n_docs"] += 1
+    index.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "retrieved.jsonl"
+    err = run_fail(
+        capsys, "retrieve", "--index", index, "--qa", tmp_path / "corpus" / "qa.jsonl", "--out", out
+    )
+    assert err.startswith("error[format]: bad index record for book ")
+    assert "doc_len entries" in err
+    assert not out.exists()
+
+
 def test_error_contracts(tmp_path, capsys):
     qa_path = tmp_path / "qa.jsonl"
     qa_path.write_text(

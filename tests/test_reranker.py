@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookqa import bm25
+from bookqa.corpus import Paragraph
 from bookqa.errors import ProtocolError
 from bookqa.oracles import brute_bm25_score
 from bookqa.reranker import (
@@ -22,6 +24,7 @@ from bookqa.reranker import (
     response_from_record,
     write_requests_file,
 )
+from bookqa.text import normalize_eval_tokens, tokenize
 
 SCORERS = Path(__file__).parent / "scorers"
 
@@ -145,6 +148,33 @@ def test_lexical_reranker_micro_collection_hand_value():
         0.75,
     )
     assert scores[0] == pytest.approx(want, abs=1e-12)
+
+
+words = st.sampled_from(["Ash", "ash", "oak", "elm", "fir", "the", ",", "'s", "--", "oak."])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.lists(words, max_size=9).map(" ".join), min_size=1, max_size=7),
+    st.lists(words, max_size=6).map(" ".join),
+    st.sampled_from([(1.2, 0.75), (0.0, 0.0), (2.5, 1.0), (0.9, 0.3)]),
+)
+def test_lexical_reranker_equals_bm25_score_exactly(texts, question, params):
+    """One pass of ``accumulate_scores`` gives, bit for bit, what one
+    ``bm25.score`` call per candidate over the same micro-index gives.
+    Candidates without tokens (empty or punctuation-only) score 0."""
+    k1, b = params
+    request = make_request(texts, question=question)
+    token_lists = [tokenize(t) for t in texts]
+    paragraphs = [Paragraph("", i, tokens) for i, tokens in enumerate(token_lists) if tokens]
+    query = normalize_eval_tokens(tokenize(question).tokens)
+    if paragraphs:
+        index = bm25.build_index(paragraphs, k1=k1, b=b)
+        indexed = {p.para_index for p in paragraphs}
+        want = [bm25.score(index, query, i) if i in indexed else 0.0 for i in range(len(texts))]
+    else:
+        want = [0.0] * len(texts)
+    assert LexicalReranker(k1=k1, b=b).score(request) == want
 
 
 def test_lexical_reranker_ranks_unique_match_first():
