@@ -7,9 +7,10 @@ a rerun with identical config, inputs, and seed is byte-identical (the
 
 Every stage runs as its own process, so this module imports only what every
 subcommand needs: argument parsing and the shared data model.  Each
-subcommand imports the layers it runs in its own body, and one that starts a
-process pool imports its workers' layers before the pool starts, so forked
-workers inherit them instead of importing them again.
+subcommand imports the layers it runs in its own body.  Per-book work goes
+through ``fileio.parallel_map``, whose workers are forked from the stage
+process and inherit its tasks and loaded modules, so a subcommand imports its
+workers' layers before the map starts and no worker imports them again.
 """
 
 from __future__ import annotations
@@ -161,18 +162,21 @@ def _index_worker(task):
     from . import bm25
 
     paragraphs, k1, b = task
-    return bm25.index_to_record(bm25.build_index(paragraphs, k1=k1, b=b))
+    record = bm25.index_to_record(bm25.build_index(paragraphs, k1=k1, b=b))
+    # The finished line, not the record: a string is far cheaper to send
+    # back from a worker than the nested dict it encodes.
+    return json.dumps(record, sort_keys=True)
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    from . import bm25  # noqa: F401  (loaded before the pool forks its workers)
+    from . import bm25  # noqa: F401  (forked workers inherit it)
 
     grouped = load_paragraphs(args.paragraphs)
     books = sorted(grouped)
-    records = parallel_map(
+    lines = parallel_map(
         _index_worker, [(grouped[b], args.k1, args.b) for b in books], args.jobs
     )
-    write_lines(args.out, (json.dumps(r, sort_keys=True) for r in records))
+    write_lines(args.out, lines)
     config = {
         "paragraphs": str(args.paragraphs),
         "k1": args.k1,
@@ -340,7 +344,7 @@ def _span_worker(task):
 
 def _cmd_span_oracle(args: argparse.Namespace) -> int:
     from . import bm25
-    from . import spans  # noqa: F401  (loaded before the pool forks its workers)
+    from . import spans  # noqa: F401  (forked workers inherit it)
 
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)

@@ -1,13 +1,14 @@
-"""Strict JSONL I/O, artifact sidecars, and bounded parallel mapping."""
+"""Strict JSONL I/O, artifact sidecars, and a bounded fork-based parallel map."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from .errors import BookQaError, FormatError, WorkerError
 
@@ -107,28 +108,127 @@ def write_sidecar(
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
-    """Order-preserving map, optionally over a process pool.
+    """Order-preserving map over up to ``jobs`` forked worker processes.
 
     Results are returned in input order regardless of ``jobs``, so callers
-    stay deterministic under any parallelism level.  A worker that dies, or
-    raises anything but a ``BookQaError``, surfaces as a ``WorkerError``.
+    stay deterministic under any parallelism level.  Worker ``w`` of ``n``
+    maps items ``w, w + n, ...`` of the ``fn`` and ``items`` it inherited at
+    the fork, so no task is pickled.  It sends back one pickle of its
+    results, or of its first error, through its own pipe.  If several items
+    fail, the error of the lowest one is raised, as in one process.  A
+    ``BookQaError`` passes through; any other exception becomes a
+    ``WorkerError``.  A worker that dies also becomes a ``WorkerError``, and
+    the workers not yet collected are killed.  Where ``os.fork`` is missing,
+    the map runs in-process.
     """
-    if jobs <= 1 or len(items) <= 1:
+    n = min(jobs, len(items))
+    if n <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    # Imported here, not at module level: the pool machinery (multiprocessing,
-    # threads, logging) takes tens of milliseconds to load, and a process
-    # that never starts a pool should not pay for it.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    # Loaded before the fork so that the workers inherit it; a process that
+    # never forks does not pay for it.
+    import pickle  # noqa: F401
 
+    # A worker that flushes its copy of a non-empty buffer would write it twice.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pending: list[tuple[int, IO[bytes]]] = []  # (pid, read end), worker order
+    outcomes = []
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    except BookQaError:
-        raise
-    except BrokenProcessPool as exc:
-        raise WorkerError(f"a worker process died: {exc}") from exc
+        for w in range(n):
+            pending.append(_start_worker(fn, items, range(w, len(items), n)))
+        while pending:
+            pid, pipe = pending[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del pending[0]
+            outcomes.append(_decode(data, os.waitstatus_to_exitcode(status)))
+    finally:
+        _kill_and_reap(pending)
+    failures = [(i, error) for i, error in outcomes if i is not None]
+    if failures:
+        _, error = min(failures, key=lambda failure: failure[0])
+        if isinstance(error, BookQaError):
+            raise error
+        raise WorkerError(f"a worker task failed: {error}")
+    results: list[Any] = [None] * len(items)
+    for w, (_, values) in enumerate(outcomes):
+        results[w::n] = values
+    return results
+
+
+def _start_worker(
+    fn: Callable[[T], R], items: Sequence[T], indexes: range
+) -> tuple[int, IO[bytes]]:
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise WorkerError(f"cannot start a worker process: {exc}") from exc
+    if pid == 0:
+        os.close(read_fd)
+        _run_worker(fn, items, indexes, write_fd)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_worker(
+    fn: Callable[[T], R], items: Sequence[T], indexes: range, write_fd: int
+) -> NoReturn:
+    """The body of a forked worker.  It leaves through ``os._exit`` whatever
+    happens, so it never runs the caller's code that follows the fork."""
+    import pickle
+
+    status = 1
+    try:
+        values: list[R] = []
+        payload: tuple[int | None, Any] = (None, values)
+        for i in indexes:
+            try:
+                values.append(fn(items[i]))
+            except BookQaError as exc:
+                payload = (i, exc)
+                break
+            except Exception as exc:
+                payload = (i, f"{type(exc).__name__}: {exc}")
+                break
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            reason = f"cannot send its results back: {type(exc).__name__}: {exc}"
+            data = pickle.dumps((indexes[0], reason), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _decode(data: bytes, exit_code: int) -> tuple[int | None, Any]:
+    import pickle
+
+    if exit_code != 0:
+        how = f"signal {-exit_code}" if exit_code < 0 else f"exit code {exit_code}"
+        raise WorkerError(f"a worker process died ({how})")
+    try:
+        return pickle.loads(data)
     except Exception as exc:
         raise WorkerError(
-            f"a worker task failed: {type(exc).__name__}: {exc}"
+            f"a worker process died: its result is incomplete ({type(exc).__name__})"
         ) from exc
+
+
+def _kill_and_reap(pending: list[tuple[int, IO[bytes]]]) -> None:
+    """Stop the workers not yet collected when the parent fails part-way."""
+    import signal
+
+    for pid, pipe in pending:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)

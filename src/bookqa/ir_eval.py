@@ -234,10 +234,10 @@ def run_ablation(
     for q in examples:
         if q.book_id not in indexes:
             raise EvalError(f"no index for book {q.book_id!r}")
-    # The built-in scorers are cheap to pickle and run in one worker task per
-    # book.  Any other scorer stays in this process and sees the questions
-    # one at a time, in order: a subprocess cannot be pickled into a task,
-    # and a scores file would be copied into every one.
+    # The built-in scorers run in one worker task per book.  Any other scorer
+    # stays in this process and sees the questions one at a time, in order:
+    # an external scorer is one process with one request in flight, which
+    # forked workers must not share.
     if isinstance(scorer, (IdentityReranker, LexicalReranker)):
         by_book = group_by_book(examples)
         tasks = [

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import shlex
-import subprocess
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -163,6 +162,9 @@ class ExternalProcessReranker:
     flight at a time."""
 
     def __init__(self, command: str | Sequence[str]):
+        # Imported here: only this scorer starts a process.
+        import subprocess
+
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise ProtocolError("empty scorer command")
@@ -214,6 +216,8 @@ class ExternalProcessReranker:
         return list(response.scores)
 
     def close(self) -> None:
+        import subprocess
+
         if self.process.stdin:
             try:
                 self.process.stdin.close()

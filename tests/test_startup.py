@@ -39,10 +39,15 @@ NOT_AT_IMPORT = (
 )
 
 # Imports the CLI in a fresh interpreter, runs ``argv`` through ``main``
-# unless it is null, and prints the exit code and the modules loaded since
-# start-up.
+# unless it is null, and prints the exit code, the modules loaded since
+# start-up, and the number of live threads at each ``os.fork``.
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, threading
+fork_threads = []
+def counting_fork(fork=os.fork):
+    fork_threads.append(threading.active_count())
+    return fork()
+os.fork = counting_fork
 before = set(sys.modules)
 from bookqa.cli import main
 argv = json.loads(sys.argv[1])
@@ -50,7 +55,9 @@ code = None
 if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+print(json.dumps({
+    "code": code, "loaded": sorted(set(sys.modules) - before), "fork_threads": fork_threads,
+}))
 """
 
 
@@ -75,8 +82,8 @@ def test_import_cli_loads_no_stage_layer():
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
-    """A chunked and indexed synth corpus, a predictions file, and a scores
-    file for ``eval-ir --reranker file:``."""
+    """A chunked, indexed and retrieved synth corpus, a predictions file, and
+    a scores file for ``eval-ir --reranker file:``."""
     work = tmp_path_factory.mktemp("startup")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main([
@@ -90,6 +97,11 @@ def small_run(tmp_path_factory):
         assert main([
             "index", "--paragraphs", str(work / "paras.jsonl"),
             "--out", str(work / "index.jsonl"), "--jobs", "1",
+        ]) == 0
+        assert main([
+            "retrieve", "--index", str(work / "index.jsonl"),
+            "--qa", str(work / "corpus" / "qa.jsonl"),
+            "--out", str(work / "retrieved.jsonl"), "--jobs", "1",
         ]) == 0
         assert main([
             "eval-ir", "--index", str(work / "index.jsonl"),
@@ -135,6 +147,40 @@ def test_stages_without_a_pool_never_load_it(small_run, tmp_path, stage):
     assert "bookqa.cli" in result["loaded"]
     assert "concurrent.futures" not in result["loaded"]
     assert "multiprocessing" not in result["loaded"]
+
+
+@pytest.mark.parametrize(
+    "stage", ["index", "retrieve", "supervise", "span-oracle", "eval-ir-lexical", "eval-ir-file"]
+)
+def test_pooled_stages_load_no_pool_machinery(small_run, tmp_path, stage):
+    """At --jobs 2 over two books these stages fork two workers with
+    ``os.fork``, from a process with no second thread (forking a threaded
+    process can deadlock the child), and load no ``concurrent.futures`` or
+    ``multiprocessing``, nor ``subprocess``, since they start no scorer.
+    ``file:`` scores in the stage process and forks nothing."""
+    work = small_run
+    paras, qa, index = work / "paras.jsonl", work / "corpus" / "qa.jsonl", work / "index.jsonl"
+    eval_ir = ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa]
+    argv = {
+        "index": ["index", "--paragraphs", paras, "--out", tmp_path / "index.jsonl"],
+        "retrieve": ["retrieve", "--index", index, "--qa", qa, "--out", tmp_path / "r.jsonl"],
+        "supervise": [
+            "supervise", "--index", index, "--paragraphs", paras, "--qa", qa,
+            "--out", tmp_path / "pairs.jsonl",
+        ],
+        "span-oracle": [
+            "span-oracle", "--paragraphs", paras, "--qa", qa,
+            "--selections", work / "retrieved.jsonl", "--out", tmp_path / "spans.jsonl",
+        ],
+        "eval-ir-lexical": [*eval_ir, "--reranker", "lexical"],
+        "eval-ir-file": [*eval_ir, "--reranker", f"file:{work / 'scores.jsonl'}"],
+    }[stage]
+    result = fresh_run([*argv, "--jobs", 2])
+    assert result["code"] == 0
+    assert result["fork_threads"] == ([] if stage == "eval-ir-file" else [1, 1])
+    loaded = set(result["loaded"])
+    assert "bookqa.cli" in loaded
+    assert sorted(loaded & {"concurrent.futures", "multiprocessing", "subprocess"}) == []
 
 
 # ---------------------------------------------------------------------------
