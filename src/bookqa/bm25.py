@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import (
@@ -35,7 +36,7 @@ class Bm25Index:
     """Immutable inverted index over one book's paragraphs."""
 
     book_id: str
-    postings: dict[str, tuple[tuple[int, int], ...]]  # term -> ((para_index, tf), ...)
+    postings: dict[str, list[list[int]]]  # term -> [[para_index, tf], ...]
     doc_len: dict[int, int]
     avg_doc_len: float
     n_docs: int
@@ -84,7 +85,7 @@ def build_index(
         raise CorpusError("duplicate para_index in index input")
 
     ordered = sorted(paragraphs, key=lambda p: p.para_index)
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict[str, list[list[int]]] = {}
     doc_len: dict[int, int] = {}
     for para in ordered:
         terms = normalize_eval_tokens(para.tokens.tokens)
@@ -93,13 +94,13 @@ def build_index(
         for term in terms:
             counts[term] = counts.get(term, 0) + 1
         for term, tf in counts.items():
-            postings.setdefault(term, []).append((para.para_index, tf))
+            postings.setdefault(term, []).append([para.para_index, tf])
 
     n_docs = len(ordered)
     avg = sum(doc_len.values()) / n_docs
     return Bm25Index(
         book_id=ordered[0].book_id,
-        postings={t: tuple(v) for t, v in postings.items()},
+        postings=postings,
         doc_len=doc_len,
         avg_doc_len=avg,
         n_docs=n_docs,
@@ -192,41 +193,57 @@ def index_to_record(index: Bm25Index) -> dict:
         "n_docs": index.n_docs,
         "avg_doc_len": index.avg_doc_len,
         "doc_len": {str(p): n for p, n in sorted(index.doc_len.items())},
-        "postings": {t: [list(e) for e in v] for t, v in sorted(index.postings.items())},
+        "postings": dict(sorted(index.postings.items())),
     }
+
+
+def _posting_problem(postings: dict, doc_len: dict) -> str | None:
+    """What is wrong with the first bad posting in record order, or None.
+
+    A posting must be a pair of ints ``[para_index, tf]`` with ``para_index``
+    in ``doc_len`` and ``tf >= 1``.  Passes in C check every posting; only
+    when one fails are they walked in Python, to name the bad one."""
+    if set(map(type, postings.values())) <= {list}:
+        entries = list(chain.from_iterable(postings.values()))
+        if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+            flat = list(chain.from_iterable(entries))
+            # ``type``, not ``isinstance``: a bool is an int, but no paragraph or count.
+            ints = set(map(type, flat)) <= {int}
+            if ints and doc_len.keys() >= set(flat[0::2]) and min(flat[1::2], default=1) >= 1:
+                return None
+    for term, plist in postings.items():
+        for entry in plist if type(plist) is list else [plist]:
+            if type(entry) is not list or len(entry) != 2 or set(map(type, entry)) != {int}:
+                return f"term {term!r} has posting {entry!r}, not a pair of ints"
+            p, f = entry
+            if p not in doc_len:
+                return f"term {term!r} has a posting for unknown paragraph {p}"
+            if f < 1:
+                return f"term {term!r} has term frequency {f} in paragraph {p}"
+    return None
 
 
 def index_from_record(obj: dict) -> Bm25Index:
     """The index a record of ``index_to_record`` describes.
 
     The record must be consistent with itself: ``n_docs`` counts the
-    ``doc_len`` entries, every posting names a paragraph of ``doc_len`` with
-    a term frequency of at least 1, ``k1 >= 0`` and ``0 <= b <= 1``.  A
-    record that is not fails with ``FormatError`` instead of scoring wrong."""
+    ``doc_len`` entries, every posting is a pair of ints naming a paragraph
+    of ``doc_len`` with a term frequency of at least 1, ``k1 >= 0`` and
+    ``0 <= b <= 1``.  A record that is not fails with ``FormatError``
+    instead of scoring wrong.  The decoded posting lists become the index's."""
     try:
         book_id = str(obj["book_id"])
         doc_len = {int(p): int(n) for p, n in obj["doc_len"].items()}
         n_docs = int(obj["n_docs"])
         k1 = float(obj["k1"])
         b = float(obj["b"])
-        postings = {}
-        for term, plist in obj["postings"].items():
-            entries = tuple((int(p), int(f)) for p, f in plist)
-            for p, f in entries:
-                if p not in doc_len:
-                    raise FormatError(
-                        f"bad index record for book {book_id!r}: term {term!r} "
-                        f"has a posting for unknown paragraph {p}"
-                    )
-                if f < 1:
-                    raise FormatError(
-                        f"bad index record for book {book_id!r}: term {term!r} "
-                        f"has term frequency {f} in paragraph {p}"
-                    )
-            postings[term] = entries
+        postings = dict(obj["postings"].items())
         avg_doc_len = float(obj["avg_doc_len"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad index record: {exc}") from exc
+    problem = _posting_problem(postings, doc_len)
+    if problem:
+        raise FormatError(f"bad index record for book {book_id!r}: {problem}")
     if n_docs != len(doc_len):
         raise FormatError(
             f"bad index record for book {book_id!r}: n_docs {n_docs} but "

@@ -96,16 +96,11 @@ def chunk_book(book: Book, width: int = DEFAULT_CHUNK_WIDTH) -> list[Paragraph]:
     """
     if width < 1:
         raise ValueError("chunk width must be >= 1")
-    paragraphs = []
     tokens = book.tokens.tokens
-    offsets = book.tokens.offsets
-    for start in range(0, len(tokens), width):
-        window = TokenSeq(
-            tokens[start : start + width],
-            offsets[start : start + width] if offsets is not None else None,
-        )
-        paragraphs.append(Paragraph(book.book_id, start // width, window))
-    return paragraphs
+    return [
+        Paragraph(book.book_id, start // width, TokenSeq(tokens[start : start + width]))
+        for start in range(0, len(tokens), width)
+    ]
 
 
 def load_books(path: Path | str) -> list[Book]:

@@ -1,8 +1,9 @@
 """Rule-based tokenization and the two answer-normalization schemes.
 
-The tokenizer splits on whitespace, peels leading/trailing punctuation into
-single-character tokens, and detaches a fixed table of English clitics
-("don't" -> "do", "n't").  It is deterministic and idempotent on its own
+The tokenizer splits on whitespace (``str.split``), peels leading/trailing
+punctuation into single-character tokens, and detaches a fixed table of
+English clitics ("don't" -> "do", "n't").  Tokens are plain strings, with no
+character offsets.  It is deterministic and idempotent on its own
 space-joined output, which is what lets paragraph text round-trip through
 files losslessly.
 
@@ -20,7 +21,6 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable
 
-_CHUNK_RE = re.compile(r"\S+")
 _WS_RE = re.compile(r"\s")
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 
@@ -43,10 +43,9 @@ def is_punct_char(ch: str) -> bool:
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """Immutable token sequence, optionally with source character offsets."""
+    """Immutable token sequence: no token is empty or holds whitespace."""
 
     tokens: tuple[str, ...]
-    offsets: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
         # One pass in C over all tokens; the loop only names the bad one.
@@ -54,14 +53,6 @@ class TokenSeq:
             for tok in self.tokens:
                 if not tok or _WS_RE.search(tok):
                     raise ValueError(f"invalid token: {tok!r}")
-        if self.offsets is not None:
-            if len(self.offsets) != len(self.tokens):
-                raise ValueError("offsets length does not match tokens")
-            prev_end = 0
-            for start, end in self.offsets:
-                if start < prev_end or start >= end:
-                    raise ValueError("offsets must be non-overlapping and increasing")
-                prev_end = end
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -77,41 +68,43 @@ class TokenSeq:
         return " ".join(self.tokens)
 
 
+def _unchecked(tokens: tuple[str, ...]) -> TokenSeq:
+    """A ``TokenSeq`` built without the check, for this module's output:
+    splitting on whitespace yields no empty or whitespace-holding token, and
+    no character lowercases to whitespace."""
+    seq = object.__new__(TokenSeq)
+    object.__setattr__(seq, "tokens", tokens)
+    return seq
+
+
 class LazyTokenSeq(TokenSeq):
     """The ``tokenize`` result for ``source``, computed on first use of
-    ``tokens`` or ``offsets``.
+    ``tokens``.
 
     It pickles as the text alone, so a worker that receives one tokenizes it
     there, and it compares equal to the eager ``TokenSeq`` with the same
-    tokens and offsets.  Truth is answered from the text, without tokenizing:
-    every whitespace-delimited chunk yields at least one token.
+    tokens.  Truth is answered from the text, without tokenizing: every
+    whitespace-delimited chunk yields at least one token.
     """
 
     def __init__(self, source: str) -> None:
         object.__setattr__(self, "source", source)
 
-    def _tokenized(self) -> TokenSeq:
-        seq = self.__dict__.get("_seq")
-        if seq is None:
-            seq = tokenize(self.source)
-            object.__setattr__(self, "_seq", seq)
-        return seq
-
     @property
     def tokens(self) -> tuple[str, ...]:
-        return self._tokenized().tokens
-
-    @property
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        return self._tokenized().offsets
+        tokens = self.__dict__.get("_tokens")
+        if tokens is None:
+            tokens = tokenize(self.source).tokens
+            object.__setattr__(self, "_tokens", tokens)
+        return tokens
 
     def __bool__(self) -> bool:
-        return _CHUNK_RE.search(self.source) is not None
+        return bool(self.source) and not self.source.isspace()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TokenSeq):
             return NotImplemented
-        return (self.tokens, self.offsets) == (other.tokens, other.offsets)
+        return self.tokens == other.tokens
 
     __hash__ = TokenSeq.__hash__
 
@@ -119,59 +112,52 @@ class LazyTokenSeq(TokenSeq):
         return LazyTokenSeq, (self.source,)
 
 
-def _emit(piece: str, start: int, tokens: list, offsets: list) -> None:
-    tokens.append(piece)
-    offsets.append((start, start + len(piece)))
-
-
-def _split_chunk(chunk: str, base: int, tokens: list, offsets: list) -> None:
-    """Tokenize one whitespace-delimited chunk starting at ``base``."""
+def _split_chunk(chunk: str, tokens: list) -> None:
+    """Append the tokens of one whitespace-delimited chunk to ``tokens``."""
     # A bare clitic ("'s") comes from re-tokenizing our own output and
     # must stay whole, or idempotence breaks.
     if chunk.lower() in _CLITIC_SET:
-        _emit(chunk, base, tokens, offsets)
+        tokens.append(chunk)
         return
     lo, hi = 0, len(chunk)
     while lo < hi and is_punct_char(chunk[lo]):
-        _emit(chunk[lo], base + lo, tokens, offsets)
+        tokens.append(chunk[lo])
         lo += 1
-    hi_orig = hi
     while hi > lo and is_punct_char(chunk[hi - 1]):
         hi -= 1
     if hi > lo:
-        _split_clitics(chunk[lo:hi], base + lo, tokens, offsets)
-    for i in range(hi, hi_orig):
-        _emit(chunk[i], base + i, tokens, offsets)
+        _split_clitics(chunk[lo:hi], tokens)
+    tokens.extend(chunk[hi:])
 
 
-def _split_clitics(core: str, base: int, tokens: list, offsets: list) -> None:
+def _split_clitics(core: str, tokens: list) -> None:
     low = core.lower()
     for clitic in _CLITICS:
         if low.endswith(clitic) and len(core) > len(clitic):
             cut = len(core) - len(clitic)
             # The head may end in punctuation ("x.'s"), so run it through
             # the full chunk pipeline again.
-            _split_chunk(core[:cut], base, tokens, offsets)
-            _emit(core[cut:], base + cut, tokens, offsets)
+            _split_chunk(core[:cut], tokens)
+            tokens.append(core[cut:])
             return
-    _emit(core, base, tokens, offsets)
+    tokens.append(core)
 
 
 def tokenize(text: str) -> TokenSeq:
-    """Split ``text`` into tokens with character offsets into the input."""
+    """Split ``text`` into tokens."""
+    # ``str.split`` splits where ``\s`` matches: both test ``str.isspace``.
+    # Fast path, exact: no alphanumeric character is punctuation, and none
+    # lowercases to an apostrophe, so ``_split_chunk`` would emit it whole.
+    chunks = text.split()
+    if all(map(str.isalnum, chunks)):
+        return _unchecked(tuple(chunks))
     tokens: list[str] = []
-    offsets: list[tuple[int, int]] = []
-    for match in _CHUNK_RE.finditer(text):
-        chunk = match.group()
-        # Fast path, exact: no alphanumeric character is punctuation, and
-        # none lowercases to an apostrophe, so ``_split_chunk`` would emit
-        # the chunk whole.
+    for chunk in chunks:
         if chunk.isalnum():
             tokens.append(chunk)
-            offsets.append(match.span())
         else:
-            _split_chunk(chunk, match.start(), tokens, offsets)
-    return TokenSeq(tuple(tokens), tuple(offsets))
+            _split_chunk(chunk, tokens)
+    return _unchecked(tuple(tokens))
 
 
 def normalize_eval_tokens(tokens: Iterable[str]) -> list[str]:
@@ -181,7 +167,7 @@ def normalize_eval_tokens(tokens: Iterable[str]) -> list[str]:
 
 def normalize_eval(text: str) -> TokenSeq:
     """Tokenize then lowercase, dropping punctuation-only tokens."""
-    return TokenSeq(tuple(normalize_eval_tokens(tokenize(text).tokens)))
+    return _unchecked(tuple(normalize_eval_tokens(tokenize(text).tokens)))
 
 
 def normalize_squad(text: str) -> TokenSeq:
@@ -190,4 +176,4 @@ def normalize_squad(text: str) -> TokenSeq:
     lowered = text.lower()
     no_punct = "".join(ch for ch in lowered if not is_punct_char(ch))
     no_articles = _ARTICLE_RE.sub(" ", no_punct)
-    return TokenSeq(tuple(no_articles.split()))
+    return _unchecked(tuple(no_articles.split()))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,22 @@ def test_index_from_record_rejects_term_frequency_below_one():
     record["postings"]["wall"] = [[1, 0]]
     with pytest.raises(FormatError, match="term 'wall' has term frequency 0 in paragraph 1"):
         index_from_record(record)
+
+
+@pytest.mark.parametrize("posting", [["3", 1], [1.5, 1], [True, 1], [1]])
+def test_index_from_record_rejects_posting_that_is_not_a_pair_of_ints(posting):
+    record = _record_with()
+    record["postings"]["wall"] = [[1, 1], posting]
+    expected = f"term 'wall' has posting {posting!r}, not a pair of ints"
+    with pytest.raises(FormatError, match=re.escape(expected)):
+        index_from_record(record)
+
+
+def test_index_from_record_keeps_decoded_posting_lists():
+    record = _record_with()
+    index = index_from_record(record)
+    assert index.postings["apple"] is record["postings"]["apple"]
+    assert index.postings["apple"] == [[0, 2]]
 
 
 @pytest.mark.parametrize(

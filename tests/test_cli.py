@@ -312,6 +312,26 @@ def test_inconsistent_index_fails_with_format_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_index_posting_of_strings_fails_with_format_error(tmp_path, capsys):
+    """A posting ``["3", 1]`` is refused when the index loads, not read as
+    paragraph 3."""
+    run_ok(capsys, *synth_args(tmp_path / "corpus"))
+    paras, index = tmp_path / "paras.jsonl", tmp_path / "index.jsonl"
+    run_ok(capsys, "chunk", "--books", tmp_path / "corpus" / "books.jsonl", "--out", paras)
+    run_ok(capsys, "index", "--paragraphs", paras, "--out", index)
+    records = [json.loads(line) for line in index.read_text(encoding="utf-8").splitlines()]
+    term = sorted(records[0]["postings"])[0]
+    records[0]["postings"][term].append(["3", 1])
+    index.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "retrieved.jsonl"
+    err = run_fail(
+        capsys, "retrieve", "--index", index, "--qa", tmp_path / "corpus" / "qa.jsonl", "--out", out
+    )
+    assert err.startswith("error[format]: bad index record for book ")
+    assert "has posting ['3', 1], not a pair of ints" in err
+    assert not out.exists()
+
+
 def test_error_contracts(tmp_path, capsys):
     qa_path = tmp_path / "qa.jsonl"
     qa_path.write_text(

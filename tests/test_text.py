@@ -1,12 +1,12 @@
 import pickle
 import pickletools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookqa.text import (
-    _CHUNK_RE,
     LazyTokenSeq,
     TokenSeq,
     _split_chunk,
@@ -46,16 +46,6 @@ def test_tokenize_mixed_punct_and_clitic():
 
 def test_tokenize_keeps_interior_punctuation():
     assert toks("rule-based o'clock") == ["rule-based", "o'clock"]
-
-
-def test_tokenize_offsets_map_into_input():
-    text = "  The cat, sat."
-    seq = tokenize(text)
-    for tok, (start, end) in zip(seq.tokens, seq.offsets):
-        assert text[start:end] == tok
-    ends = [e for _, e in seq.offsets]
-    starts = [s for s, _ in seq.offsets]
-    assert all(s >= e for s, e in zip(starts[1:], ends))
 
 
 @settings(max_examples=300)
@@ -112,10 +102,22 @@ def test_tokenseq_rejects_bad_tokens():
         TokenSeq(("ok", "a\tb", "c"))
     with pytest.raises(ValueError, match=r"^invalid token: 'x\\u2003'$"):
         TokenSeq(("x\u2003",))
-    with pytest.raises(ValueError):
-        TokenSeq(("a",), offsets=((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        TokenSeq(("a", "b"), offsets=((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match=r"^invalid token: 'a b'$"):
+        TokenSeq(("a b",))
+    with pytest.raises(ValueError, match=r"^invalid token: ''$"):
+        TokenSeq(("",))
+
+
+def test_own_sequences_are_not_checked_again(monkeypatch):
+    def fail(seq):
+        raise AssertionError(f"checked {seq.tokens!r}")
+
+    monkeypatch.setattr(TokenSeq, "__post_init__", fail)
+    assert tokenize("Wyatt's (brother) sat").tokens == ("Wyatt", "'s", "(", "brother", ")", "sat")
+    assert normalize_eval("The cat, sat.").tokens == ("the", "cat", "sat")
+    assert normalize_squad("The cat, sat.").tokens == ("cat", "sat")
+    with pytest.raises(AssertionError, match="checked"):
+        TokenSeq(("a",))
 
 
 def test_tokenseq_text_roundtrip():
@@ -124,32 +126,49 @@ def test_tokenseq_text_roundtrip():
 
 
 def _general_tokens(text):
-    """Every chunk through ``_split_chunk``: the path without the fast path."""
-    tokens, offsets = [], []
-    for match in _CHUNK_RE.finditer(text):
-        _split_chunk(match.group(), match.start(), tokens, offsets)
-    return tuple(tokens), tuple(offsets)
+    """Every ``\\S+`` run through ``_split_chunk``: the path without the fast
+    path, chunked by the regular expression instead of ``str.split``."""
+    tokens = []
+    for match in re.finditer(r"\S+", text):
+        _split_chunk(match.group(), tokens)
+    return tuple(tokens)
 
 
 _PIECES = (
     "a", "Z", "7", "don", "word", "²", "½", "Ⅻ", "İ", "ß", "ǅ", "０", "９",
     "'", "’", "'s", "n't", "’ll", "N’T", "'D", ".", ",", "(", ")", "-", "…",
     "«", "$", "_", " ", "  ", "\t", "\n", "\u00a0", "\u2003",
+    "\x1c", "\x85", "\u2028", "\u3000",
 )
 
 
 @settings(max_examples=400)
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
 def test_tokenize_fast_path_matches_general_path(text):
-    seq = tokenize(text)
-    assert (seq.tokens, seq.offsets) == _general_tokens(text)
+    assert tokenize(text).tokens == _general_tokens(text)
 
 
 @settings(max_examples=200)
 @given(st.text(alphabet=st.sampled_from("".join(_PIECES)), max_size=40))
 def test_tokenize_fast_path_matches_general_path_on_characters(text):
-    seq = tokenize(text)
-    assert (seq.tokens, seq.offsets) == _general_tokens(text)
+    assert tokenize(text).tokens == _general_tokens(text)
+
+
+def test_str_isspace_is_regex_whitespace_on_every_code_point():
+    # ``tokenize`` splits with ``str.split``; its chunks are the ``\S+`` runs
+    # only because both split on the same code points.
+    space = re.compile(r"\s")
+    spaces = []
+    for c in map(chr, range(0x110000)):
+        assert c.isspace() == (space.match(c) is not None), repr(c)
+        if c.isspace():
+            spaces.append(c)
+        else:
+            # Nor does lowercasing make whitespace: normalized tokens stay valid.
+            assert not any(map(str.isspace, c.lower())), repr(c)
+    assert {"\x1c", "\x85", "\u2028", "\u3000"} <= set(spaces)
+    for ch in spaces:
+        assert tokenize(f"a{ch}b").tokens == ("a", "b"), repr(ch)
 
 
 def test_normalize_eval_tokens_keeps_mixed_tokens():
@@ -165,8 +184,7 @@ def test_lazy_tokenseq_equals_eager_both_ways():
     assert hash(lazy) == hash(eager)
     other = tokenize("Wyatt's brother")
     assert lazy != other and other != lazy
-    # Same tokens at other offsets are another sequence.
-    assert LazyTokenSeq("a  b") != tokenize("a b")
+    assert LazyTokenSeq("a  b") == tokenize("a b")
     assert lazy != text
 
 
@@ -177,7 +195,6 @@ def test_lazy_tokenseq_reads_like_eager():
     assert list(lazy) == list(eager)
     assert lazy[1] == eager[1]
     assert lazy.text() == eager.text()
-    assert lazy.offsets == eager.offsets
     assert bool(lazy) and not LazyTokenSeq(" \t\n\u2003")
 
 
