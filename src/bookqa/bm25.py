@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import (
@@ -36,7 +35,7 @@ class Bm25Index:
     """Immutable inverted index over one book's paragraphs."""
 
     book_id: str
-    postings: dict[str, list[list[int]]]  # term -> [[para_index, tf], ...]
+    postings: dict[str, tuple[tuple[int, int], ...]]  # term -> ((para_index, tf), ...)
     doc_len: dict[int, int]
     avg_doc_len: float
     n_docs: int
@@ -85,7 +84,7 @@ def build_index(
         raise CorpusError("duplicate para_index in index input")
 
     ordered = sorted(paragraphs, key=lambda p: p.para_index)
-    postings: dict[str, list[list[int]]] = {}
+    postings: dict[str, list[tuple[int, int]]] = {}
     doc_len: dict[int, int] = {}
     for para in ordered:
         terms = normalize_eval_tokens(para.tokens.tokens)
@@ -94,13 +93,13 @@ def build_index(
         for term in terms:
             counts[term] = counts.get(term, 0) + 1
         for term, tf in counts.items():
-            postings.setdefault(term, []).append([para.para_index, tf])
+            postings.setdefault(term, []).append((para.para_index, tf))
 
     n_docs = len(ordered)
     avg = sum(doc_len.values()) / n_docs
     return Bm25Index(
         book_id=ordered[0].book_id,
-        postings=postings,
+        postings={t: tuple(v) for t, v in postings.items()},
         doc_len=doc_len,
         avg_doc_len=avg,
         n_docs=n_docs,
@@ -193,24 +192,33 @@ def index_to_record(index: Bm25Index) -> dict:
         "n_docs": index.n_docs,
         "avg_doc_len": index.avg_doc_len,
         "doc_len": {str(p): n for p, n in sorted(index.doc_len.items())},
-        "postings": dict(sorted(index.postings.items())),
+        "postings": {t: [list(e) for e in v] for t, v in sorted(index.postings.items())},
     }
 
 
-def _posting_problem(postings: dict, doc_len: dict) -> str | None:
-    """What is wrong with the first bad posting in record order, or None.
+def _posting_pairs(postings: dict, doc_len: dict) -> dict | None:
+    """The postings as tuples of ``(para_index, tf)`` tuples, or None if one
+    is not a pair of ints with ``para_index`` in ``doc_len`` and ``tf >= 1``.
 
-    A posting must be a pair of ints ``[para_index, tf]`` with ``para_index``
-    in ``doc_len`` and ``tf >= 1``.  Passes in C check every posting; only
-    when one fails are they walked in Python, to name the bad one."""
-    if set(map(type, postings.values())) <= {list}:
-        entries = list(chain.from_iterable(postings.values()))
-        if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
-            flat = list(chain.from_iterable(entries))
-            # ``type``, not ``isinstance``: a bool is an int, but no paragraph or count.
-            ints = set(map(type, flat)) <= {int}
-            if ints and doc_len.keys() >= set(flat[0::2]) and min(flat[1::2], default=1) >= 1:
-                return None
+    Tuples, not the decoded lists: smaller, and not shared with the record.
+    Of the values JSON decodes to, only a list of two ints converts to a pair
+    of ints."""
+    if not set(map(type, postings.values())) <= {list}:
+        return None
+    try:
+        pairs = {term: tuple(map(tuple, plist)) for term, plist in postings.items()}
+        for plist in pairs.values():
+            for p, f in plist:
+                # ``type``, not ``isinstance``: a bool is an int, but no paragraph or count.
+                if type(p) is not int or type(f) is not int or p not in doc_len or f < 1:
+                    return None
+    except (TypeError, ValueError):  # a posting that does not iterate as a pair
+        return None
+    return pairs
+
+
+def _posting_problem(postings: dict, doc_len: dict) -> str | None:
+    """What is wrong with the first bad posting in record order, or None."""
     for term, plist in postings.items():
         for entry in plist if type(plist) is list else [plist]:
             if type(entry) is not list or len(entry) != 2 or set(map(type, entry)) != {int}:
@@ -230,7 +238,7 @@ def index_from_record(obj: dict) -> Bm25Index:
     ``doc_len`` entries, every posting is a pair of ints naming a paragraph
     of ``doc_len`` with a term frequency of at least 1, ``k1 >= 0`` and
     ``0 <= b <= 1``.  A record that is not fails with ``FormatError``
-    instead of scoring wrong.  The decoded posting lists become the index's."""
+    instead of scoring wrong."""
     try:
         book_id = str(obj["book_id"])
         doc_len = {int(p): int(n) for p, n in obj["doc_len"].items()}
@@ -241,8 +249,9 @@ def index_from_record(obj: dict) -> Bm25Index:
         avg_doc_len = float(obj["avg_doc_len"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad index record: {exc}") from exc
-    problem = _posting_problem(postings, doc_len)
-    if problem:
+    pairs = _posting_pairs(postings, doc_len)
+    if pairs is None:
+        problem = _posting_problem(postings, doc_len)
         raise FormatError(f"bad index record for book {book_id!r}: {problem}")
     if n_docs != len(doc_len):
         raise FormatError(
@@ -256,7 +265,7 @@ def index_from_record(obj: dict) -> Bm25Index:
         )
     return Bm25Index(
         book_id=book_id,
-        postings=postings,
+        postings=pairs,
         doc_len=doc_len,
         avg_doc_len=avg_doc_len,
         n_docs=n_docs,

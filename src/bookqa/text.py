@@ -21,7 +21,6 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable
 
-_WS_RE = re.compile(r"\s")
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 
 # ASCII symbols counted as punctuation even though Unicode files some of them
@@ -48,10 +47,13 @@ class TokenSeq:
     tokens: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        # One pass in C over all tokens; the loop only names the bad one.
-        if not all(self.tokens) or _WS_RE.search("".join(self.tokens)):
+        # Passes in C over all tokens; the loop only names the bad one.  A
+        # string splits into just itself iff it is not empty and holds no
+        # whitespace (``str.split`` splits where ``\s`` matches).
+        joined = "".join(self.tokens)
+        if not all(self.tokens) or joined.split() != [joined]:
             for tok in self.tokens:
-                if not tok or _WS_RE.search(tok):
+                if tok.split() != [tok]:
                     raise ValueError(f"invalid token: {tok!r}")
 
     def __len__(self) -> int:
@@ -66,15 +68,6 @@ class TokenSeq:
     def text(self) -> str:
         """Space-joined surface form; re-tokenizing it yields the same tokens."""
         return " ".join(self.tokens)
-
-
-def _unchecked(tokens: tuple[str, ...]) -> TokenSeq:
-    """A ``TokenSeq`` built without the check, for this module's output:
-    splitting on whitespace yields no empty or whitespace-holding token, and
-    no character lowercases to whitespace."""
-    seq = object.__new__(TokenSeq)
-    object.__setattr__(seq, "tokens", tokens)
-    return seq
 
 
 class LazyTokenSeq(TokenSeq):
@@ -146,18 +139,16 @@ def _split_clitics(core: str, tokens: list) -> None:
 def tokenize(text: str) -> TokenSeq:
     """Split ``text`` into tokens."""
     # ``str.split`` splits where ``\s`` matches: both test ``str.isspace``.
-    # Fast path, exact: no alphanumeric character is punctuation, and none
-    # lowercases to an apostrophe, so ``_split_chunk`` would emit it whole.
-    chunks = text.split()
-    if all(map(str.isalnum, chunks)):
-        return _unchecked(tuple(chunks))
     tokens: list[str] = []
-    for chunk in chunks:
+    for chunk in text.split():
+        # Fast path, exact: no alphanumeric character is punctuation, and
+        # none lowercases to an apostrophe, so ``_split_chunk`` would emit
+        # the chunk whole.
         if chunk.isalnum():
             tokens.append(chunk)
         else:
             _split_chunk(chunk, tokens)
-    return _unchecked(tuple(tokens))
+    return TokenSeq(tuple(tokens))
 
 
 def normalize_eval_tokens(tokens: Iterable[str]) -> list[str]:
@@ -167,7 +158,7 @@ def normalize_eval_tokens(tokens: Iterable[str]) -> list[str]:
 
 def normalize_eval(text: str) -> TokenSeq:
     """Tokenize then lowercase, dropping punctuation-only tokens."""
-    return _unchecked(tuple(normalize_eval_tokens(tokenize(text).tokens)))
+    return TokenSeq(tuple(normalize_eval_tokens(tokenize(text).tokens)))
 
 
 def normalize_squad(text: str) -> TokenSeq:
@@ -176,4 +167,4 @@ def normalize_squad(text: str) -> TokenSeq:
     lowered = text.lower()
     no_punct = "".join(ch for ch in lowered if not is_punct_char(ch))
     no_articles = _ARTICLE_RE.sub(" ", no_punct)
-    return _unchecked(tuple(no_articles.split()))
+    return TokenSeq(tuple(no_articles.split()))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookqa import bm25
 from bookqa.bm25 import (
     MODE_QUESTION,
     accumulate_scores,
@@ -216,7 +217,7 @@ def test_index_from_record_rejects_term_frequency_below_one():
         index_from_record(record)
 
 
-@pytest.mark.parametrize("posting", [["3", 1], [1.5, 1], [True, 1], [1]])
+@pytest.mark.parametrize("posting", [["3", 1], [1.5, 1], [True, 1], [1, True], [1]])
 def test_index_from_record_rejects_posting_that_is_not_a_pair_of_ints(posting):
     record = _record_with()
     record["postings"]["wall"] = [[1, 1], posting]
@@ -225,11 +226,34 @@ def test_index_from_record_rejects_posting_that_is_not_a_pair_of_ints(posting):
         index_from_record(record)
 
 
-def test_index_from_record_keeps_decoded_posting_lists():
+_JSON_SCALARS = st.one_of(
+    st.integers(-1, 3), st.sampled_from([1.0, 2.5, True, False, None, "1", "ab", ""])
+)
+_JSON_POSTING = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(["a", "b", "c"]), st.one_of(_JSON_SCALARS, st.lists(_JSON_POSTING, max_size=3))))
+def test_record_postings_load_exactly_when_no_posting_is_named_bad(postings):
+    record = _record_with()
+    record["postings"] = postings
+    problem = bm25._posting_problem(postings, {0: 3, 1: 2})
+    if problem is None:
+        assert index_from_record(record).postings == {
+            t: tuple(map(tuple, v)) for t, v in postings.items()
+        }
+    else:
+        with pytest.raises(FormatError, match=re.escape(problem)):
+            index_from_record(record)
+
+
+def test_loaded_index_does_not_share_the_record_postings():
     record = _record_with()
     index = index_from_record(record)
-    assert index.postings["apple"] is record["postings"]["apple"]
-    assert index.postings["apple"] == [[0, 2]]
+    assert index.postings["apple"] == ((0, 2),)
+    record["postings"]["apple"][0][1] = 5
+    assert index.postings["apple"] == ((0, 2),)
+    assert index_from_record(index_to_record(index)) == index
 
 
 @pytest.mark.parametrize(
