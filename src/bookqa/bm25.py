@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import (
@@ -27,10 +26,11 @@ from .corpus import (
     QaExample,
 )
 from .errors import CorpusError, FormatError
+from .records import record
 from .text import TokenSeq, normalize_eval_tokens, tokenize
 
 
-@dataclass(frozen=True)
+@record
 class Bm25Index:
     """Immutable inverted index over one book's paragraphs."""
 
@@ -43,7 +43,7 @@ class Bm25Index:
     b: float
 
 
-@dataclass(frozen=True)
+@record
 class RetrievalResult:
     question_id: str
     ranked: tuple[tuple[int, float], ...]  # (para_index, score), score non-increasing

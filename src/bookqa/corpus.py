@@ -11,12 +11,12 @@ All files are UTF-8.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CorpusError
 from .fileio import iter_jsonl, require_field, write_lines
+from .records import record
 from .text import LazyTokenSeq, TokenSeq, tokenize
 
 # Pipeline defaults and names the CLI parser shows.  They are defined here,
@@ -33,7 +33,7 @@ DEFAULT_K_BASE = 32  # eval-ir baseline candidate pool
 DEFAULT_K_TOP = 5  # eval-ir selection size per row
 
 
-@dataclass(frozen=True)
+@record
 class Book:
     book_id: str
     title: str
@@ -46,7 +46,7 @@ class Book:
             raise ValueError(f"book {self.book_id!r} has no tokens")
 
 
-@dataclass(frozen=True)
+@record
 class Paragraph:
     book_id: str
     para_index: int
@@ -63,7 +63,7 @@ class Paragraph:
         return self.tokens.text()
 
 
-@dataclass(frozen=True)
+@record
 class QaExample:
     question_id: str
     book_id: str

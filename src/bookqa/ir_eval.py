@@ -12,7 +12,6 @@ from the span score, which is computed once per (question, paragraph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bm25 import Bm25Index, oracle_query, question_query, retrieve
@@ -27,6 +26,7 @@ from .corpus import (
 )
 from .errors import EvalError
 from .fileio import parallel_map
+from .records import record
 from .reranker import (
     IdentityReranker,
     LexicalReranker,
@@ -38,7 +38,7 @@ from .reranker import (
 from .spans import coverage_rouge
 
 
-@dataclass(frozen=True)
+@record
 class CoverageReport:
     selection: str
     em_coverage: float
@@ -91,7 +91,7 @@ def row_labels(k_base: int, k_top: int) -> tuple[str, str, str, str]:
     )
 
 
-@dataclass(frozen=True)
+@record
 class QuestionAblation:
     """Per-question (EM, Rouge-L) coverage for the four ablation rows, and
     the rerank request that was scored."""
@@ -180,7 +180,7 @@ def ablation_for_question(
     return QuestionAblation((base_cov, rerank_cov, upper_cov, oracle_cov), request)
 
 
-@dataclass(frozen=True)
+@record
 class AblationResult:
     rows: tuple[CoverageReport, ...]
     requests: tuple[RerankRequest, ...] = ()  # in question order

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import QaExample
 from .errors import EvalError
+from .records import record
 from .text import normalize_eval, normalize_squad
 
 ROUGE_BETA = 1.2
@@ -281,11 +281,17 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
                 prev_ref = -1
         return chunks
 
-    seed = greedy_seed()
-    if seed <= 1:
-        return target, seed
-    refined = search(0, 0, -1, 0, seed)
-    return target, min(seed, refined)
+    # ``search`` refers to itself through its closure, a cycle that holds its
+    # memo; stage processes run with the cyclic collector paused (see
+    # ``cli.main``), so it is broken here by hand.
+    try:
+        seed = greedy_seed()
+        if seed <= 1:
+            return target, seed
+        refined = search(0, 0, -1, 0, seed)
+        return target, min(seed, refined)
+    finally:
+        del search
 
 
 def meteor_exact(candidate: Sequence[str], reference: Sequence[str]) -> float:
@@ -331,7 +337,7 @@ def token_f1(prediction: str, references: Sequence[str]) -> float:
     return max(_f1_single(pred, normalize_squad(ref).tokens) for ref in references)
 
 
-@dataclass(frozen=True)
+@record
 class MetricReport:
     bleu1: float
     bleu4: float

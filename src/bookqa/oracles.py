@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import bm25, metrics, spans
 from .corpus import Paragraph
+from .records import record
 from .text import TokenSeq
 
 FLOAT_TOL = 1e-12
@@ -194,7 +194,7 @@ def brute_ngram_counts(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], i
 # Suite
 
 
-@dataclass
+@record
 class OracleCheck:
     name: str
     cases: int
@@ -206,7 +206,7 @@ class OracleCheck:
         return self.mismatches == 0
 
 
-@dataclass
+@record
 class OracleReport:
     checks: list[OracleCheck]
     elapsed_s: float
@@ -259,7 +259,7 @@ def _rand_tokens(rng: random.Random, max_len: int, alphabet=_ALPHABET) -> list[s
 
 
 def _check_lcs(rng: random.Random, cases: int) -> OracleCheck:
-    check = OracleCheck("lcs vs subsequence enumeration", cases, 0)
+    mismatches, first_failure = 0, None
 
     def fails(a: list[str], b: list[str]) -> bool:
         return metrics.lcs_length(a, b) != enumerated_lcs(a, b)
@@ -268,18 +268,18 @@ def _check_lcs(rng: random.Random, cases: int) -> OracleCheck:
         a = _rand_tokens(rng, 12)
         b = _rand_tokens(rng, 12)
         if fails(a, b):
-            check.mismatches += 1
-            if check.first_failure is None:
+            mismatches += 1
+            if first_failure is None:
                 a, b = _shrink_pair(a, b, fails)
-                check.first_failure = f"a={a} b={b}"
-    return check
+                first_failure = f"a={a} b={b}"
+    return OracleCheck("lcs vs subsequence enumeration", cases, mismatches, first_failure)
 
 
 _SPAN_VOCAB = ("red", "blue", "green", "gold", "grey", "teal")
 
 
 def _check_best_span(rng: random.Random, cases: int) -> OracleCheck:
-    check = OracleCheck("best_span vs window sweep", cases, 0)
+    mismatches, first_failure = 0, None
 
     def fails(para: list[str], answer: list[str]) -> bool:
         if not para or not answer:
@@ -292,18 +292,18 @@ def _check_best_span(rng: random.Random, cases: int) -> OracleCheck:
         para = [rng.choice(_SPAN_VOCAB) for _ in range(rng.randint(1, 60))]
         answer = [rng.choice(_SPAN_VOCAB) for _ in range(rng.randint(1, 6))]
         if fails(para, answer):
-            check.mismatches += 1
-            if check.first_failure is None:
+            mismatches += 1
+            if first_failure is None:
                 para, answer = _shrink_pair(para, answer, fails)
-                check.first_failure = f"para={para} answer={answer}"
-    return check
+                first_failure = f"para={para} answer={answer}"
+    return OracleCheck("best_span vs window sweep", cases, mismatches, first_failure)
 
 
 _BM25_VOCAB = ("ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew")
 
 
 def _check_bm25(rng: random.Random, cases: int) -> OracleCheck:
-    check = OracleCheck("bm25 score vs raw-count recomputation", cases, 0)
+    mismatches, first_failure = 0, None
     for case in range(cases):
         n_docs = rng.randint(2, 6)
         docs = [
@@ -321,17 +321,17 @@ def _check_bm25(rng: random.Random, cases: int) -> OracleCheck:
         got = bm25.score(index, query, target)
         want = brute_bm25_score(docs, query, target, k1, b)
         if abs(got - want) > FLOAT_TOL:
-            check.mismatches += 1
-            if check.first_failure is None:
-                check.first_failure = (
+            mismatches += 1
+            if first_failure is None:
+                first_failure = (
                     f"docs={docs} query={query} target={target} "
                     f"k1={k1} b={b} got={got!r} want={want!r}"
                 )
-    return check
+    return OracleCheck("bm25 score vs raw-count recomputation", cases, mismatches, first_failure)
 
 
 def _check_meteor(rng: random.Random, cases: int) -> OracleCheck:
-    check = OracleCheck("meteor alignment vs exhaustive search", cases, 0)
+    mismatches, first_failure = 0, None
 
     def fails(cand: list[str], ref: list[str]) -> bool:
         return metrics.align_exact(cand, ref) != exhaustive_meteor_alignment(cand, ref)
@@ -340,11 +340,11 @@ def _check_meteor(rng: random.Random, cases: int) -> OracleCheck:
         cand = _rand_tokens(rng, 8)
         ref = _rand_tokens(rng, 8)
         if fails(cand, ref):
-            check.mismatches += 1
-            if check.first_failure is None:
+            mismatches += 1
+            if first_failure is None:
                 cand, ref = _shrink_pair(cand, ref, fails)
-                check.first_failure = f"cand={cand} ref={ref}"
-    return check
+                first_failure = f"cand={cand} ref={ref}"
+    return OracleCheck("meteor alignment vs exhaustive search", cases, mismatches, first_failure)
 
 
 def run_oracle_suite(

@@ -18,25 +18,25 @@ import json
 import math
 import shlex
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .bm25 import accumulate_scores, build_index
 from .corpus import DEFAULT_B, DEFAULT_K1, Paragraph
 from .errors import ConfigError, ProtocolError
 from .fileio import iter_jsonl, write_lines
+from .records import record
 from .text import normalize_eval, tokenize
 
 PROTOCOL_VERSION = 1
 
 
-@dataclass(frozen=True)
+@record
 class RerankCandidate:
     para_index: int
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class RerankRequest:
     question_id: str
     question: str
@@ -77,7 +77,7 @@ def request_from_record(obj: dict) -> RerankRequest:
         raise ProtocolError(f"bad rerank request record: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@record
 class RerankResponse:
     question_id: str
     scores: tuple[float, ...]

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Paragraph
 from .errors import EvalError
 from .metrics import ROUGE_BETA, lcs_with_masks, position_masks, rouge_from_lcs
+from .records import record
 from .text import normalize_eval, normalize_eval_tokens
 
 
-@dataclass(frozen=True)
+@record
 class WeakSpanLabel:
     question_id: str
     book_id: str

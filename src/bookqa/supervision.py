@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bm25 import Bm25Index, oracle_query, question_query, retrieve
@@ -22,6 +21,7 @@ from .corpus import (
     QaExample,
 )
 from .errors import ConfigError, CorpusError
+from .records import record
 from .spans import best_span_tokens
 from .text import normalize_eval, normalize_eval_tokens
 
@@ -31,7 +31,7 @@ PROVENANCE_INTERSECTION = "intersection"
 PROVENANCE_COMPLEMENT = "complement"
 
 
-@dataclass(frozen=True)
+@record
 class SupervisionConfig:
     k_retrieve: int = 32
     pos_threshold: float = 0.7
@@ -63,7 +63,7 @@ class SupervisionConfig:
         }
 
 
-@dataclass(frozen=True)
+@record
 class SupervisionPair:
     question_id: str
     book_id: str
@@ -163,7 +163,7 @@ def generate_pairs(
     return pairs
 
 
-@dataclass(frozen=True)
+@record
 class SupervisionStats:
     n_pairs: int
     n_positive: int

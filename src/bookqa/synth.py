@@ -22,10 +22,10 @@ decoy).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .corpus import Book, QaExample
 from .errors import ConfigError
+from .records import record
 from .text import tokenize
 
 QUESTION_TEMPLATE = "what is hidden near the {topic} by the {ctx}"
@@ -90,7 +90,7 @@ MAX_QUESTIONS_PER_BOOK = 12
 MIN_WIDTH = 8
 
 
-@dataclass(frozen=True)
+@record
 class SynthTruth:
     """Hidden ground truth for one planted question."""
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from typing import Iterable
+
+from .records import record
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 
@@ -40,7 +41,7 @@ def is_punct_char(ch: str) -> bool:
     return ch in _ASCII_PUNCT or unicodedata.category(ch).startswith("P")
 
 
-@dataclass(frozen=True)
+@record
 class TokenSeq:
     """Immutable token sequence: no token is empty or holds whitespace."""
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -174,6 +175,23 @@ def test_align_exact_symmetric_in_arguments():
     ]
     for cand, ref in cases:
         assert align_exact(cand, ref) == align_exact(ref, cand)
+
+
+def test_align_exact_leaves_no_cyclic_garbage():
+    # Stage processes run with the cyclic collector paused, so the search's
+    # self-referencing closure and its memo must be freed without it.
+    cases = [
+        (["a", "b", "a", "c"] * 4, ["c", "b", "a"] * 5),  # branch and bound runs
+        (["a", "b"] * 10, ["a", "b"] * 10),  # the greedy seed is already optimal
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for cand, ref in cases:
+            align_exact(cand, ref)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(token_lists, token_lists)

@@ -1,12 +1,15 @@
-"""What a stage process loads, and the parser it builds.
+"""What a stage process loads, the garbage it leaves, and the parser it
+builds.
 
 Every stage runs as its own ``bookqa`` process, so whatever ``import
-bookqa.cli`` loads is paid once per stage.  The guards below run each check
-in a fresh interpreter, because this test process has long since imported
-every layer.
+bookqa.cli`` loads is paid once per stage.  The import guards below run each
+check in a fresh interpreter, because this test process has long since
+imported every layer.  ``main`` pauses the cyclic collector for the whole
+stage, so no stage may leave cyclic garbage that grows with its input.
 """
 
 import contextlib
+import gc
 import inspect
 import io
 import json
@@ -17,11 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from bookqa import bm25, corpus, ir_eval, reranker, supervision
+from bookqa import bm25, cli, corpus, ir_eval, reranker, supervision
 from bookqa.cli import MODES, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HELP_TEXTS = Path(__file__).parent / "data" / "cli_help.json"
+SCORERS = Path(__file__).parent / "scorers"
 
 # Layers (and the stdlib machinery behind them) that only some subcommands
 # use; none may load with the CLI module itself.
@@ -37,6 +41,10 @@ NOT_AT_IMPORT = (
     "bookqa.synth",
     "bookqa.oracles",
 )
+
+# Modules no subcommand may load at all: ``dataclasses`` brings ``inspect``
+# (and ``ast`` and ``dis``) into every stage that defines a record with it.
+NOT_IN_ANY_STAGE = ("dataclasses", "inspect")
 
 # Imports the CLI in a fresh interpreter, runs ``argv`` through ``main``
 # unless it is null, and prints the exit code, the modules loaded since
@@ -80,16 +88,18 @@ def test_import_cli_loads_no_stage_layer():
     assert sorted(set(loaded).intersection(NOT_AT_IMPORT)) == []
 
 
-@pytest.fixture(scope="module")
-def small_run(tmp_path_factory):
-    """A chunked, indexed and retrieved synth corpus, a predictions file, and
-    a scores file for ``eval-ir --reranker file:``."""
-    work = tmp_path_factory.mktemp("startup")
+def synth_argv(books, out_dir):
+    return [
+        "synth", "--seed", "3", "--books", str(books), "--paras-per-book", "6",
+        "--questions-per-book", "2", "--width", "30", "--out-dir", str(out_dir),
+    ]
+
+
+def make_run(work, books):
+    """A chunked, indexed and retrieved synth corpus of ``books`` books, a
+    predictions file, and a scores file for ``eval-ir --reranker file:``."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main([
-            "synth", "--seed", "3", "--books", "2", "--paras-per-book", "6",
-            "--questions-per-book", "2", "--width", "30", "--out-dir", str(work / "corpus"),
-        ]) == 0
+        assert main(synth_argv(books, work / "corpus")) == 0
         assert main([
             "chunk", "--books", str(work / "corpus" / "books.jsonl"), "--width", "30",
             "--out", str(work / "paras.jsonl"),
@@ -121,28 +131,62 @@ def small_run(tmp_path_factory):
     return work
 
 
-@pytest.mark.parametrize("stage", ["chunk", "eval-qa", "eval-ir-file", "index-jobs-1"])
-def test_stages_without_a_pool_never_load_it(small_run, tmp_path, stage):
-    work = small_run
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    return make_run(tmp_path_factory.mktemp("startup"), books=2)
+
+
+@pytest.fixture(scope="module")
+def large_run(tmp_path_factory):
+    """Three times ``small_run``: three times the books, paragraphs and
+    questions."""
+    return make_run(tmp_path_factory.mktemp("startup-large"), books=6)
+
+
+STAGES = (
+    "synth", "chunk", "index", "retrieve", "supervise", "span-oracle", "eval-qa",
+    "eval-ir-lexical", "eval-ir-file", "eval-ir-exec",
+)
+WITHOUT_JOBS = ("synth", "eval-qa")
+
+
+def stage_argv(work, out, stage, jobs):
+    """``stage`` run end to end on the corpus of ``work``, writing to ``out``."""
     paras, qa, index = work / "paras.jsonl", work / "corpus" / "qa.jsonl", work / "index.jsonl"
+    books = work / "corpus" / "books.jsonl"
+    eval_ir = ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa]
     argv = {
-        "chunk": [
-            "chunk", "--books", work / "corpus" / "books.jsonl", "--width", 30,
-            "--out", tmp_path / "paras.jsonl", "--jobs", 2,
+        "synth": synth_argv(len(books.read_text(encoding="utf-8").splitlines()), out / "corpus"),
+        "chunk": ["chunk", "--books", books, "--width", 30, "--out", out / "paras.jsonl"],
+        "index": ["index", "--paragraphs", paras, "--out", out / "index.jsonl"],
+        "retrieve": ["retrieve", "--index", index, "--qa", qa, "--out", out / "r.jsonl"],
+        "supervise": [
+            "supervise", "--index", index, "--paragraphs", paras, "--qa", qa,
+            "--out", out / "pairs.jsonl",
+        ],
+        "span-oracle": [
+            "span-oracle", "--paragraphs", paras, "--qa", qa,
+            "--selections", work / "retrieved.jsonl", "--out", out / "spans.jsonl",
         ],
         "eval-qa": [
             "eval-qa", "--predictions", work / "predictions.jsonl", "--qa", qa,
-            "--out", tmp_path / "report.json",
+            "--out", out / "report.json",
         ],
-        "eval-ir-file": [
-            "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
-            "--reranker", f"file:{work / 'scores.jsonl'}", "--jobs", 2,
-        ],
-        "index-jobs-1": [
-            "index", "--paragraphs", paras, "--out", tmp_path / "index.jsonl", "--jobs", 1,
+        "eval-ir-lexical": [*eval_ir, "--reranker", "lexical"],
+        "eval-ir-file": [*eval_ir, "--reranker", f"file:{work / 'scores.jsonl'}"],
+        "eval-ir-exec": [
+            *eval_ir, "--reranker", f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}",
         ],
     }[stage]
-    result = fresh_run(argv)
+    if stage not in WITHOUT_JOBS:
+        argv += ["--jobs", jobs]
+    return [str(a) for a in argv]
+
+
+@pytest.mark.parametrize("stage", ["chunk", "eval-qa", "eval-ir-file", "index-jobs-1"])
+def test_stages_without_a_pool_never_load_it(small_run, tmp_path, stage):
+    stage, jobs = ("index", 1) if stage == "index-jobs-1" else (stage, 2)
+    result = fresh_run(stage_argv(small_run, tmp_path, stage, jobs))
     assert result["code"] == 0
     assert "bookqa.cli" in result["loaded"]
     assert "concurrent.futures" not in result["loaded"]
@@ -158,29 +202,77 @@ def test_pooled_stages_load_no_pool_machinery(small_run, tmp_path, stage):
     process can deadlock the child), and load no ``concurrent.futures`` or
     ``multiprocessing``, nor ``subprocess``, since they start no scorer.
     ``file:`` scores in the stage process and forks nothing."""
-    work = small_run
-    paras, qa, index = work / "paras.jsonl", work / "corpus" / "qa.jsonl", work / "index.jsonl"
-    eval_ir = ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa]
-    argv = {
-        "index": ["index", "--paragraphs", paras, "--out", tmp_path / "index.jsonl"],
-        "retrieve": ["retrieve", "--index", index, "--qa", qa, "--out", tmp_path / "r.jsonl"],
-        "supervise": [
-            "supervise", "--index", index, "--paragraphs", paras, "--qa", qa,
-            "--out", tmp_path / "pairs.jsonl",
-        ],
-        "span-oracle": [
-            "span-oracle", "--paragraphs", paras, "--qa", qa,
-            "--selections", work / "retrieved.jsonl", "--out", tmp_path / "spans.jsonl",
-        ],
-        "eval-ir-lexical": [*eval_ir, "--reranker", "lexical"],
-        "eval-ir-file": [*eval_ir, "--reranker", f"file:{work / 'scores.jsonl'}"],
-    }[stage]
-    result = fresh_run([*argv, "--jobs", 2])
+    result = fresh_run(stage_argv(small_run, tmp_path, stage, 2))
     assert result["code"] == 0
     assert result["fork_threads"] == ([] if stage == "eval-ir-file" else [1, 1])
     loaded = set(result["loaded"])
     assert "bookqa.cli" in loaded
     assert sorted(loaded & {"concurrent.futures", "multiprocessing", "subprocess"}) == []
+
+
+@pytest.mark.parametrize(
+    "stage, jobs", [(s, j) for s in STAGES for j in (1, 2) if j == 1 or s not in WITHOUT_JOBS]
+)
+def test_no_stage_loads_dataclasses_or_inspect(small_run, tmp_path, stage, jobs):
+    result = fresh_run(stage_argv(small_run, tmp_path, stage, jobs))
+    assert result["code"] == 0
+    assert sorted(set(result["loaded"]).intersection(NOT_IN_ANY_STAGE)) == []
+
+
+# ---------------------------------------------------------------------------
+# the paused cyclic collector
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_cyclic_garbage_does_not_grow_with_the_input(small_run, large_run, tmp_path, stage):
+    """Stage processes never collect cycles, so what one stage leaves for
+    the collector must be the same on a corpus three times the size.  The
+    first run fills the caches that first use builds."""
+
+    def garbage_after(work):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(stage_argv(work, tmp_path, stage, jobs=1)) == 0
+        return gc.collect()
+
+    gc.collect()
+    gc.disable()
+    try:
+        garbage_after(small_run)
+        small = garbage_after(small_run)
+        assert garbage_after(large_run) == small
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_gives_back_the_callers_collector_state(small_run, tmp_path, monkeypatch, collecting):
+    during = []
+
+    def failing_chunk_book(*args, **kwargs):
+        during.append(gc.isenabled())
+        raise RuntimeError("not a BookQaError")
+
+    chunk = stage_argv(small_run, tmp_path, "chunk", jobs=1)
+    missing = ["chunk", "--books", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "p")]
+    try:
+        if not collecting:
+            gc.disable()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(chunk) == 0
+            assert gc.isenabled() is collecting
+            assert main(missing) == 1
+            assert "error[corpus]: " in err.getvalue()
+            assert gc.isenabled() is collecting
+            with pytest.raises(SystemExit):
+                main(["chunk"])
+            assert gc.isenabled() is collecting
+            monkeypatch.setattr(cli, "chunk_book", failing_chunk_book)
+            with pytest.raises(RuntimeError, match="not a BookQaError"):
+                main(chunk)
+            assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert during == [False]
 
 
 # ---------------------------------------------------------------------------
