@@ -64,11 +64,26 @@ class RetrievalResult:
 
 
 def retrieval_from_record(obj: dict) -> RetrievalResult:
+    """The result a line of ``RetrievalResult.to_json_line`` describes.
+
+    Nothing is converted: ``question_id`` and ``mode`` must be strings,
+    every ``para_index`` an int and every ``score`` an int or a float, and
+    a bool is none of these.  A record that is not fails with
+    ``FormatError``."""
     try:
-        ranked = tuple((int(e["para_index"]), float(e["score"])) for e in obj["ranked"])
-        return RetrievalResult(str(obj["question_id"]), ranked, str(obj["mode"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        question_id, mode = obj["question_id"], obj["mode"]
+        ranked = tuple((e["para_index"], e["score"]) for e in obj["ranked"])
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad retrieval record: {exc}") from exc
+    for field, value in (("question_id", question_id), ("mode", mode)):
+        if type(value) is not str:
+            raise FormatError(f"bad retrieval record: {field} {value!r} is not a string")
+    for p, s in ranked:
+        if type(p) is not int:
+            raise FormatError(f"bad retrieval record: para_index {p!r} is not an int")
+        if type(s) is not int and type(s) is not float:
+            raise FormatError(f"bad retrieval record: score {s!r} is not a number")
+    return RetrievalResult(question_id, ranked, mode)
 
 
 def build_index(

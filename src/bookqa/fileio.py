@@ -24,13 +24,34 @@ def iter_jsonl(
     if not path.exists():
         raise error(f"{path}: file not found")
     with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    yield lineno, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            bad = _undecodable_line(path)
+            where = f" line {bad}:" if bad else ""
+            raise error(f"{path}:{where} not valid UTF-8 ({exc.reason})") from exc
+
+
+def _undecodable_line(path: Path) -> int | None:
+    """The number of the first line of ``path`` that is not valid UTF-8, or
+    None if the file no longer holds one.
+
+    The reader decodes a file in chunks, so its error comes before the line
+    that holds the bad byte.  Undecodable bytes read back as lone surrogates
+    here, which no valid UTF-8 decodes to, and lines split as in the reader."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+    return None
 
 
 def require_field(
@@ -38,15 +59,17 @@ def require_field(
     field: str,
     path: Path | str,
     lineno: int,
-    kind: type | tuple[type, ...],
+    kind: type,
     error: type[BookQaError] = FormatError,
 ) -> Any:
+    """``obj[field]``, which must be of type ``kind`` exactly: a JSON
+    ``true`` is a ``bool``, and a ``bool`` is an ``int`` to ``isinstance``."""
     if not isinstance(obj, dict):
         raise error(f"{path}: line {lineno}: record is not an object")
     if field not in obj:
         raise error(f"{path}: line {lineno}: missing field '{field}'")
     value = obj[field]
-    if not isinstance(value, kind):
+    if type(value) is not kind:
         raise error(f"{path}: line {lineno}: field '{field}' has wrong type")
     return value
 

@@ -539,3 +539,99 @@ def test_worker_failure_exits_with_error_code(tmp_path, capsys, monkeypatch, fai
     if failure == "raise":
         assert "ValueError: index builder broke" in err
     assert not index.exists()
+
+
+def write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+def tiny_corpus(tmp_path, capsys):
+    """One book of three two-token paragraphs, its index, and one question."""
+    books = write_jsonl(
+        tmp_path / "books.jsonl", [{"book_id": "b", "title": "", "text": "stone wall red door blue sky"}]
+    )
+    qa = write_jsonl(
+        tmp_path / "qa.jsonl",
+        [{"question_id": "q1", "book_id": "b", "question": "what is red", "answers": ["door"]}],
+    )
+    paras, index = tmp_path / "paras.jsonl", tmp_path / "index.jsonl"
+    run_ok(capsys, "chunk", "--books", books, "--width", 2, "--out", paras)
+    run_ok(capsys, "index", "--paragraphs", paras, "--out", index)
+    return paras, index, qa
+
+
+def test_boolean_para_index_fails_with_corpus_error(tmp_path, capsys):
+    """JSON ``true`` and ``false`` are no paragraph indexes, though Python's
+    ``bool`` is an ``int``."""
+    paras = write_jsonl(
+        tmp_path / "paras.jsonl",
+        [
+            {"book_id": "b", "para_index": 0, "text": "stone wall"},
+            {"book_id": "b", "para_index": True, "text": "red door"},
+        ],
+    )
+    out = tmp_path / "index.jsonl"
+    err = run_fail(capsys, "index", "--paragraphs", paras, "--out", out)
+    assert err == f"error[corpus]: {paras}: line 2: field 'para_index' has wrong type\n"
+    assert list(tmp_path.iterdir()) == [paras]
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("para_index", 1.9, "para_index 1.9 is not an int"),
+        ("para_index", True, "para_index True is not an int"),
+        ("para_index", "1", "para_index '1' is not an int"),
+        ("score", "7", "score '7' is not a number"),
+        ("score", False, "score False is not a number"),
+        ("question_id", 1, "question_id 1 is not a string"),
+        ("mode", None, "mode None is not a string"),
+    ],
+)
+def test_selection_values_are_not_converted(tmp_path, capsys, field, value, problem):
+    """A selection's values are refused unless they are of their type, not
+    converted to it and labelled."""
+    paras, _, qa = tiny_corpus(tmp_path, capsys)
+    bad = {"question_id": "q1", "mode": "question_only", "ranked": [{"para_index": 1, "score": 1.5}]}
+    if field in bad:
+        bad[field] = value
+    else:
+        bad["ranked"][0][field] = value
+    selections = write_jsonl(
+        tmp_path / "selections.jsonl",
+        [
+            {"question_id": "q1", "mode": "question_only", "ranked": [{"para_index": 0, "score": 2}]},
+            bad,
+        ],
+    )
+    out = tmp_path / "spans.jsonl"
+    err = run_fail(
+        capsys, "span-oracle", "--paragraphs", paras, "--qa", qa, "--selections", selections,
+        "--out", out,
+    )
+    assert err == f"error[format]: {selections}: line 2: bad retrieval record: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_input, code", [("qa", "corpus"), ("paras", "corpus"), ("index", "format")])
+def test_non_utf8_input_fails_with_its_line(tmp_path, capsys, bad_input, code):
+    """A Latin-1 byte in any JSONL input fails with the input's error and
+    the line that holds it, not a traceback.  The file decodes in chunks,
+    so the reader fails before it reaches that line."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    path = {"qa": qa, "paras": paras, "index": index}[bad_input]
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines = [lines[0]] * 3 + [lines[0].replace(b'"b"', b'"caf\xe9"')] + lines[1:]
+    path.write_bytes(b"".join(lines))
+    out = tmp_path / "out.jsonl"
+    stage = (
+        ["index", "--paragraphs", paras]
+        if bad_input == "paras"
+        else ["retrieve", "--index", index, "--qa", qa]
+    )
+    err = run_fail(capsys, *stage, "--out", out)
+    assert err == (
+        f"error[{code}]: {path}: line 4: not valid UTF-8 (invalid continuation byte)\n"
+    )
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from bookqa.errors import CorpusError, WorkerError
-from bookqa.fileio import parallel_map, write_lines, write_sidecar
+from bookqa.fileio import iter_jsonl, parallel_map, write_lines, write_sidecar
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,6 +66,19 @@ def _raise_corpus_error(x):
 
 def _exit_abruptly(x):
     os._exit(3)
+
+
+@pytest.mark.parametrize("bad_line", [1, 3, 5000])
+def test_iter_jsonl_names_the_line_of_a_non_utf8_byte(tmp_path, bad_line):
+    """The reader decodes many lines at once, so the line is found again."""
+    lines = [b'{"n": %d}\n' % i for i in range(1, 6001)]
+    lines[bad_line - 1] = b'{"n": "\xe9"}\n'
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b"".join(lines))
+    message = f"{path}: line {bad_line}: not valid UTF-8 (invalid continuation byte)"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        for _ in iter_jsonl(path, CorpusError):
+            pass
 
 
 def test_parallel_map_keeps_order():

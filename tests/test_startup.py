@@ -1,11 +1,14 @@
-"""What a stage process loads, the garbage it leaves, and the parser it
-builds.
+"""What a stage process loads, the garbage it leaves, how it exits, and the
+parser it builds.
 
 Every stage runs as its own ``bookqa`` process, so whatever ``import
 bookqa.cli`` loads is paid once per stage.  The import guards below run each
 check in a fresh interpreter, because this test process has long since
 imported every layer.  ``main`` pauses the cyclic collector for the whole
-stage, so no stage may leave cyclic garbage that grows with its input.
+stage, so no stage may leave cyclic garbage that grows with its input.  A
+stage process leaves through ``cli.run``, which skips interpreter teardown,
+so its output, exit status and messages are checked against ``main`` run in
+this process.
 """
 
 import contextlib
@@ -48,15 +51,17 @@ NOT_IN_ANY_STAGE = ("dataclasses", "inspect")
 
 # Imports the CLI in a fresh interpreter, runs ``argv`` through ``main``
 # unless it is null, and prints the exit code, the modules loaded since
-# start-up, and the number of live threads at each ``os.fork``.
+# start-up, the number of live threads at each ``os.fork``, and the number
+# of ``atexit`` handlers registered since start-up.
 _PROBE = """
-import contextlib, io, json, os, sys, threading
+import atexit, contextlib, io, json, os, sys, threading
 fork_threads = []
 def counting_fork(fork=os.fork):
     fork_threads.append(threading.active_count())
     return fork()
 os.fork = counting_fork
 before = set(sys.modules)
+handlers = atexit._ncallbacks()
 from bookqa.cli import main
 argv = json.loads(sys.argv[1])
 code = None
@@ -65,6 +70,7 @@ if argv is not None:
         code = main(argv)
 print(json.dumps({
     "code": code, "loaded": sorted(set(sys.modules) - before), "fork_threads": fork_threads,
+    "atexit": atexit._ncallbacks() - handlers,
 }))
 """
 
@@ -273,6 +279,127 @@ def test_main_gives_back_the_callers_collector_state(small_run, tmp_path, monkey
     finally:
         gc.enable()
     assert during == [False]
+
+
+# ---------------------------------------------------------------------------
+# the process entry and exit
+
+# ``python -m bookqa.cli``, and what the ``bookqa`` script's wrapper runs.
+ENTRIES = {
+    "module": ["-m", "bookqa.cli"],
+    "script": ["-c", "import sys; from bookqa.cli import run; sys.exit(run())"],
+}
+
+
+def entry_run(argv, entry="module", **kwargs):
+    """``argv`` run by a stage process.  ``PYTHONUNBUFFERED`` is removed, so
+    stdout is block-buffered, as in a pipeline, and a missing flush would
+    lose its output."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    proc = subprocess.run(
+        [sys.executable, *ENTRIES[entry], *map(str, argv)],
+        env=env, stderr=subprocess.PIPE, timeout=120, **kwargs,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process_run(argv, monkeypatch):
+    """``argv`` run through ``main`` here, as ``entry_run`` reports it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def artifacts(directory):
+    """Every file under ``directory`` but the sidecars, which name their
+    output paths."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file() and not p.name.endswith(".meta.json")
+    }
+
+
+def test_console_script_runs_the_entry():
+    scripts = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
+    assert scripts.split("[", 1)[0].strip() == 'bookqa = "bookqa.cli:run"'
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("stage", ["eval-qa", "eval-ir-lexical", "supervise"])
+def test_entry_output_matches_main(small_run, tmp_path, monkeypatch, stage, entry):
+    """Every byte a stage writes to stdout and stderr, and every artifact,
+    is the same from a stage process as from ``main`` in this process; the
+    pooled stages fork two workers."""
+    (tmp_path / "process").mkdir()
+    (tmp_path / "main").mkdir()
+    code, out, err = entry_run(stage_argv(small_run, tmp_path / "process", stage, 2), entry)
+    assert code == 0, err
+    assert out or err
+    assert (code, out, err) == in_process_run(
+        stage_argv(small_run, tmp_path / "main", stage, 2), monkeypatch
+    )
+    assert artifacts(tmp_path / "process") == artifacts(tmp_path / "main")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["eval-qa", "--help"], 0),
+        (["chunk"], 2),  # a required argument missing
+        (["index", "--paragraphs", "p", "--out", "o", "--jobs", "0"], 2),
+        (["chunk", "--books", "missing.jsonl", "--out", "paras.jsonl"], 1),
+    ],
+)
+def test_entry_exit_status_and_messages(tmp_path, monkeypatch, argv, code):
+    """The exit status is 0 on success, 1 after an ``error[...]`` line and 2
+    on a usage error, with the same bytes on stdout and stderr as ``main``
+    run in this process."""
+    monkeypatch.chdir(tmp_path)
+    result = entry_run(argv, cwd=tmp_path)
+    assert result[0] == code
+    assert result == in_process_run(argv, monkeypatch)
+    if code == 1:
+        assert result[2].startswith(b"error[corpus]: ")
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entry_on_a_closed_stdout_pipe(small_run, tmp_path, entry):
+    """When stdout's reader has gone, the flush fails and the interpreter
+    exits as it always has: status 120 and one "Exception ignored" message,
+    with no traceback."""
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        code, _, err = entry_run(
+            stage_argv(small_run, tmp_path, "eval-qa", 1), entry, stdout=write_fd
+        )
+    finally:
+        os.close(write_fd)
+    assert code == 120
+    # The first line names stdout in words that vary with the interpreter.
+    first, second = err.decode("utf-8").splitlines()
+    assert first.startswith("Exception ignored ") and "stdout" in first
+    assert second == "BrokenPipeError: [Errno 32] Broken pipe"
+    assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_no_stage_registers_an_atexit_handler(small_run, tmp_path, stage):
+    """``run`` leaves through ``os._exit``, which runs no ``atexit``
+    handler, so no stage may rely on one."""
+    result = fresh_run(stage_argv(small_run, tmp_path, stage, 2))
+    assert result["code"] == 0
+    assert result["atexit"] == 0
 
 
 # ---------------------------------------------------------------------------
