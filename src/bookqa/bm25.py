@@ -67,9 +67,10 @@ def retrieval_from_record(obj: dict) -> RetrievalResult:
     """The result a line of ``RetrievalResult.to_json_line`` describes.
 
     Nothing is converted: ``question_id`` and ``mode`` must be strings,
-    every ``para_index`` an int and every ``score`` an int or a float, and
-    a bool is none of these.  A record that is not fails with
-    ``FormatError``."""
+    every ``para_index`` an int and every ``score`` a finite int or float,
+    and a bool is none of these.  As ``retrieve`` writes them, the
+    paragraphs are distinct and the scores non-increasing.  A record that
+    is not so fails with ``FormatError``."""
     try:
         question_id, mode = obj["question_id"], obj["mode"]
         ranked = tuple((e["para_index"], e["score"]) for e in obj["ranked"])
@@ -78,11 +79,21 @@ def retrieval_from_record(obj: dict) -> RetrievalResult:
     for field, value in (("question_id", question_id), ("mode", mode)):
         if type(value) is not str:
             raise FormatError(f"bad retrieval record: {field} {value!r} is not a string")
+    seen: set[int] = set()
+    previous: float = math.inf
     for p, s in ranked:
         if type(p) is not int:
             raise FormatError(f"bad retrieval record: para_index {p!r} is not an int")
         if type(s) is not int and type(s) is not float:
             raise FormatError(f"bad retrieval record: score {s!r} is not a number")
+        if type(s) is float and not math.isfinite(s):
+            raise FormatError(f"bad retrieval record: score {s!r} is not finite")
+        if s > previous:
+            raise FormatError(f"bad retrieval record: score {s!r} follows the lower {previous!r}")
+        if p in seen:
+            raise FormatError(f"bad retrieval record: para_index {p} is ranked twice")
+        seen.add(p)
+        previous = s
     return RetrievalResult(question_id, ranked, mode)
 
 
@@ -249,35 +260,49 @@ def _posting_problem(postings: dict, doc_len: dict) -> str | None:
 def index_from_record(obj: dict) -> Bm25Index:
     """The index a record of ``index_to_record`` describes.
 
-    The record must be consistent with itself: ``n_docs`` counts the
-    ``doc_len`` entries, every posting is a pair of ints naming a paragraph
-    of ``doc_len`` with a term frequency of at least 1, ``k1 >= 0`` and
-    ``0 <= b <= 1``.  A record that is not fails with ``FormatError``
-    instead of scoring wrong."""
+    Nothing is converted but the ``doc_len`` keys, which JSON keeps as
+    strings and which must be the decimal forms of distinct ints.
+    ``book_id`` must be a string, ``n_docs`` and every ``doc_len`` length
+    an int, and ``k1``, ``b`` and ``avg_doc_len`` ints or floats; a bool is
+    none of these.  The record must be consistent with itself: ``n_docs``
+    counts the ``doc_len`` entries, ``avg_doc_len`` is their mean as
+    ``build_index`` computes it, every posting is a pair of ints naming a
+    paragraph of ``doc_len`` with a term frequency of at least 1, ``k1`` is
+    finite and ``>= 0``, and ``0 <= b <= 1``.  A record that is not fails with
+    ``FormatError`` instead of scoring wrong."""
     try:
-        book_id = str(obj["book_id"])
-        doc_len = {int(p): int(n) for p, n in obj["doc_len"].items()}
-        n_docs = int(obj["n_docs"])
-        k1 = float(obj["k1"])
-        b = float(obj["b"])
+        book_id, n_docs, avg_doc_len = obj["book_id"], obj["n_docs"], obj["avg_doc_len"]
+        k1, b = obj["k1"], obj["b"]
+        doc_len = {int(p): n for p, n in obj["doc_len"].items()}
+        keys_canonical = list(map(str, doc_len)) == list(obj["doc_len"])
         postings = dict(obj["postings"].items())
-        avg_doc_len = float(obj["avg_doc_len"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad index record: {exc}") from exc
+    if type(book_id) is not str:
+        raise FormatError(f"bad index record: book_id {book_id!r} is not a string")
+
+    def bad(problem: str) -> FormatError:
+        return FormatError(f"bad index record for book {book_id!r}: {problem}")
+
+    if type(n_docs) is not int:
+        raise bad(f"n_docs {n_docs!r} is not an int")
+    for field, value in (("k1", k1), ("b", b), ("avg_doc_len", avg_doc_len)):
+        if type(value) is not int and type(value) is not float:
+            raise bad(f"{field} {value!r} is not a number")
+    if not keys_canonical:
+        raise bad(f"doc_len keys {list(obj['doc_len'])!r} are not distinct paragraph indexes")
+    for p, n in doc_len.items():
+        if type(n) is not int or n < 0:
+            raise bad(f"paragraph {p} has doc_len {n!r}, not a length")
     pairs = _posting_pairs(postings, doc_len)
     if pairs is None:
-        problem = _posting_problem(postings, doc_len)
-        raise FormatError(f"bad index record for book {book_id!r}: {problem}")
+        raise bad(_posting_problem(postings, doc_len))
     if n_docs != len(doc_len):
-        raise FormatError(
-            f"bad index record for book {book_id!r}: n_docs {n_docs} but "
-            f"{len(doc_len)} doc_len entries"
-        )
-    if not k1 >= 0.0 or not 0.0 <= b <= 1.0:
-        raise FormatError(
-            f"bad index record for book {book_id!r}: k1 {k1} must be >= 0 "
-            f"and b {b} in [0, 1]"
-        )
+        raise bad(f"n_docs {n_docs} but {len(doc_len)} doc_len entries")
+    if not n_docs or avg_doc_len != sum(doc_len.values()) / n_docs:
+        raise bad(f"avg_doc_len {avg_doc_len!r} is not the mean of its {n_docs} doc_len entries")
+    if not 0.0 <= k1 < math.inf or not 0.0 <= b <= 1.0:
+        raise bad(f"k1 {k1} must be >= 0 and finite and b {b} in [0, 1]")
     return Bm25Index(
         book_id=book_id,
         postings=pairs,

@@ -216,7 +216,10 @@ def _load_indexes(path) -> dict[str, Bm25Index]:
 
     indexes: dict[str, Bm25Index] = {}
     for lineno, obj in iter_jsonl(path):
-        index = bm25.index_from_record(obj)
+        try:
+            index = bm25.index_from_record(obj)
+        except FormatError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
         if index.book_id in indexes:
             raise CorpusError(f"{path}: line {lineno}: duplicate book {index.book_id!r}")
         indexes[index.book_id] = index

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .corpus import QaExample
@@ -80,8 +81,12 @@ def rouge_l(
     return rouge_from_lcs(lcs, len(candidate), len(reference), beta)
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
+    """Counts of the n-grams of ``tokens`` for every n = 1..max_n, keyed by
+    the n-gram tuple (so its length is its n)."""
+    return Counter(
+        chain.from_iterable(zip(*(tokens[k:] for k in range(n))) for n in range(1, max_n + 1))
+    )
 
 
 def _closest_ref_length(cand_len: int, ref_lens: Sequence[int]) -> int:
@@ -89,14 +94,14 @@ def _closest_ref_length(cand_len: int, ref_lens: Sequence[int]) -> int:
     return min(ref_lens, key=lambda r: (abs(r - cand_len), r))
 
 
-def bleu_corpus(
+def _bleu_counts(
     predictions: Sequence[Sequence[str]],
     references: Sequence[Sequence[Sequence[str]]],
     max_n: int,
-) -> float:
-    """Corpus-level Bleu: geometric mean of modified n-gram precisions for
-    n = 1..max_n times the closest-reference-length brevity penalty.  No
-    smoothing: any zero precision numerator gives 0."""
+) -> tuple[list[int], list[int], int, int]:
+    """Clipped and total n-gram counts for n = 1..max_n (indexed by n), and
+    the candidate and closest-reference lengths, summed over the corpus.
+    Bleu-k for any k <= max_n is computed from these alone."""
     if max_n < 1:
         raise EvalError("max_n must be >= 1")
     if len(predictions) != len(references) or not predictions:
@@ -108,17 +113,18 @@ def bleu_corpus(
     for pred, refs in zip(predictions, references):
         cand_len += len(pred)
         ref_len += _closest_ref_length(len(pred), [len(r) for r in refs])
-        for n in range(1, max_n + 1):
-            counts = _ngram_counts(pred, n)
-            if not counts:
-                continue
-            max_ref: Counter = Counter()
-            for ref in refs:
-                for gram, cnt in _ngram_counts(ref, n).items():
-                    if cnt > max_ref[gram]:
-                        max_ref[gram] = cnt
-            clipped[n] += sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
-            total[n] += sum(counts.values())
+        ref_counts = [_ngram_counts(ref, max_n) for ref in refs]
+        for gram, cnt in _ngram_counts(pred, max_n).items():
+            # Clip to the most any one reference holds.
+            most = max([counts.get(gram, 0) for counts in ref_counts])
+            clipped[len(gram)] += cnt if cnt < most else most
+        for n in range(1, min(max_n, len(pred)) + 1):
+            total[n] += len(pred) - n + 1
+    return clipped, total, cand_len, ref_len
+
+
+def _bleu_from_counts(counts: tuple[list[int], list[int], int, int], max_n: int) -> float:
+    clipped, total, cand_len, ref_len = counts
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
@@ -128,6 +134,17 @@ def bleu_corpus(
         log_sum += math.log(clipped[n] / total[n])
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     return brevity * math.exp(log_sum / max_n)
+
+
+def bleu_corpus(
+    predictions: Sequence[Sequence[str]],
+    references: Sequence[Sequence[Sequence[str]]],
+    max_n: int,
+) -> float:
+    """Corpus-level Bleu: geometric mean of modified n-gram precisions for
+    n = 1..max_n times the closest-reference-length brevity penalty.  No
+    smoothing: any zero precision numerator gives 0."""
+    return _bleu_from_counts(_bleu_counts(predictions, references, max_n), max_n)
 
 
 def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int, int]:
@@ -143,52 +160,57 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
     microseconds to milliseconds; only long pairs sharing one tiny, heavily
     repeated vocabulary approach the exponential worst case.
     """
-    cand_counts = Counter(candidate)
-    ref_counts = Counter(reference)
-    target = sum(min(c, ref_counts[t]) for t, c in cand_counts.items())
-    if target == 0:
-        return 0, 0
-
     # Matches and chunks are symmetric in the two sequences, so keep the
     # bitmask over the shorter one.
     if len(reference) > len(candidate):
         candidate, reference = reference, candidate
-    n, m = len(candidate), len(reference)
+    n = len(candidate)
+    masks = position_masks(reference)
+
+    # suffix[i]: (count in candidate[i:], reference position mask) of each
+    # token the two share.  The matches still possible from position i are,
+    # per token, the smaller of that count and its free reference positions.
+    suffix: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
+    counts: dict[str, int] = {}
+    for i in range(n - 1, -1, -1):
+        tok = candidate[i]
+        if tok in masks:
+            counts[tok] = counts.get(tok, 0) + 1
+            suffix[i] = tuple((c, masks[t]) for t, c in counts.items())
+        else:
+            suffix[i] = suffix[i + 1]
+
+    def remaining_possible(i: int, used: int) -> int:
+        free = ~used
+        possible = 0
+        for cnt, mask in suffix[i]:
+            k = (mask & free).bit_count()
+            possible += cnt if cnt < k else k
+        return possible
+
+    target = remaining_possible(0, 0)
+    if target == 0:
+        return 0, 0
+
+    # run[i][j]: length of the common run starting at (candidate i, ref j),
+    # for each j where the two tokens are equal; branches are tried
+    # longest-run first so good alignments surface early.
     positions_by_token: dict[str, list[int]] = {}
     for j, tok in enumerate(reference):
         positions_by_token.setdefault(tok, []).append(j)
-    suffix_counts: list[Counter] = [Counter() for _ in range(n + 1)]
+    run: list[dict[int, int]] = [{}] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_counts[i] = suffix_counts[i + 1].copy()
-        suffix_counts[i][candidate[i]] += 1
-
-    # run_len[i][j]: length of the common run starting at (candidate i, ref j);
-    # branches are tried longest-run first so good alignments surface early.
-    run_len = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row, nxt = run_len[i], run_len[i + 1]
-        tok = candidate[i]
-        for j in range(m - 1, -1, -1):
-            if reference[j] == tok:
-                row[j] = nxt[j + 1] + 1
-    branch_order = [
-        sorted(positions_by_token.get(candidate[i], ()), key=lambda j: -run_len[i][j])
-        for i in range(n)
-    ]
+        nxt = run[i + 1]
+        run[i] = {j: nxt.get(j + 1, 0) + 1 for j in positions_by_token.get(candidate[i], ())}
+    # ``reverse`` keeps the sort stable: equal runs stay in reference order.
+    branch_order = [sorted(row, key=row.__getitem__, reverse=True) for row in run[:n]]
     # Longest run available anywhere from candidate position i onward: an
     # optimistic per-chunk capacity for the remaining matches.
     best_run_from = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        best_run_from[i] = max(best_run_from[i + 1], max(run_len[i][:m], default=0))
+        best_run_from[i] = max(best_run_from[i + 1], max(run[i].values(), default=0))
 
     INF = target + 1
-
-    def remaining_possible(i: int, used: int) -> int:
-        possible = 0
-        for tok, cnt in suffix_counts[i].items():
-            free = sum(1 for j in positions_by_token.get(tok, ()) if not used >> j & 1)
-            possible += min(cnt, free)
-        return possible
 
     # Transposition table: key -> (budget searched under, result).  A result
     # below its budget is the exact minimum; otherwise it certifies
@@ -202,16 +224,15 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
             return 0
         if i == n or matched + remaining_possible(i, used) < target:
             return INF
+        # The run extending the previous match's chunk, or 0 if there is none.
         extend_ref = prev_ref + 1 if prev_ref >= 0 else -1
-        can_extend = (
-            0 <= extend_ref < m
-            and not used >> extend_ref & 1
-            and reference[extend_ref] == candidate[i]
-        )
+        extend_run = run[i].get(extend_ref, 0)
+        if extend_run and used >> extend_ref & 1:
+            extend_run = 0
         remaining = target - matched
         capacity = best_run_from[i]
-        if can_extend:
-            free_now = remaining - run_len[i][extend_ref]
+        if extend_run:
+            free_now = remaining - extend_run
             floor = -(-free_now // capacity) if free_now > 0 else 0
         else:
             floor = -(-remaining // capacity) if capacity else INF
@@ -225,7 +246,7 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
                 return value
         original_budget = budget
         value = INF
-        if can_extend:
+        if extend_run:
             value = search(i + 1, used | (1 << extend_ref), extend_ref, matched + 1, budget)
             budget = min(budget, value)
         if floor < budget:
@@ -256,11 +277,7 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
                 break
             extend_ref = prev_ref + 1 if prev_ref >= 0 else -1
             choices = []
-            if (
-                0 <= extend_ref < m
-                and not used >> extend_ref & 1
-                and reference[extend_ref] == candidate[i]
-            ):
+            if extend_ref in run[i] and not used >> extend_ref & 1:
                 choices.append((extend_ref, 0))
             choices.extend(
                 (j, 1)
@@ -294,19 +311,47 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
         del search
 
 
+def _fmean(matches: int, cand_len: int, ref_len: int) -> float:
+    """Harmonic mean of unigram precision and recall, weighted 9:1 toward
+    recall."""
+    precision = matches / cand_len
+    recall = matches / ref_len
+    return 10.0 * precision * recall / (recall + 9.0 * precision)
+
+
 def meteor_exact(candidate: Sequence[str], reference: Sequence[str]) -> float:
-    """Meteor with the exact-match stage only: harmonic mean weighted 9:1
-    toward recall, times a fragmentation penalty of 0.5*(chunks/matches)^3."""
+    """Meteor with the exact-match stage only: ``_fmean`` times a
+    fragmentation penalty of 0.5*(chunks/matches)^3."""
     if not candidate or not reference:
         return 0.0
     matches, chunks = align_exact(candidate, reference)
     if matches == 0:
         return 0.0
-    precision = matches / len(candidate)
-    recall = matches / len(reference)
-    fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
     penalty = 0.5 * (chunks / matches) ** 3
-    return fmean * (1.0 - penalty)
+    return _fmean(matches, len(candidate), len(reference)) * (1.0 - penalty)
+
+
+def _best_meteor(candidate: Sequence[str], references: Sequence[Sequence[str]]) -> float:
+    """``max(meteor_exact(candidate, r) for r in references)``, without
+    aligning a reference that cannot raise the maximum.
+
+    Exact: the penalty factor lies in [0.5, 1), so in floating point too a
+    reference's Meteor is at most its ``_fmean``, whose matches are the
+    aligned matches.  A reference whose ``_fmean`` is no more than the best
+    so far is skipped."""
+    best = 0.0
+    cand_counts = None
+    for ref in references:
+        if best:
+            if cand_counts is None:
+                cand_counts = Counter(candidate)
+            matches = sum((cand_counts & Counter(ref)).values())
+            if not matches or _fmean(matches, len(candidate), len(ref)) <= best:
+                continue
+        value = meteor_exact(candidate, ref)
+        if value > best:
+            best = value
+    return best
 
 
 def exact_match(prediction: str, references: Sequence[str]) -> bool:
@@ -394,15 +439,20 @@ def evaluate_qa(
         refs = [normalize_eval(a).tokens for a in q.answers]
         pred_tokens.append(pred)
         ref_tokens.append(refs)
-        meteor_sum += max(meteor_exact(pred, r) for r in refs)
+        meteor_sum += _best_meteor(pred, refs)
         rouge_sum += max(rouge_l(pred, r) for r in refs)
-        em_sum += float(exact_match(raw, q.answers))
-        f1_sum += token_f1(raw, q.answers)
+        # EM and F1 share one SQuAD normalization of every string.
+        squad_pred = normalize_squad(raw).tokens
+        squad_refs = [normalize_squad(a).tokens for a in q.answers]
+        em_sum += float(squad_pred in squad_refs)
+        f1_sum += max(_f1_single(squad_pred, r) for r in squad_refs)
 
     n = len(examples)
+    # Bleu-1's counts are the n = 1 entries of Bleu-4's.
+    bleu_counts = _bleu_counts(pred_tokens, ref_tokens, 4)
     return MetricReport(
-        bleu1=bleu_corpus(pred_tokens, ref_tokens, 1),
-        bleu4=bleu_corpus(pred_tokens, ref_tokens, 4),
+        bleu1=_bleu_from_counts(bleu_counts, 1),
+        bleu4=_bleu_from_counts(bleu_counts, 4),
         meteor=meteor_sum / n,
         rouge_l=rouge_sum / n,
         em=em_sum / n,

@@ -27,6 +27,9 @@ _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 # ASCII symbols counted as punctuation even though Unicode files some of them
 # under S* categories; mirrors the SQuAD v1.1 evaluation script.
 _ASCII_PUNCT = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
+# Deletes every ASCII character ``is_punct_char`` accepts: each ASCII
+# character in a Unicode P* category is also in ``_ASCII_PUNCT``.
+_DELETE_ASCII_PUNCT = str.maketrans("", "", "".join(_ASCII_PUNCT))
 
 _CLITIC_BASES = ("n't", "'s", "'re", "'ve", "'ll", "'d", "'m")
 _CLITICS = tuple(
@@ -166,6 +169,9 @@ def normalize_squad(text: str) -> TokenSeq:
     """SQuAD-style normalization: lowercase, strip punctuation characters,
     remove articles, collapse whitespace."""
     lowered = text.lower()
-    no_punct = "".join(ch for ch in lowered if not is_punct_char(ch))
+    if lowered.isascii():
+        no_punct = lowered.translate(_DELETE_ASCII_PUNCT)
+    else:
+        no_punct = "".join(ch for ch in lowered if not is_punct_char(ch))
     no_articles = _ARTICLE_RE.sub(" ", no_punct)
     return TokenSeq(tuple(no_articles.split()))

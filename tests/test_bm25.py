@@ -270,6 +270,68 @@ def test_index_from_record_accepts_parameter_bounds():
         assert (index.k1, index.b) == (k1, b)
 
 
+# The record of ``_record_with()``: book "b", doc_len {"0": 3, "1": 2},
+# avg_doc_len 2.5, n_docs 2.
+@pytest.mark.parametrize(
+    "changes, problem",
+    [
+        ({"book_id": 7}, "bad index record: book_id 7 is not a string"),
+        ({"n_docs": "2"}, "n_docs '2' is not an int"),
+        ({"n_docs": 2.0}, "n_docs 2.0 is not an int"),
+        ({"k1": "1.2"}, "k1 '1.2' is not a number"),
+        ({"b": True}, "b True is not a number"),
+        ({"avg_doc_len": "2.5"}, "avg_doc_len '2.5' is not a number"),
+        ({"doc_len": {"0": True, "1": 2}}, "paragraph 0 has doc_len True, not a length"),
+        ({"doc_len": {"0": 3, "1": 2.0}}, "paragraph 1 has doc_len 2.0, not a length"),
+        ({"doc_len": {"0": 3, "1": -2}}, "paragraph 1 has doc_len -2, not a length"),
+        ({"doc_len": {"0": 3, "01": 2}}, "doc_len keys ['0', '01'] are not distinct paragraph indexes"),
+        ({"avg_doc_len": float("nan")}, "avg_doc_len nan is not the mean of its 2 doc_len entries"),
+        ({"avg_doc_len": 99.0}, "avg_doc_len 99.0 is not the mean of its 2 doc_len entries"),
+        ({"avg_doc_len": 2.5000000000000004}, "avg_doc_len 2.5000000000000004 is not the mean"),
+        ({"n_docs": 0, "doc_len": {}, "postings": {}}, "avg_doc_len 2.5 is not the mean of its 0"),
+        ({"k1": float("inf")}, "k1 inf must be >= 0 and finite"),
+    ],
+)
+def test_index_from_record_refuses_scalars_it_would_have_to_convert(changes, problem):
+    with pytest.raises(FormatError, match=re.escape(problem)):
+        index_from_record(_record_with(**changes))
+
+
+def test_index_from_record_accepts_int_parameters_and_an_exact_mean():
+    index = index_from_record(_record_with(k1=2, b=1, doc_len={"0": 3, "1": 1}, avg_doc_len=2))
+    assert (index.k1, index.b, index.avg_doc_len, index.doc_len) == (2, 1, 2, {0: 3, 1: 1})
+
+
+def _ranked(*entries):
+    return {
+        "question_id": "q1",
+        "mode": "question_only",
+        "ranked": [{"para_index": p, "score": s} for p, s in entries],
+    }
+
+
+@pytest.mark.parametrize(
+    "entries, problem",
+    [
+        (((0, float("nan")), (0, float("nan"))), "score nan is not finite"),
+        (((0, float("inf")),), "score inf is not finite"),
+        (((0, 2.0), (1, float("-inf"))), "score -inf is not finite"),
+        (((0, 2.0), (0, 1.0)), "para_index 0 is ranked twice"),
+        (((0, 1.0), (1, 2.0)), "score 2.0 follows the lower 1.0"),
+        (((0, 3), (1, 1.5), (2, 1.5000001)), "score 1.5000001 follows the lower 1.5"),
+    ],
+)
+def test_retrieval_from_record_refuses_what_retrieve_never_writes(entries, problem):
+    with pytest.raises(FormatError, match=re.escape(f"bad retrieval record: {problem}")):
+        retrieval_from_record(_ranked(*entries))
+
+
+def test_retrieval_from_record_accepts_tied_scores_in_any_paragraph_order():
+    # Scores are written to 6 decimals, so distinct scores can tie on the wire.
+    result = retrieval_from_record(_ranked((3, 2), (1, 1.5), (0, 1.5), (2, 0.0)))
+    assert result.ranked == ((3, 2), (1, 1.5), (0, 1.5), (2, 0.0))
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_accumulate_scores_equals_score_exactly(data):

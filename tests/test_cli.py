@@ -307,7 +307,7 @@ def test_inconsistent_index_fails_with_format_error(tmp_path, capsys):
     err = run_fail(
         capsys, "retrieve", "--index", index, "--qa", tmp_path / "corpus" / "qa.jsonl", "--out", out
     )
-    assert err.startswith("error[format]: bad index record for book ")
+    assert err.startswith(f"error[format]: {index}: line 2: bad index record for book ")
     assert "doc_len entries" in err
     assert not out.exists()
 
@@ -327,7 +327,7 @@ def test_index_posting_of_strings_fails_with_format_error(tmp_path, capsys):
     err = run_fail(
         capsys, "retrieve", "--index", index, "--qa", tmp_path / "corpus" / "qa.jsonl", "--out", out
     )
-    assert err.startswith("error[format]: bad index record for book ")
+    assert err.startswith(f"error[format]: {index}: line 1: bad index record for book ")
     assert "has posting ['3', 1], not a pair of ints" in err
     assert not out.exists()
 
@@ -612,6 +612,54 @@ def test_selection_values_are_not_converted(tmp_path, capsys, field, value, prob
     )
     assert err == f"error[format]: {selections}: line 2: bad retrieval record: {problem}\n"
     assert not out.exists()
+
+
+def test_selection_of_non_finite_repeated_scores_fails(tmp_path, capsys):
+    """``NaN`` and ``Infinity`` decode from JSON lines, but ``retrieve``
+    never writes them, nor a paragraph twice; the line is refused and no
+    weak labels are written."""
+    paras, _, qa = tiny_corpus(tmp_path, capsys)
+    selections = tmp_path / "selections.jsonl"
+    selections.write_text(
+        '{"question_id": "q1", "mode": "question_only", "ranked": '
+        '[{"para_index": 0, "score": NaN}, {"para_index": 0, "score": Infinity}]}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "spans.jsonl"
+    err = run_fail(
+        capsys, "span-oracle", "--paragraphs", paras, "--qa", qa, "--selections", selections,
+        "--out", out,
+    )
+    assert err == f"error[format]: {selections}: line 1: bad retrieval record: score nan is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("book_id", 7, "bad index record: book_id 7 is not a string"),
+        ("n_docs", "3", "bad index record for book 'b': n_docs '3' is not an int"),
+        ("k1", "1.2", "bad index record for book 'b': k1 '1.2' is not a number"),
+        ("b", True, "bad index record for book 'b': b True is not a number"),
+        (
+            "avg_doc_len",
+            99.0,
+            "bad index record for book 'b': avg_doc_len 99.0 is not the mean of its 3 doc_len entries",
+        ),
+    ],
+)
+def test_index_scalars_are_not_converted(tmp_path, capsys, field, value, problem):
+    """An index value of the wrong type, or a mean its lengths contradict,
+    fails ``retrieve`` with the index path and line, and nothing is written."""
+    _, index, qa = tiny_corpus(tmp_path, capsys)
+    record = json.loads(index.read_text(encoding="utf-8"))
+    record[field] = value
+    write_jsonl(index, [record])
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "retrieved.jsonl"
+    err = run_fail(capsys, "retrieve", "--index", index, "--qa", qa, "--out", out)
+    assert err == f"error[format]: {index}: line 1: {problem}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("bad_input, code", [("qa", "corpus"), ("paras", "corpus"), ("index", "format")])

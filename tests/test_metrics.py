@@ -12,6 +12,9 @@ from bookqa.corpus import QaExample
 from bookqa.errors import EvalError
 from bookqa.metrics import (
     MetricReport,
+    _best_meteor,
+    _bleu_counts,
+    _bleu_from_counts,
     align_exact,
     bleu_corpus,
     evaluate_qa,
@@ -21,7 +24,13 @@ from bookqa.metrics import (
     rouge_l,
     token_f1,
 )
-from bookqa.oracles import _recursive_lcs, brute_ngram_counts, enumerated_lcs
+from bookqa.oracles import (
+    _recursive_lcs,
+    brute_ngram_counts,
+    enumerated_lcs,
+    exhaustive_meteor_alignment,
+)
+from bookqa.text import normalize_eval
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_eval.json").read_text())
 
@@ -129,6 +138,55 @@ def test_bleu4_zero_when_no_four_grams():
     assert bleu_corpus([["a", "b"]], [[["a", "b"]]], 4) == 0.0
 
 
+def _per_order_bleu(predictions, references, max_n):
+    """Bleu counted one order at a time from ``brute_ngram_counts``, with the
+    float expressions of ``bleu_corpus``."""
+    clipped = [0] * (max_n + 1)
+    total = [0] * (max_n + 1)
+    cand_len = ref_len = 0
+    for pred, refs in zip(predictions, references):
+        cand_len += len(pred)
+        ref_len += min((len(r) for r in refs), key=lambda r: (abs(r - len(pred)), r))
+        for n in range(1, max_n + 1):
+            counts = brute_ngram_counts(pred, n)
+            ref_counts = [brute_ngram_counts(r, n) for r in refs]
+            clipped[n] += sum(
+                min(c, max(rc.get(g, 0) for rc in ref_counts)) for g, c in counts.items()
+            )
+            total[n] += sum(counts.values())
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        if clipped[n] == 0 or total[n] == 0:
+            return 0.0
+        log_sum += math.log(clipped[n] / total[n])
+    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * math.exp(log_sum / max_n)
+
+
+_BLEU_CORPORA = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["a", "b", "c"]), max_size=8),
+        st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=8), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300)
+@given(_BLEU_CORPORA)
+def test_bleu_1_and_4_from_one_count_equal_separate_calls(corpus):
+    preds = [p for p, _ in corpus]
+    refs = [r for _, r in corpus]
+    counts = _bleu_counts(preds, refs, 4)
+    assert _bleu_from_counts(counts, 1) == bleu_corpus(preds, refs, 1) == _per_order_bleu(preds, refs, 1)
+    assert _bleu_from_counts(counts, 4) == bleu_corpus(preds, refs, 4) == _per_order_bleu(preds, refs, 4)
+    for max_n in (2, 3):
+        assert bleu_corpus(preds, refs, max_n) == _per_order_bleu(preds, refs, max_n)
+
+
 # ---------------------------------------------------------------------------
 # Meteor
 
@@ -194,6 +252,40 @@ def test_align_exact_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+# Pairs shaped like the shared-vocab reader set: a Zipf-weighted vocabulary
+# of 4-6 words and lengths 6-12.  The exhaustive oracle enumerates every
+# maximum matching, so pairs sharing more than this many equal-token pairs
+# are redrawn to keep it to seconds.
+_MAX_MATCH_PAIRS = 30
+
+
+def test_align_exact_equals_exhaustive_on_skewed_vocabulary_pairs():
+    rng = random.Random(1010)
+    vocab = ["ash", "bay", "cob", "dun", "elm", "fen"]
+    longer = {"candidate": 0, "reference": 0}
+    checked = 0
+    while checked < 300:
+        words = vocab[: rng.randint(4, 6)]
+        weights = [1 / rank for rank in range(1, len(words) + 1)]
+        cand = rng.choices(words, weights, k=rng.randint(6, 12))
+        ref = rng.choices(words, weights, k=rng.randint(6, 12))
+        if sum(x == y for x in cand for y in ref) > _MAX_MATCH_PAIRS:
+            continue
+        checked += 1
+        if len(cand) != len(ref):
+            longer["candidate" if len(cand) > len(ref) else "reference"] += 1
+        want = exhaustive_meteor_alignment(cand, ref)
+        assert align_exact(cand, ref) == want, (cand, ref)
+        assert align_exact(ref, cand) == want, (cand, ref)
+    assert min(longer.values()) >= 50
+
+
+@settings(max_examples=300)
+@given(token_lists, st.lists(token_lists, min_size=1, max_size=4))
+def test_best_meteor_equals_max_over_references(cand, refs):
+    assert _best_meteor(cand, refs) == max(meteor_exact(cand, r) for r in refs)
+
+
 @given(token_lists, token_lists)
 def test_meteor_in_unit_interval(a, b):
     assert 0.0 <= meteor_exact(a, b) < 1.0 or meteor_exact(a, b) == 0.0
@@ -213,6 +305,12 @@ def test_token_f1_values():
     assert token_f1("Tuberculosis", ["Tuberculosis"]) == 1.0
     assert token_f1("brothers", ["brother"]) == 0.0
     assert token_f1("a boarding school in france", ["france"]) == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("score", [exact_match, token_f1])
+def test_em_and_f1_need_a_reference(score):
+    with pytest.raises(EvalError, match=f"{score.__name__} needs at least one reference"):
+        score("France", [])
 
 
 def test_em_implies_f1_one():
@@ -269,6 +367,33 @@ def test_evaluate_qa_empty_predictions_score_zero():
     assert report.f1 == 0.0
     assert report.rouge_l == 0.0
     assert report.bleu1 == 0.0
+
+
+_ANSWER_TEXT = st.lists(
+    st.sampled_from(["a", "The", "ash", "Bay", "bay", "cob.", "«dun»", "¿elm?", "’", "—"]),
+    max_size=6,
+).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_ANSWER_TEXT, st.lists(_ANSWER_TEXT, min_size=1, max_size=3)), min_size=1, max_size=5))
+def test_evaluate_qa_equals_the_per_question_metrics(cases):
+    examples, predictions = [], {}
+    for i, (prediction, answers) in enumerate(cases):
+        examples.append(QaExample(f"q{i}", "b", "x", tuple(answers) + ("ash",)))
+        predictions[f"q{i}"] = prediction
+    report = evaluate_qa(predictions, examples)
+    preds = [normalize_eval(predictions[q.question_id]).tokens for q in examples]
+    refs = [[normalize_eval(a).tokens for a in q.answers] for q in examples]
+    meteor = rouge = em = f1 = 0.0
+    for q, pred, rs in zip(examples, preds, refs):
+        meteor += max(meteor_exact(pred, r) for r in rs)
+        rouge += max(rouge_l(pred, r) for r in rs)
+        em += float(exact_match(predictions[q.question_id], q.answers))
+        f1 += token_f1(predictions[q.question_id], q.answers)
+    n = len(examples)
+    assert (report.meteor, report.rouge_l, report.em, report.f1) == (meteor / n, rouge / n, em / n, f1 / n)
+    assert (report.bleu1, report.bleu4) == (bleu_corpus(preds, refs, 1), bleu_corpus(preds, refs, 4))
 
 
 def test_evaluate_qa_reports_missing_and_extra_ids():

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookqa.text import (
+    _ARTICLE_RE,
     LazyTokenSeq,
     TokenSeq,
     _split_chunk,
+    is_punct_char,
     normalize_eval,
     normalize_eval_tokens,
     normalize_squad,
@@ -89,6 +91,35 @@ def test_normalize_squad_has_no_articles_or_punct_tokens(text):
     out = list(normalize_squad(text))
     assert not any(t in ("a", "an", "the") for t in out)
     assert all(any(not_ws for not_ws in t) and t == t.lower() for t in out)
+
+
+def _squad_per_character(text):
+    """``normalize_squad`` with punctuation stripped one character at a time
+    through ``is_punct_char``, for every input."""
+    no_punct = "".join(ch for ch in text.lower() if not is_punct_char(ch))
+    return tuple(_ARTICLE_RE.sub(" ", no_punct).split())
+
+
+def test_normalize_squad_ascii_path_on_every_ascii_code_point():
+    for code in range(128):
+        ch = chr(code)
+        for text in (ch, f"x{ch}y", f"The{ch}an {ch} a"):
+            assert normalize_squad(text).tokens == _squad_per_character(text), repr(text)
+
+
+_MIXED = st.text(
+    alphabet=st.one_of(
+        st.characters(max_codepoint=127),
+        st.sampled_from(["«", "—", "¿", "’", "é", "K", "İ", "ß", "Ω"]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=400)
+@given(_MIXED)
+def test_normalize_squad_equals_per_character_path(text):
+    assert normalize_squad(text).tokens == _squad_per_character(text)
 
 
 def test_tokenseq_rejects_bad_tokens():
