@@ -7,10 +7,13 @@ a rerun with identical config, inputs, and seed is byte-identical (the
 
 Every stage runs as its own process, so this module imports only what every
 subcommand needs: argument parsing and the shared data model.  Each
-subcommand imports the layers it runs in its own body.  Per-book work goes
-through ``fileio.parallel_map``, whose workers are forked from the stage
-process and inherit its tasks and loaded modules, so a subcommand imports its
-workers' layers before the map starts and no worker imports them again.
+subcommand imports the layers it runs in its own body.  Per-question work
+goes through ``fileio.map_grouped``, one task per book, and ``index`` maps
+its books through ``fileio.parallel_map``; only ``eval-ir``'s ``exec:`` and
+``file:`` scorers stay in the stage process.  Workers are forked from the
+stage process and inherit the mapped function, its items and the loaded
+modules, so a subcommand imports its workers' layers before the map starts
+and no worker imports them again.
 No layer imports ``dataclasses``: records are made by ``records.record``.
 
 ``main`` pauses the cyclic garbage collector for the whole stage, and its
@@ -32,7 +35,9 @@ no ``atexit`` handler.  Handlers that others register, such as a ``site``
 ``.pth`` hook's, do not run.  A usage error, ``--help``, ``--version``, an
 unexpected exception and a failed flush (a closed stdout pipe) take the
 interpreter's normal exit instead, so their exit status and messages stay
-its own.  ``main`` returns, for in-process callers such as the tests.
+its own.  So does a run under a profiler, tracer or ``sys.monitoring`` tool,
+which writes its output at exit (``python -m cProfile -o``, coverage).
+``main`` returns, for in-process callers such as the tests.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .corpus import (
     POOL_UNION_MINUS_INTERSECTION,
     POOL_WHOLE_BOOK,
     chunk_book,
-    group_by_book,
     load_books,
     load_paragraphs,
     load_qa,
@@ -66,7 +70,9 @@ from .corpus import (
     write_qa,
 )
 from .errors import BookQaError, CorpusError, EvalError, FormatError
-from .fileio import iter_jsonl, parallel_map, require_field, write_lines, write_sidecar
+from .fileio import (
+    iter_jsonl, map_grouped, parallel_map, require_field, write_lines, write_sidecar
+)
 from .text import normalize_eval
 
 if TYPE_CHECKING:
@@ -93,6 +99,13 @@ def _unit_float(value: str) -> float:
     number = float(value)
     if not 0.0 <= number <= 1.0:
         raise argparse.ArgumentTypeError("must be in [0, 1]")
+    return number
+
+
+def _nonnegative_float(value: str) -> float:
+    number = float(value)
+    if not 0.0 <= number < float("inf"):
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
     return number
 
 
@@ -240,32 +253,20 @@ def _require_book_coverage(indexes, qa, grouped_paras=None) -> None:
 # retrieve
 
 
-def _retrieve_worker(task):
+def _cmd_retrieve(args: argparse.Namespace) -> int:
     from . import bm25
 
-    index, examples, k, mode = task
-    lines = []
-    for q in examples:
-        query = bm25.question_query(q) if mode == MODE_QUESTION else bm25.oracle_query(q)
-        lines.append(
-            (q.question_id, bm25.retrieve(index, query, k, q.question_id, mode).to_json_line())
-        )
-    return lines
-
-
-def _cmd_retrieve(args: argparse.Namespace) -> int:
     indexes = _load_indexes(args.index)
     qa = load_qa(args.qa)
     _require_book_coverage(indexes, qa)
     mode = MODES[args.mode]
-    grouped = group_by_book(qa)
-    tasks = [(indexes[b], grouped[b], args.k, mode) for b in grouped]
-    by_question = {
-        qid: line
-        for result in parallel_map(_retrieve_worker, tasks, args.jobs)
-        for qid, line in result
-    }
-    write_lines(args.out, (by_question[q.question_id] for q in qa))
+    query = bm25.question_query if mode == MODE_QUESTION else bm25.oracle_query
+
+    def line(q):
+        result = bm25.retrieve(indexes[q.book_id], query(q), args.k, q.question_id, mode)
+        return result.to_json_line()
+
+    write_lines(args.out, map_grouped(line, qa, [q.book_id for q in qa], args.jobs))
     config = {
         "index": str(args.index),
         "qa": str(args.qa),
@@ -280,18 +281,6 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # supervise
-
-
-def _supervise_worker(task):
-    from . import supervision
-
-    index, paragraphs, examples, cfg = task
-    out = []
-    for q in examples:
-        out.append(
-            (q.question_id, supervision.generate_pairs(index, paragraphs, q, cfg))
-        )
-    return out
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
@@ -310,16 +299,13 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)
     _require_book_coverage(indexes, qa, grouped_paras)
-    grouped_qa = group_by_book(qa)
-    tasks = [
-        (indexes[b], grouped_paras[b], grouped_qa[b], cfg) for b in grouped_qa
-    ]
-    by_question = {
-        qid: pairs
-        for result in parallel_map(_supervise_worker, tasks, args.jobs)
-        for qid, pairs in result
-    }
-    all_pairs = [p for q in qa for p in by_question[q.question_id]]
+
+    def pairs(q):
+        book = q.book_id
+        return supervision.generate_pairs(indexes[book], grouped_paras[book], q, cfg)
+
+    per_question = map_grouped(pairs, qa, [q.book_id for q in qa], args.jobs)
+    all_pairs = [p for question_pairs in per_question for p in question_pairs]
     write_lines(args.out, (p.to_json_line() for p in all_pairs))
     config = {
         "index": str(args.index),
@@ -342,35 +328,8 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 # span-oracle
 
 
-def _span_worker(task):
-    from .spans import best_span
-
-    paragraphs, records, top = task
-    by_index = {p.para_index: p for p in paragraphs}
-    out = []
-    for ordinal, q, result in records:
-        ranked = result.para_indexes()
-        if top is not None:
-            ranked = ranked[:top]
-        lines = []
-        for para_index in ranked:
-            paragraph = by_index.get(para_index)
-            if paragraph is None:
-                raise CorpusError(
-                    f"selection references unknown para_index {para_index} "
-                    f"in book {q.book_id!r}"
-                )
-            for answer in q.answers:
-                if not normalize_eval(answer).tokens:
-                    continue
-                lines.append(best_span(paragraph, answer, q.question_id).to_json_line())
-        out.append((ordinal, lines))
-    return out
-
-
 def _cmd_span_oracle(args: argparse.Namespace) -> int:
-    from . import bm25
-    from . import spans  # noqa: F401  (forked workers inherit it)
+    from . import bm25, spans
 
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)
@@ -387,17 +346,28 @@ def _cmd_span_oracle(args: argparse.Namespace) -> int:
                 f"{result.question_id!r}"
             )
         selections.append((by_id[result.question_id], result))
-    grouped: dict[str, list] = {}
-    for ordinal, (q, result) in enumerate(selections):
+    for q, _ in selections:
         if q.book_id not in grouped_paras:
             raise CorpusError(f"no paragraphs for book {q.book_id!r}")
-        grouped.setdefault(q.book_id, []).append((ordinal, q, result))
-    tasks = [(grouped_paras[b], grouped[b], args.top) for b in grouped]
-    by_ordinal: dict[int, list[str]] = {}
-    for result in parallel_map(_span_worker, tasks, args.jobs):
-        for ordinal, lines in result:
-            by_ordinal[ordinal] = lines
-    ordered = [line for i in range(len(selections)) for line in by_ordinal[i]]
+
+    def labels(selection):
+        q, result = selection
+        paragraphs = grouped_paras[q.book_id]  # dense from 0, in order
+        answers = [a for a in q.answers if normalize_eval(a).tokens]
+        lines = []
+        for para_index in result.para_indexes()[: args.top]:
+            if not 0 <= para_index < len(paragraphs):
+                raise CorpusError(
+                    f"selection references unknown para_index {para_index} "
+                    f"in book {q.book_id!r}"
+                )
+            for answer in answers:
+                span = spans.best_span(paragraphs[para_index], answer, q.question_id)
+                lines.append(span.to_json_line())
+        return lines
+
+    done = map_grouped(labels, selections, [q.book_id for q, _ in selections], args.jobs)
+    ordered = [line for lines in done for line in lines]
     write_lines(args.out, ordered)
     config = {
         "paragraphs": str(args.paragraphs),
@@ -539,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("index", help="build per-book BM25 indexes")
     p.add_argument("--paragraphs", required=True, help="chunk output file")
-    p.add_argument("--k1", type=float, default=DEFAULT_K1, help="BM25 term-frequency saturation")
-    p.add_argument("--b", type=float, default=DEFAULT_B, help="BM25 length normalization")
+    p.add_argument("--k1", type=_nonnegative_float, default=DEFAULT_K1, help="BM25 term-frequency saturation")
+    p.add_argument("--b", type=_unit_float, default=DEFAULT_B, help="BM25 length normalization")
     p.add_argument("--out", required=True, help="index JSONL output")
     _add_jobs(p)
     p.set_defaults(func=_cmd_index)
@@ -634,7 +604,8 @@ def run() -> int:
     interpreter teardown (see the module docstring).  A usage error,
     ``--help``, ``--version`` or an unexpected exception propagates, and a
     flush that fails returns the exit code, so that those exits are the
-    interpreter's own, with its exit status and messages."""
+    interpreter's own, with its exit status and messages.  A watched run
+    returns too, so that its profiler or tracer can write its output."""
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
@@ -643,7 +614,21 @@ def run() -> int:
     except OSError:
         # Finalization flushes again and reports the failure itself.
         return code
+    if _observed():
+        return code
     os._exit(code)
+
+
+def _observed() -> bool:
+    """Whether a profiler, tracer or ``sys.monitoring`` tool (3.12+) watches
+    this process.  Such a tool writes its output once the interpreter exits
+    (``cProfile -o``, coverage), which ``os._exit`` would skip."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Strict JSONL I/O, artifact sidecars, and a bounded fork-based parallel map."""
+"""Strict JSONL I/O, artifact sidecars, and bounded fork-based maps."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import IO, Any, Callable, Hashable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from .errors import BookQaError, FormatError, WorkerError
 
@@ -177,6 +177,28 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     results: list[Any] = [None] * len(items)
     for w, (_, values) in enumerate(outcomes):
         results[w::n] = values
+    return results
+
+
+def map_grouped(
+    fn: Callable[[T], R], items: Sequence[T], keys: Sequence[Hashable], jobs: int
+) -> list[R]:
+    """``[fn(item) for item in items]``, in ``items`` order.
+
+    ``keys[i]`` is the key of ``items[i]``.  Items that share a key form one
+    ``parallel_map`` task, and the tasks run in the order their keys are
+    first seen.  A task is a list of positions, so the workers inherit ``fn``
+    and ``items`` and nothing new is pickled.  If several tasks fail, the
+    error of the first one in that order is raised, as in one process."""
+    groups: dict[Hashable, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    tasks = list(groups.values())
+    done = parallel_map(lambda task: [fn(items[i]) for i in task], tasks, jobs)
+    results: list[Any] = [None] * len(items)
+    for task, values in zip(tasks, done):
+        for i, value in zip(task, values):
+            results[i] = value
     return results
 
 

@@ -22,10 +22,9 @@ from .corpus import (
     MODE_QUESTION_ANSWER,
     Paragraph,
     QaExample,
-    group_by_book,
 )
-from .errors import EvalError
-from .fileio import parallel_map
+from .errors import EvalError, ProtocolError
+from .fileio import map_grouped
 from .records import record
 from .reranker import (
     IdentityReranker,
@@ -138,7 +137,9 @@ def ablation_for_question(
     try:
         reranked = apply_scores(request, scorer.score(request))
     except Exception as exc:
-        raise EvalError(
+        # A scorer that breaks the wire protocol keeps the protocol code.
+        error = ProtocolError if isinstance(exc, ProtocolError) else EvalError
+        raise error(
             f"reranker failed on question {example.question_id!r}: {exc}"
         ) from exc
     reranked_paras = [by_index[c.para_index] for c in reranked[:k_top]]
@@ -214,14 +215,6 @@ def aggregate_ablation(
     return AblationResult(tuple(reports), tuple(item.request for item in items))
 
 
-def _book_worker(task) -> list[QuestionAblation]:
-    index, paragraphs, examples, scorer, k_base, k_top = task
-    return [
-        ablation_for_question(index, paragraphs, q, scorer, k_base, k_top)
-        for q in examples
-    ]
-
-
 def run_ablation(
     indexes: Mapping[str, Bm25Index],
     paragraphs_by_book: Mapping[str, Sequence[Paragraph]],
@@ -234,29 +227,18 @@ def run_ablation(
     for q in examples:
         if q.book_id not in indexes:
             raise EvalError(f"no index for book {q.book_id!r}")
-    # The built-in scorers run in one worker task per book.  Any other scorer
-    # stays in this process and sees the questions one at a time, in order:
-    # an external scorer is one process with one request in flight, which
-    # forked workers must not share.
+    # The built-in scorers are mapped per book over forked workers.  Any
+    # other scorer stays in this process and sees the questions one at a
+    # time, in order: an external scorer is one process with one request in
+    # flight, which forked workers must not share.
+    def ablation(q: QaExample) -> QuestionAblation:
+        book = q.book_id
+        return ablation_for_question(
+            indexes[book], paragraphs_by_book[book], q, scorer, k_base, k_top
+        )
+
     if isinstance(scorer, (IdentityReranker, LexicalReranker)):
-        by_book = group_by_book(examples)
-        tasks = [
-            (indexes[b], paragraphs_by_book[b], qs, scorer, k_base, k_top)
-            for b, qs in by_book.items()
-        ]
-        done = parallel_map(_book_worker, tasks, jobs)
-        per_book = {b: iter(items) for b, items in zip(by_book, done)}
-        items = [next(per_book[q.book_id]) for q in examples]
+        items = map_grouped(ablation, examples, [q.book_id for q in examples], jobs)
     else:
-        items = [
-            ablation_for_question(
-                indexes[q.book_id],
-                paragraphs_by_book[q.book_id],
-                q,
-                scorer,
-                k_base,
-                k_top,
-            )
-            for q in examples
-        ]
+        items = [ablation(q) for q in examples]
     return aggregate_ablation(items, k_base, k_top)

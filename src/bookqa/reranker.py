@@ -89,13 +89,27 @@ class RerankResponse:
 
 
 def response_from_record(obj: dict) -> RerankResponse:
+    """The response a line of ``RerankResponse.to_json_line`` describes.
+
+    Nothing is converted: ``question_id`` must be a string and every score a
+    finite int or float, and a bool is neither.  A record that is not so
+    fails with ``ProtocolError``."""
     try:
-        return RerankResponse(
-            question_id=str(obj["question_id"]),
-            scores=tuple(float(s) for s in obj["scores"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        question_id, scores = obj["question_id"], obj["scores"]
+    except (KeyError, TypeError) as exc:
         raise ProtocolError(f"bad rerank response record: {exc}") from exc
+    if type(question_id) is not str:
+        raise ProtocolError(
+            f"bad rerank response record: question_id {question_id!r} is not a string"
+        )
+    if type(scores) is not list:
+        raise ProtocolError(f"bad rerank response record: scores {scores!r} is not a list")
+    for s in scores:
+        if type(s) is not int and type(s) is not float:
+            raise ProtocolError(f"bad rerank response record: score {s!r} is not a number")
+        if type(s) is float and not math.isfinite(s):
+            raise ProtocolError(f"bad rerank response record: non-finite score {s!r}")
+    return RerankResponse(question_id, tuple(scores))
 
 
 def validate_scores(request: RerankRequest, scores: Sequence[float]) -> None:

@@ -1,6 +1,6 @@
 """Misbehaving scorer used by protocol error tests.
 
-Modes (argv[1]): wrong_id | short | nan | die | bad_handshake
+Modes (argv[1]): wrong_id | short | nan | string_scores | die | bad_handshake
 """
 import json
 import sys
@@ -21,5 +21,7 @@ for line in sys.stdin:
         print(json.dumps({"question_id": request["question_id"], "scores": [0.0] * (n - 1)}), flush=True)
     elif mode == "nan":
         print(json.dumps({"question_id": request["question_id"], "scores": [float("nan")] * n}), flush=True)
+    elif mode == "string_scores":
+        print(json.dumps({"question_id": request["question_id"], "scores": ["1.5"] * n}), flush=True)
     else:  # die
         sys.exit(3)

@@ -293,6 +293,41 @@ def test_eval_ir_file_scorer_roundtrip(tmp_path, capsys):
     assert baseline == reranked
 
 
+def test_eval_ir_exec_scorer_string_scores_fail_with_protocol_error(tmp_path, capsys):
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    spec = f"exec:{sys.executable} {SCORERS / 'broken_scorer.py'} string_scores"
+    out = tmp_path / "table.json"
+    err = run_fail(capsys, *eval_ir_args(work, spec, "--out", out))
+    assert err.startswith("error[protocol]: reranker failed on question ")
+    assert "bad rerank response record: score '1.5' is not a number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "response, problem",
+    [
+        ({"scores": ["1.5"]}, "score '1.5' is not a number"),
+        ({"scores": [True]}, "score True is not a number"),
+        ({"question_id": 7, "scores": [1.5]}, "question_id 7 is not a string"),
+    ],
+)
+def test_eval_ir_file_scores_unconverted_fail_with_protocol_error(
+    tmp_path, capsys, response, problem
+):
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    qa = [json.loads(line) for line in (work / "corpus" / "qa.jsonl").read_text().splitlines()]
+    scores_path = tmp_path / "scores.jsonl"
+    scores_path.write_text(
+        json.dumps({"question_id": qa[0]["question_id"], **response}) + "\n", encoding="utf-8"
+    )
+    out = tmp_path / "table.json"
+    err = run_fail(capsys, *eval_ir_args(work, f"file:{scores_path}", "--out", out))
+    assert err == f"error[protocol]: bad rerank response record: {problem}\n"
+    assert not out.exists()
+
+
 def test_inconsistent_index_fails_with_format_error(tmp_path, capsys):
     """An index record whose ``n_docs`` disagrees with its ``doc_len`` is
     refused when loaded, before any retrieval runs."""
@@ -445,6 +480,27 @@ def test_unknown_flag_exits_nonzero(tmp_path, capsys):
     assert "usage" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, problem",
+    [
+        ("--k1=-1", "must be finite and >= 0"),
+        ("--k1=nan", "must be finite and >= 0"),
+        ("--k1=inf", "must be finite and >= 0"),
+        ("--b=2", "must be in [0, 1]"),
+    ],
+)
+def test_index_bm25_parameters_are_checked_at_parse_time(tmp_path, capsys, flag, problem):
+    """Values every index-reading stage would refuse are usage errors."""
+    index = tmp_path / "index.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--paragraphs", str(tmp_path / "paras.jsonl"), flag, "--out", str(index)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert problem in captured.err
+    assert not index.exists()
+
+
 def eval_ir_args(work, reranker, *extra):
     return [
         "eval-ir",
@@ -489,12 +545,15 @@ def test_emitted_requests_identical_across_rerankers(tmp_path, capsys):
 def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
     """Every parallel_map task must pickle, even at --jobs 1: the benchmark's
     tracer pickles them to count their bytes, and a scorer owning a
-    subprocess cannot be pickled."""
+    subprocess cannot be pickled.  Nor may a forked worker inherit the
+    scorer inside the mapped function: at --jobs 2 an exec: scorer scores
+    in the stage's own process only."""
+    import os
     import pickle
 
     import bookqa.cli
     import bookqa.fileio
-    import bookqa.ir_eval
+    import bookqa.reranker
 
     work = tmp_path / "run"
     pipeline(capsys, work)
@@ -505,12 +564,26 @@ def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
         pickled.extend(len(pickle.dumps(item)) for item in items)
         return original(fn, items, jobs)
 
-    for module in (bookqa.fileio, bookqa.ir_eval, bookqa.cli):
+    for module in (bookqa.fileio, bookqa.cli):
         monkeypatch.setattr(module, "parallel_map", pickling_map)
-    for spec in ("lexical", f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}"):
+    exec_spec = f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}"
+    for spec in ("lexical", exec_spec):
         captured = run_ok(capsys, *eval_ir_args(work, spec, "--jobs", 1))
         assert len(captured.out.splitlines()) == 5
     assert pickled, "the lexical run should have mapped per-book tasks"
+
+    pids = tmp_path / "scoring_pids.txt"
+    score = bookqa.reranker.ExternalProcessReranker.score
+
+    def recording_score(self, request):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return score(self, request)
+
+    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "score", recording_score)
+    captured = run_ok(capsys, *eval_ir_args(work, exec_spec, "--jobs", 2))
+    assert len(captured.out.splitlines()) == 5
+    assert pids.read_text(encoding="utf-8").split() == [str(os.getpid())] * 6
 
 
 @pytest.mark.parametrize("failure", ["raise", "exit"])

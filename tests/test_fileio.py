@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from bookqa.errors import CorpusError, WorkerError
-from bookqa.fileio import iter_jsonl, parallel_map, write_lines, write_sidecar
+import bookqa.fileio
+from bookqa.fileio import iter_jsonl, map_grouped, parallel_map, write_lines, write_sidecar
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -239,3 +240,52 @@ def test_parallel_map_without_fork_runs_in_process(monkeypatch):
     assert parallel_map(lambda x: (x, os.getpid()), [1, 2, 3], 2) == [
         (x, os.getpid()) for x in [1, 2, 3]
     ]
+
+
+# ---------------------------------------------------------------------------
+# map_grouped
+
+
+INTERLEAVED_KEYS = ["a", "b", "a", "c", "b", "a", "c"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_grouped_keeps_input_order(jobs):
+    items = list(range(len(INTERLEAVED_KEYS)))
+    assert map_grouped(_double, items, INTERLEAVED_KEYS, jobs) == [2 * i for i in items]
+
+
+def _with_pid(x):
+    return x, os.getpid()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_grouped_runs_keys_in_first_seen_order(jobs, monkeypatch):
+    tasks = []
+
+    def recording_map(fn, items, jobs):
+        tasks.extend(items)
+        return parallel_map(fn, items, jobs)
+
+    monkeypatch.setattr(bookqa.fileio, "parallel_map", recording_map)
+    items = list(range(len(INTERLEAVED_KEYS)))
+    results = map_grouped(_with_pid, items, INTERLEAVED_KEYS, jobs)
+    assert tasks == [[0, 2, 5], [1, 4], [3, 6]]
+    assert [x for x, _ in results] == items
+    # One group runs in one process, a worker's when the map forks.
+    for task in tasks:
+        assert len({results[i][1] for i in task}) == 1
+    assert (results[0][1] == os.getpid()) == (jobs == 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_grouped_empty_input(jobs):
+    assert map_grouped(_double, [], [], jobs) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_grouped_raises_first_failing_group(jobs):
+    # Item 4 fails in group "x", seen first; item 3 fails in group "z".
+    keys = ["x", "y", "y", "z", "x", "y"]
+    with pytest.raises(CorpusError, match="^item 4 failed$"):
+        map_grouped(_fail_at_3_and_4, list(range(6)), keys, jobs)

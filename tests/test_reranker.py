@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -120,6 +121,27 @@ def test_protocol_roundtrip_identity(data):
     assert response_from_record(json.loads(response.to_json_line())) == response
 
 
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ({"question_id": 7, "scores": [1.5]}, "question_id 7 is not a string"),
+        ({"question_id": "q", "scores": ["1.5"]}, "score '1.5' is not a number"),
+        ({"question_id": "q", "scores": [1.5, True]}, "score True is not a number"),
+        ({"question_id": "q", "scores": [float("nan")]}, "non-finite score nan"),
+        ({"question_id": "q", "scores": [float("-inf")]}, "non-finite score -inf"),
+        ({"question_id": "q", "scores": "1.5"}, "scores '1.5' is not a list"),
+        ({"question_id": "q"}, "'scores'"),
+    ],
+)
+def test_response_from_record_refuses_unconverted_values(record, problem):
+    with pytest.raises(ProtocolError, match=f"^bad rerank response record: {re.escape(problem)}$"):
+        response_from_record(record)
+
+
+def test_response_from_record_keeps_int_scores():
+    assert response_from_record({"question_id": "q", "scores": [2, 0.5]}).scores == (2, 0.5)
+
+
 def test_lexical_reranker_no_shared_terms_scores_zero():
     request = make_request(["stone wall", "river bank"], question="falcon nest")
     assert LexicalReranker().score(request) == [0.0, 0.0]
@@ -208,6 +230,7 @@ def test_external_scorer_pipelined():
         ("wrong_id", "does not match"),
         ("short", "scores"),
         ("nan", "non-finite"),
+        ("string_scores", "score '1.5' is not a number"),
         ("die", "exited"),
     ],
 )

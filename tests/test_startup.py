@@ -393,6 +393,25 @@ def test_entry_on_a_closed_stdout_pipe(small_run, tmp_path, entry):
     assert (tmp_path / "report.json").exists()
 
 
+def test_profiled_stage_writes_its_profile(small_run, tmp_path):
+    """Under ``python -m cProfile -o`` (a ``sys.monitoring`` tool from 3.12
+    on), ``run`` returns instead of leaving through ``os._exit``, so the
+    profiler writes its file when the interpreter exits."""
+    import pstats
+
+    profile = tmp_path / "stage.prof"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = stage_argv(small_run, tmp_path, "span-oracle", 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(profile), "-m", "bookqa.cli", *argv],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "spans.jsonl").exists()
+    functions = {name for _, _, name in pstats.Stats(str(profile)).stats}
+    assert "_cmd_span_oracle" in functions
+
+
 @pytest.mark.parametrize("stage", STAGES)
 def test_no_stage_registers_an_atexit_handler(small_run, tmp_path, stage):
     """``run`` leaves through ``os._exit``, which runs no ``atexit``
