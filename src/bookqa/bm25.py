@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Iterable, Sequence
 
 from .corpus import (
@@ -28,6 +29,10 @@ from .corpus import (
 from .errors import CorpusError, FormatError
 from .records import record
 from .text import TokenSeq, normalize_eval_tokens, tokenize
+
+# JSON puts no bound on integers, and float arithmetic on an int larger than
+# this raises ``OverflowError``; a float outside it is infinite or NaN.
+_FLOAT_MAX = sys.float_info.max
 
 
 @record
@@ -67,10 +72,10 @@ def retrieval_from_record(obj: dict) -> RetrievalResult:
     """The result a line of ``RetrievalResult.to_json_line`` describes.
 
     Nothing is converted: ``question_id`` and ``mode`` must be strings,
-    every ``para_index`` an int and every ``score`` a finite int or float,
-    and a bool is none of these.  As ``retrieve`` writes them, the
-    paragraphs are distinct and the scores non-increasing.  A record that
-    is not so fails with ``FormatError``."""
+    every ``para_index`` an int and every ``score`` a finite int or float
+    no larger than the largest float, and a bool is none of these.  As
+    ``retrieve`` writes them, the paragraphs are distinct and the scores
+    non-increasing.  A record that is not so fails with ``FormatError``."""
     try:
         question_id, mode = obj["question_id"], obj["mode"]
         ranked = tuple((e["para_index"], e["score"]) for e in obj["ranked"])
@@ -86,8 +91,10 @@ def retrieval_from_record(obj: dict) -> RetrievalResult:
             raise FormatError(f"bad retrieval record: para_index {p!r} is not an int")
         if type(s) is not int and type(s) is not float:
             raise FormatError(f"bad retrieval record: score {s!r} is not a number")
-        if type(s) is float and not math.isfinite(s):
-            raise FormatError(f"bad retrieval record: score {s!r} is not finite")
+        if not -_FLOAT_MAX <= s <= _FLOAT_MAX:
+            # Such an int would print hundreds of digits.
+            why = "is an int too large for a float" if type(s) is int else f"{s!r} is not finite"
+            raise FormatError(f"bad retrieval record: score {why}")
         if s > previous:
             raise FormatError(f"bad retrieval record: score {s!r} follows the lower {previous!r}")
         if p in seen:
@@ -218,7 +225,8 @@ def index_to_record(index: Bm25Index) -> dict:
         "n_docs": index.n_docs,
         "avg_doc_len": index.avg_doc_len,
         "doc_len": {str(p): n for p, n in sorted(index.doc_len.items())},
-        "postings": {t: [list(e) for e in v] for t, v in sorted(index.postings.items())},
+        # The tuples as they are: ``json.dumps`` writes a tuple as a list.
+        "postings": dict(sorted(index.postings.items())),
     }
 
 
@@ -228,8 +236,8 @@ def _posting_pairs(postings: dict, doc_len: dict) -> dict | None:
 
     Tuples, not the decoded lists: smaller, and not shared with the record.
     Of the values JSON decodes to, only a list of two ints converts to a pair
-    of ints."""
-    if not set(map(type, postings.values())) <= {list}:
+    of ints; the tuples of ``index_to_record`` are taken as they are."""
+    if not set(map(type, postings.values())) <= {list, tuple}:
         return None
     try:
         pairs = {term: tuple(map(tuple, plist)) for term, plist in postings.items()}
@@ -246,8 +254,8 @@ def _posting_pairs(postings: dict, doc_len: dict) -> dict | None:
 def _posting_problem(postings: dict, doc_len: dict) -> str | None:
     """What is wrong with the first bad posting in record order, or None."""
     for term, plist in postings.items():
-        for entry in plist if type(plist) is list else [plist]:
-            if type(entry) is not list or len(entry) != 2 or set(map(type, entry)) != {int}:
+        for entry in plist if type(plist) in (list, tuple) else [plist]:
+            if type(entry) not in (list, tuple) or len(entry) != 2 or set(map(type, entry)) != {int}:
                 return f"term {term!r} has posting {entry!r}, not a pair of ints"
             p, f = entry
             if p not in doc_len:
@@ -264,11 +272,12 @@ def index_from_record(obj: dict) -> Bm25Index:
     strings and which must be the decimal forms of distinct ints.
     ``book_id`` must be a string, ``n_docs`` and every ``doc_len`` length
     an int, and ``k1``, ``b`` and ``avg_doc_len`` ints or floats; a bool is
-    none of these.  The record must be consistent with itself: ``n_docs``
-    counts the ``doc_len`` entries, ``avg_doc_len`` is their mean as
-    ``build_index`` computes it, every posting is a pair of ints naming a
-    paragraph of ``doc_len`` with a term frequency of at least 1, ``k1`` is
-    finite and ``>= 0``, and ``0 <= b <= 1``.  A record that is not fails with
+    none of these, and no int may be larger than the largest float.  The
+    record must be consistent with itself: ``n_docs`` counts the ``doc_len``
+    entries, ``avg_doc_len`` is their mean as ``build_index`` computes it,
+    every posting is a pair of ints naming a paragraph of ``doc_len`` with a
+    term frequency of at least 1, ``k1`` is finite and ``>= 0``, and
+    ``0 <= b <= 1``.  A record that is not fails with
     ``FormatError`` instead of scoring wrong."""
     try:
         book_id, n_docs, avg_doc_len = obj["book_id"], obj["n_docs"], obj["avg_doc_len"]
@@ -289,10 +298,14 @@ def index_from_record(obj: dict) -> Bm25Index:
     for field, value in (("k1", k1), ("b", b), ("avg_doc_len", avg_doc_len)):
         if type(value) is not int and type(value) is not float:
             raise bad(f"{field} {value!r} is not a number")
+        if type(value) is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise bad(f"{field} is an int too large for a float")
     if not keys_canonical:
         raise bad(f"doc_len keys {list(obj['doc_len'])!r} are not distinct paragraph indexes")
     for p, n in doc_len.items():
-        if type(n) is not int or n < 0:
+        if type(n) is not int or not 0 <= n <= _FLOAT_MAX:
+            if type(n) is int and n > 0:
+                raise bad(f"paragraph {p} has a doc_len too large for a float")
             raise bad(f"paragraph {p} has doc_len {n!r}, not a length")
     pairs = _posting_pairs(postings, doc_len)
     if pairs is None:

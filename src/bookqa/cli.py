@@ -10,10 +10,14 @@ subcommand needs: argument parsing and the shared data model.  Each
 subcommand imports the layers it runs in its own body.  Per-question work
 goes through ``fileio.map_grouped``, one task per book, and ``index`` maps
 its books through ``fileio.parallel_map``; only ``eval-ir``'s ``exec:`` and
-``file:`` scorers stay in the stage process.  Workers are forked from the
+``file:`` scorers stay in the stage process.  At ``--jobs 2`` or more a map
+runs its tasks in the stage process until they have taken
+``fileio.FORK_AFTER_S``, and forks workers for the rest only then, so a map
+too short to pay for a fork forks nothing.  Workers are forked from the
 stage process and inherit the mapped function, its items and the loaded
 modules, so a subcommand imports its workers' layers before the map starts
-and no worker imports them again.
+and no worker imports them again.  ``index`` drops each book's paragraph
+tokens once that book's line is made, wherever the book was indexed.
 No layer imports ``dataclasses``: records are made by ``records.record``.
 
 ``main`` pauses the cyclic garbage collector for the whole stage, and its
@@ -199,6 +203,10 @@ def _index_worker(task):
 
     paragraphs, k1, b = task
     record = bm25.index_to_record(bm25.build_index(paragraphs, k1=k1, b=b))
+    # Only this book's index needs its tokens.  A map that runs in the
+    # stage process would otherwise hold every book's tokens at its end.
+    for para in paragraphs:
+        para.tokens.release()
     # The finished line, not the record: a string is far cheaper to send
     # back from a worker than the nested dict it encodes.
     return json.dumps(record, sort_keys=True)

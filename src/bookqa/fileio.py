@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Callable, Hashable, Iterable, Iterator, NoReturn, Sequence, TypeVar
@@ -14,6 +15,10 @@ from .errors import BookQaError, FormatError, WorkerError
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# How long ``parallel_map`` runs items in the calling process before it
+# forks workers for the rest (see its docstring).
+FORK_AFTER_S = 0.05
 
 
 def iter_jsonl(
@@ -30,8 +35,14 @@ def iter_jsonl(
                     continue
                 try:
                     yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise error(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                except ValueError as exc:
+                    # Besides malformed JSON, an integer of more digits than
+                    # ``sys.get_int_max_str_digits()`` allows.
+                    if isinstance(exc, json.JSONDecodeError):
+                        reason = exc.msg
+                    else:  # its advice on raising the limit is no use here
+                        reason = str(exc).split(";")[0]
+                    raise error(f"{path}: line {lineno}: invalid JSON ({reason})") from exc
         except UnicodeDecodeError as exc:
             bad = _undecodable_line(path)
             where = f" line {bad}:" if bad else ""
@@ -131,22 +142,51 @@ def write_sidecar(
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
-    """Order-preserving map over up to ``jobs`` forked worker processes.
+    """Order-preserving map over up to ``jobs`` forked worker processes,
+    forked only once the map has run long enough to pay for them.
 
     Results are returned in input order regardless of ``jobs``, so callers
-    stay deterministic under any parallelism level.  Worker ``w`` of ``n``
-    maps items ``w, w + n, ...`` of the ``fn`` and ``items`` it inherited at
-    the fork, so no task is pickled.  It sends back one pickle of its
-    results, or of its first error, through its own pipe.  If several items
-    fail, the error of the lowest one is raised, as in one process.  A
+    stay deterministic under any parallelism level.  At ``jobs >= 2`` the
+    items run in this process, in order, and before each one the map checks
+    whether at least two items are left and the items run so far have taken
+    ``FORK_AFTER_S``.  Once both hold, the rest go to ``min(jobs, left)``
+    forked workers.  Each fork costs the stage process milliseconds, and the
+    workers' copy-on-write faults cost more, which a map that ends within a
+    few milliseconds never wins back.  The price is bounded: this process
+    runs ``FORK_AFTER_S`` and at most one item more before it forks, so a
+    map of few, large items loses at most about one item's time against
+    forking at once, and a map of two items never forks.
+
+    Worker ``w`` of ``n`` maps items ``s + w, s + w + n, ...``, where ``s``
+    is the first item not run here, of the ``fn`` and ``items`` it
+    inherited at the fork, so no task is pickled.  It sends back one pickle
+    of its results, or of its first error, through its own pipe.  If several
+    items fail, the error of the lowest one is raised, as in one process.  A
     ``BookQaError`` passes through; any other exception becomes a
-    ``WorkerError``.  A worker that dies also becomes a ``WorkerError``, and
-    the workers not yet collected are killed.  Where ``os.fork`` is missing,
-    the map runs in-process.
+    ``WorkerError``, in this process as in a worker, so the error reported
+    never depends on where the item ran.  A worker that dies also becomes a
+    ``WorkerError``, and the workers not yet collected are killed.  At
+    ``jobs == 1``, or where ``os.fork`` is missing, the items run here and
+    their exceptions propagate unchanged.
     """
-    n = min(jobs, len(items))
-    if n <= 1 or not hasattr(os, "fork"):
+    if jobs <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
+    results: list[Any] = []
+    started = time.perf_counter()
+    for i, item in enumerate(items):
+        if len(items) - i >= 2 and time.perf_counter() - started >= FORK_AFTER_S:
+            return results + _forked_map(fn, items, i, min(jobs, len(items) - i))
+        try:
+            results.append(fn(item))
+        except BookQaError:
+            raise
+        except Exception as exc:
+            raise WorkerError(f"a worker task failed: {type(exc).__name__}: {exc}") from exc
+    return results
+
+
+def _forked_map(fn: Callable[[T], R], items: Sequence[T], start: int, n: int) -> list[R]:
+    """``fn`` over ``items[start:]`` in ``n`` forked workers."""
     # Loaded before the fork so that the workers inherit it; a process that
     # never forks does not pay for it.
     import pickle  # noqa: F401
@@ -158,7 +198,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     outcomes = []
     try:
         for w in range(n):
-            pending.append(_start_worker(fn, items, range(w, len(items), n)))
+            pending.append(_start_worker(fn, items, range(start + w, len(items), n)))
         while pending:
             pid, pipe = pending[0]
             with pipe:
@@ -174,7 +214,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
         if isinstance(error, BookQaError):
             raise error
         raise WorkerError(f"a worker task failed: {error}")
-    results: list[Any] = [None] * len(items)
+    results: list[Any] = [None] * (len(items) - start)
     for w, (_, values) in enumerate(outcomes):
         results[w::n] = values
     return results

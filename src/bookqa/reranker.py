@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import shlex
+import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Protocol, Sequence
 
@@ -92,8 +93,10 @@ def response_from_record(obj: dict) -> RerankResponse:
     """The response a line of ``RerankResponse.to_json_line`` describes.
 
     Nothing is converted: ``question_id`` must be a string and every score a
-    finite int or float, and a bool is neither.  A record that is not so
-    fails with ``ProtocolError``."""
+    finite int or float, and a bool is neither.  JSON puts no bound on
+    integers, so an int score larger than the largest float is refused too:
+    it would overflow the first float arithmetic it met.  A record that is
+    not so fails with ``ProtocolError``."""
     try:
         question_id, scores = obj["question_id"], obj["scores"]
     except (KeyError, TypeError) as exc:
@@ -109,6 +112,8 @@ def response_from_record(obj: dict) -> RerankResponse:
             raise ProtocolError(f"bad rerank response record: score {s!r} is not a number")
         if type(s) is float and not math.isfinite(s):
             raise ProtocolError(f"bad rerank response record: non-finite score {s!r}")
+        if type(s) is int and not -sys.float_info.max <= s <= sys.float_info.max:
+            raise ProtocolError("bad rerank response record: score is an int too large for a float")
     return RerankResponse(question_id, tuple(scores))
 
 

@@ -95,6 +95,11 @@ class LazyTokenSeq(TokenSeq):
             object.__setattr__(self, "_tokens", tokens)
         return tokens
 
+    def release(self) -> None:
+        """Drop the cached tokens; the next use of ``tokens`` tokenizes
+        ``source`` again."""
+        self.__dict__.pop("_tokens", None)
+
     def __bool__(self) -> bool:
         return bool(self.source) and not self.source.isspace()
 

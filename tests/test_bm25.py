@@ -188,6 +188,26 @@ def test_index_record_roundtrip():
     assert back == index
 
 
+def test_index_line_bytes_are_pinned():
+    """``index_to_record`` keeps the postings as tuples, which ``json.dumps``
+    writes as the lists it once built; the index line is unchanged."""
+    paras = [
+        make_paragraph("b", 0, ["Apple", "pie", ",", "apple"]),
+        make_paragraph("b", 1, ["stone", "wall", "pie"]),
+    ]
+    record = index_to_record(build_index(paras, k1=1.5, b=0.6))
+    assert json.dumps(record, sort_keys=True) == (
+        '{"avg_doc_len": 3.0, "b": 0.6, "book_id": "b", "doc_len": {"0": 3, "1": 3}, '
+        '"k1": 1.5, "n_docs": 2, "postings": {"apple": [[0, 2]], "pie": [[0, 1], [1, 1]], '
+        '"stone": [[1, 1]], "wall": [[1, 1]]}}'
+    )
+    assert json.dumps(record) == (
+        '{"book_id": "b", "k1": 1.5, "b": 0.6, "n_docs": 2, "avg_doc_len": 3.0, '
+        '"doc_len": {"0": 3, "1": 3}, "postings": {"apple": [[0, 2]], '
+        '"pie": [[0, 1], [1, 1]], "stone": [[1, 1]], "wall": [[1, 1]]}}'
+    )
+
+
 def _record_with(**changes):
     paras = [
         make_paragraph("b", 0, ["apple", "pie", "apple"]),
@@ -290,6 +310,10 @@ def test_index_from_record_accepts_parameter_bounds():
         ({"avg_doc_len": 2.5000000000000004}, "avg_doc_len 2.5000000000000004 is not the mean"),
         ({"n_docs": 0, "doc_len": {}, "postings": {}}, "avg_doc_len 2.5 is not the mean of its 0"),
         ({"k1": float("inf")}, "k1 inf must be >= 0 and finite"),
+        ({"k1": 10**400}, "k1 is an int too large for a float"),
+        ({"b": -(10**400)}, "b is an int too large for a float"),
+        ({"avg_doc_len": 10**400}, "avg_doc_len is an int too large for a float"),
+        ({"doc_len": {"0": 3, "1": 10**400}}, "paragraph 1 has a doc_len too large for a float"),
     ],
 )
 def test_index_from_record_refuses_scalars_it_would_have_to_convert(changes, problem):
@@ -319,6 +343,7 @@ def _ranked(*entries):
         (((0, 2.0), (0, 1.0)), "para_index 0 is ranked twice"),
         (((0, 1.0), (1, 2.0)), "score 2.0 follows the lower 1.0"),
         (((0, 3), (1, 1.5), (2, 1.5000001)), "score 1.5000001 follows the lower 1.5"),
+        (((0, 10**400),), "score is an int too large for a float"),
     ],
 )
 def test_retrieval_from_record_refuses_what_retrieve_never_writes(entries, problem):

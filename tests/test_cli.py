@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import bookqa.fileio
 from bookqa.cli import main
 
 SCORERS = Path(__file__).parent / "scorers"
@@ -144,6 +145,17 @@ def test_eval_ir_table_on_stdout(tmp_path, capsys):
 
 
 def test_determinism_byte_identical_across_jobs(tmp_path, capsys):
+    """With the default fork bound these maps are too short to fork."""
+    assert_identical_across_jobs(tmp_path, capsys)
+
+
+def test_determinism_byte_identical_across_jobs_when_forked(tmp_path, capsys, monkeypatch):
+    """Every map at --jobs 2 forks before its first item."""
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+    assert_identical_across_jobs(tmp_path, capsys)
+
+
+def assert_identical_across_jobs(tmp_path, capsys):
     import shutil
 
     work = tmp_path / "run"
@@ -595,6 +607,8 @@ def test_worker_failure_exits_with_error_code(tmp_path, capsys, monkeypatch, fai
 
     import bookqa.bm25
 
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+
     run_ok(capsys, *synth_args(tmp_path / "corpus"))
     paras = tmp_path / "paras.jsonl"
     index = tmp_path / "index.jsonl"
@@ -632,6 +646,88 @@ def tiny_corpus(tmp_path, capsys):
     run_ok(capsys, "chunk", "--books", books, "--width", 2, "--out", paras)
     run_ok(capsys, "index", "--paragraphs", paras, "--out", index)
     return paras, index, qa
+
+
+def test_index_releases_each_books_tokens(tmp_path, capsys):
+    """A book's tokens are dropped once its line is made, so an index map
+    that runs in the stage process holds one book's tokens at a time."""
+    import bookqa.cli
+    from bookqa.corpus import load_paragraphs
+
+    paras, _, _ = tiny_corpus(tmp_path, capsys)
+    book = load_paragraphs(paras)["b"]
+    line = bookqa.cli._index_worker((book, 1.2, 0.75))
+    assert [p.tokens.__dict__.get("_tokens") for p in book] == [None] * len(book)
+    assert line == (tmp_path / "index.jsonl").read_text(encoding="utf-8").rstrip("\n")
+
+
+HUGE_INT = 10**400  # a JSON integer beyond the largest float
+
+
+@pytest.mark.parametrize(
+    "field, problem",
+    [
+        ("k1", "k1 is an int too large for a float"),
+        ("doc_len", "paragraph 0 has a doc_len too large for a float"),
+        ("k1-digits", "invalid JSON (Exceeds the limit"),
+    ],
+)
+def test_index_int_too_large_for_a_float_fails_with_format_error(tmp_path, capsys, field, problem):
+    """Such an int would overflow the first float arithmetic that met it;
+    one of more digits than Python parses fails when the line is decoded."""
+    _, index, qa = tiny_corpus(tmp_path, capsys)
+    line = index.read_text(encoding="utf-8")
+    record = json.loads(line)
+    if field == "k1":
+        record["k1"] = HUGE_INT
+    elif field == "doc_len":
+        record["doc_len"]["0"] = HUGE_INT
+    if field == "k1-digits":
+        index.write_text(line.replace('"k1": 1.2', '"k1": 1' + "0" * 5000), encoding="utf-8")
+    else:
+        write_jsonl(index, [record])
+    out = tmp_path / "retrieved.jsonl"
+    err = run_fail(capsys, "retrieve", "--index", index, "--qa", qa, "--out", out)
+    assert "Traceback" not in err
+    if field == "k1-digits" and not hasattr(sys, "get_int_max_str_digits"):
+        problem = "k1 is an int too large for a float"  # no digit limit before 3.10.7
+    assert err.startswith(f"error[format]: {index}: line 1: ")
+    assert problem in err
+    assert not out.exists()
+
+
+def test_selection_score_too_large_for_a_float_fails_with_format_error(tmp_path, capsys):
+    paras, _, qa = tiny_corpus(tmp_path, capsys)
+    selections = write_jsonl(
+        tmp_path / "selections.jsonl",
+        [{"question_id": "q1", "mode": "question_only", "ranked": [{"para_index": 0, "score": HUGE_INT}]}],
+    )
+    out = tmp_path / "spans.jsonl"
+    err = run_fail(
+        capsys, "span-oracle", "--paragraphs", paras, "--qa", qa, "--selections", selections,
+        "--out", out,
+    )
+    assert "Traceback" not in err
+    assert err == (
+        f"error[format]: {selections}: line 1: bad retrieval record: "
+        "score is an int too large for a float\n"
+    )
+    assert not out.exists()
+
+
+def test_rerank_score_too_large_for_a_float_fails_with_protocol_error(tmp_path, capsys):
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    scores = write_jsonl(tmp_path / "scores.jsonl", [{"question_id": "q1", "scores": [HUGE_INT]}])
+    out = tmp_path / "table.json"
+    err = run_fail(
+        capsys, "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
+        "--reranker", f"file:{scores}", "--out", out,
+    )
+    assert "Traceback" not in err
+    assert err == (
+        "error[protocol]: bad rerank response record: score is an int too large for a float\n"
+    )
+    assert not out.exists()
 
 
 def test_boolean_para_index_fails_with_corpus_error(tmp_path, capsys):

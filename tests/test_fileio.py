@@ -16,6 +16,12 @@ from bookqa.fileio import iter_jsonl, map_grouped, parallel_map, write_lines, wr
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+@pytest.fixture
+def fork_at_once(monkeypatch):
+    """``parallel_map`` forks before its first item, as a long map does."""
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+
+
 def _failing_lines(n_good):
     for i in range(n_good):
         yield f"line {i}"
@@ -82,20 +88,24 @@ def test_iter_jsonl_names_the_line_of_a_non_utf8_byte(tmp_path, bad_line):
             pass
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_keeps_order():
     assert parallel_map(_double, list(range(7)), 2) == [2 * i for i in range(7)]
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_worker_exception_becomes_worker_error():
     with pytest.raises(WorkerError, match="ValueError: bad item 2"):
         parallel_map(_raise_value_error, [1, 2, 3], 2)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_passes_bookqa_errors_through():
     with pytest.raises(CorpusError, match="corpus item"):
         parallel_map(_raise_corpus_error, [1, 2], 2)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_dead_worker_becomes_worker_error():
     with pytest.raises(WorkerError, match="worker process died"):
         parallel_map(_exit_abruptly, [1, 2], 2)
@@ -117,6 +127,7 @@ def _fail_value_at_3_and_4(x):
     return x
 
 
+@pytest.mark.usefixtures("fork_at_once")
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_parallel_map_raises_lowest_failing_item(jobs):
     # At --jobs 2 the item 3 fails in the second worker and item 4 in the
@@ -125,6 +136,7 @@ def test_parallel_map_raises_lowest_failing_item(jobs):
         parallel_map(_fail_at_3_and_4, list(range(6)), jobs)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_parallel_map_worker_error_names_lowest_failing_item(jobs):
     with pytest.raises(WorkerError, match="ValueError: item 3 failed$"):
@@ -137,6 +149,7 @@ def _kill_self(x):
     return x
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_killed_worker_becomes_worker_error():
     with pytest.raises(WorkerError, match=rf"worker process died \(signal {signal.SIGKILL}\)"):
         parallel_map(_kill_self, [0, 1, 2], 2)
@@ -146,6 +159,7 @@ def _mebibytes(x):
     return bytes([x]) * (3 << 20)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_large_results_arrive_whole():
     # Each worker sends back 6 MiB, far more than a pipe buffers, while the
     # parent is still reading another worker's pipe.
@@ -153,11 +167,13 @@ def test_parallel_map_large_results_arrive_whole():
     assert results == [_mebibytes(x) for x in [1, 2, 3, 4]]
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_more_jobs_than_items():
     assert parallel_map(_double, [1, 2, 3], 8) == [2, 4, 6]
     assert parallel_map(_double, [], 8) == []
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_inherits_unpicklable_tasks():
     tasks = [lambda: "a", lambda: "b", lambda: "c"]
     assert parallel_map(lambda task: task(), tasks, 2) == ["a", "b", "c"]
@@ -167,6 +183,7 @@ def _make_closure(x):
     return lambda: x
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_unpicklable_result_becomes_worker_error():
     with pytest.raises(WorkerError, match="cannot send its results back"):
         parallel_map(_make_closure, [1, 2], 2)
@@ -177,7 +194,9 @@ def test_parallel_map_does_not_repeat_buffered_output():
     # parent's buffer unless the map flushes it before forking.
     script = (
         "import sys\n"
+        "import bookqa.fileio\n"
         "from bookqa.fileio import parallel_map\n"
+        "bookqa.fileio.FORK_AFTER_S = 0\n"
         "def same(x):\n"
         "    return x\n"
         "print('before the map')\n"
@@ -203,6 +222,7 @@ def _die_or_sleep(x):
     return x
 
 
+@pytest.mark.usefixtures("fork_at_once")
 @pytest.mark.parametrize(
     "fn, error",
     [(_raise_value_error, WorkerError), (_raise_corpus_error, CorpusError), (_die_or_sleep, WorkerError)],
@@ -218,6 +238,7 @@ def test_parallel_map_leaves_no_child_after_failure(fn, error):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_map_failed_fork_stops_started_workers(monkeypatch):
     forks = []
 
@@ -243,12 +264,102 @@ def test_parallel_map_without_fork_runs_in_process(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# forking only once the map outlasts a fork
+
+
+def _slow_first(fn):
+    """``fn``, run on item 0 only after the fork bound has passed."""
+
+    def slow(x):
+        if x == 0:
+            time.sleep(2 * bookqa.fileio.FORK_AFTER_S)
+        return fn(x)
+
+    return slow
+
+
+def test_parallel_map_runs_short_maps_in_process():
+    assert parallel_map(_with_pid, list(range(6)), 2) == [(x, os.getpid()) for x in range(6)]
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 8])
+def test_parallel_map_forks_for_the_rest_after_a_slow_item(jobs):
+    results = parallel_map(_slow_first(_with_pid), list(range(6)), jobs)
+    assert [x for x, _ in results] == list(range(6))
+    assert results[0][1] == os.getpid()
+    workers = [pid for _, pid in results[1:]]
+    assert os.getpid() not in workers
+    # Items 1-5 go to min(jobs, 5) workers, round robin.
+    n = min(jobs, 5)
+    assert len(set(workers)) == n
+    assert workers == [workers[i % n] for i in range(5)]
+
+
+def test_parallel_map_two_items_never_fork():
+    assert parallel_map(_slow_first(_with_pid), [0, 1], 2) == [(0, os.getpid()), (1, os.getpid())]
+
+
+@pytest.mark.parametrize(
+    "fn, error, message",
+    [
+        (_slow_first(_fail_at_3_and_4), CorpusError, "^item 3 failed$"),
+        (_slow_first(_fail_value_at_3_and_4), WorkerError, "ValueError: item 3 failed$"),
+    ],
+)
+def test_parallel_map_lowest_failure_wins_after_the_fork(fn, error, message):
+    # Item 0 runs in this process; items 3 and 4 fail in two workers.
+    with pytest.raises(error, match=message):
+        parallel_map(fn, list(range(6)), 2)
+
+
+def _fail_at_1_and_value_at_4(x):
+    if x == 1:
+        raise CorpusError("item 1 failed")
+    if x == 4:
+        raise ValueError("item 4 failed")
+    return x
+
+
+def test_parallel_map_in_process_failure_stops_the_map():
+    # Item 1 fails in this process, so the map never forks for items 2-5
+    # and item 4 never runs.
+    with pytest.raises(CorpusError, match="^item 1 failed$"):
+        parallel_map(_fail_at_1_and_value_at_4, list(range(6)), 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fork_after_s", [bookqa.fileio.FORK_AFTER_S, 0], ids=["in-process", "forked"])
+@pytest.mark.parametrize(
+    "fn, error, message",
+    [
+        (_raise_value_error, WorkerError, "a worker task failed: ValueError: bad item 2"),
+        (_raise_corpus_error, CorpusError, "corpus item 1"),
+    ],
+)
+def test_parallel_map_reports_a_failure_alike_wherever_it_ran(
+    monkeypatch, fork_after_s, fn, error, message
+):
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", fork_after_s)
+    with pytest.raises(error) as raised:
+        parallel_map(fn, [1, 2, 3], 2)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_parallel_map_at_one_job_raises_unchanged():
+    with pytest.raises(ValueError, match="^bad item 2$"):
+        parallel_map(_raise_value_error, [1, 2, 3], 1)
+
+
+# ---------------------------------------------------------------------------
 # map_grouped
 
 
 INTERLEAVED_KEYS = ["a", "b", "a", "c", "b", "a", "c"]
 
 
+@pytest.mark.usefixtures("fork_at_once")
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_map_grouped_keeps_input_order(jobs):
     items = list(range(len(INTERLEAVED_KEYS)))
@@ -259,6 +370,7 @@ def _with_pid(x):
     return x, os.getpid()
 
 
+@pytest.mark.usefixtures("fork_at_once")
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_map_grouped_runs_keys_in_first_seen_order(jobs, monkeypatch):
     tasks = []
@@ -283,6 +395,7 @@ def test_map_grouped_empty_input(jobs):
     assert map_grouped(_double, [], [], jobs) == []
 
 
+@pytest.mark.usefixtures("fork_at_once")
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_map_grouped_raises_first_failing_group(jobs):
     # Item 4 fails in group "x", seen first; item 3 fails in group "z".

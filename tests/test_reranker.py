@@ -131,6 +131,7 @@ def test_protocol_roundtrip_identity(data):
         ({"question_id": "q", "scores": [float("-inf")]}, "non-finite score -inf"),
         ({"question_id": "q", "scores": "1.5"}, "scores '1.5' is not a list"),
         ({"question_id": "q"}, "'scores'"),
+        ({"question_id": "q", "scores": [1.5, -(10**400)]}, "score is an int too large for a float"),
     ],
 )
 def test_response_from_record_refuses_unconverted_values(record, problem):

@@ -52,7 +52,8 @@ NOT_IN_ANY_STAGE = ("dataclasses", "inspect")
 # Imports the CLI in a fresh interpreter, runs ``argv`` through ``main``
 # unless it is null, and prints the exit code, the modules loaded since
 # start-up, the number of live threads at each ``os.fork``, and the number
-# of ``atexit`` handlers registered since start-up.
+# of ``atexit`` handlers registered since start-up.  ``parallel_map`` forks
+# before its first item, as on a corpus large enough to pay for a fork.
 _PROBE = """
 import atexit, contextlib, io, json, os, sys, threading
 fork_threads = []
@@ -62,6 +63,8 @@ def counting_fork(fork=os.fork):
 os.fork = counting_fork
 before = set(sys.modules)
 handlers = atexit._ncallbacks()
+import bookqa.fileio
+bookqa.fileio.FORK_AFTER_S = 0
 from bookqa.cli import main
 argv = json.loads(sys.argv[1])
 code = None
@@ -337,7 +340,7 @@ def test_console_script_runs_the_entry():
 def test_entry_output_matches_main(small_run, tmp_path, monkeypatch, stage, entry):
     """Every byte a stage writes to stdout and stderr, and every artifact,
     is the same from a stage process as from ``main`` in this process; the
-    pooled stages fork two workers."""
+    pooled stages run at --jobs 2."""
     (tmp_path / "process").mkdir()
     (tmp_path / "main").mkdir()
     code, out, err = entry_run(stage_argv(small_run, tmp_path / "process", stage, 2), entry)

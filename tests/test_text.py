@@ -227,6 +227,16 @@ def test_lazy_tokenseq_reads_like_eager():
     assert bool(lazy) and not LazyTokenSeq(" \t\n\u2003")
 
 
+def test_lazy_tokenseq_release_drops_the_cached_tokens():
+    lazy = LazyTokenSeq("The cat, sat.")
+    lazy.release()  # nothing cached yet
+    first = lazy.tokens
+    assert lazy.tokens is first
+    lazy.release()
+    assert "_tokens" not in lazy.__dict__
+    assert lazy.tokens == first and lazy.tokens is not first
+
+
 def _pickled_strings(obj):
     data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
     return {arg for _, arg, _ in pickletools.genops(data) if isinstance(arg, str)}
