@@ -18,15 +18,21 @@ import math
 import sys
 from typing import Iterable, Sequence
 
+from . import __version__
 from .corpus import (
     DEFAULT_B,
     DEFAULT_K1,
     MODE_QUESTION,
     MODE_QUESTION_ANSWER,
+    MODES,
     Paragraph,
     QaExample,
+    load_paragraphs,
+    load_qa,
+    require_book_coverage,
 )
 from .errors import CorpusError, FormatError
+from .fileio import iter_jsonl, map_grouped, parallel_map, write_lines, write_sidecar
 from .records import record
 from .text import TokenSeq, normalize_eval_tokens, tokenize
 
@@ -325,3 +331,77 @@ def index_from_record(obj: dict) -> Bm25Index:
         k1=k1,
         b=b,
     )
+
+
+# ---------------------------------------------------------------------------
+# the index and retrieve subcommands (dispatched by ``cli.main``)
+
+
+def load_indexes(path) -> dict[str, Bm25Index]:
+    """Every book's index from an ``index`` output file, by book id."""
+    indexes: dict[str, Bm25Index] = {}
+    for lineno, obj in iter_jsonl(path):
+        try:
+            index = index_from_record(obj)
+        except FormatError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        if index.book_id in indexes:
+            raise CorpusError(f"{path}: line {lineno}: duplicate book {index.book_id!r}")
+        indexes[index.book_id] = index
+    if not indexes:
+        raise CorpusError(f"{path}: no index records")
+    return indexes
+
+
+def _index_worker(task):
+    paragraphs, k1, b = task
+    record = index_to_record(build_index(paragraphs, k1=k1, b=b))
+    # Only this book's index needs its tokens.  A map that runs in the
+    # stage process would otherwise hold every book's tokens at its end.
+    for para in paragraphs:
+        para.tokens.release()
+    # The finished line, not the record: a string is far cheaper to send
+    # back from a worker than the nested dict it encodes.
+    return json.dumps(record, sort_keys=True)
+
+
+def _cmd_index(args) -> int:
+    grouped = load_paragraphs(args.paragraphs)
+    books = sorted(grouped)
+    lines = parallel_map(
+        _index_worker, [(grouped[b], args.k1, args.b) for b in books], args.jobs
+    )
+    write_lines(args.out, lines)
+    config = {
+        "paragraphs": str(args.paragraphs),
+        "k1": args.k1,
+        "b": args.b,
+        "out": str(args.out),
+    }
+    write_sidecar(args.out, "index", config, [args.paragraphs], __version__)
+    print(f"indexed {len(books)} books", file=sys.stderr)
+    return 0
+
+
+def _cmd_retrieve(args) -> int:
+    indexes = load_indexes(args.index)
+    qa = load_qa(args.qa)
+    require_book_coverage(indexes, qa)
+    mode = MODES[args.mode]
+    query = question_query if mode == MODE_QUESTION else oracle_query
+
+    def line(q):
+        result = retrieve(indexes[q.book_id], query(q), args.k, q.question_id, mode)
+        return result.to_json_line()
+
+    write_lines(args.out, map_grouped(line, qa, [q.book_id for q in qa], args.jobs))
+    config = {
+        "index": str(args.index),
+        "qa": str(args.qa),
+        "k": args.k,
+        "mode": args.mode,
+        "out": str(args.out),
+    }
+    write_sidecar(args.out, "retrieve", config, [args.index, args.qa], __version__)
+    print(f"retrieved for {len(qa)} questions", file=sys.stderr)
+    return 0

@@ -11,11 +11,13 @@ All files are UTF-8.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import __version__
 from .errors import CorpusError
-from .fileio import iter_jsonl, require_field, write_lines
+from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
 from .records import record
 from .text import LazyTokenSeq, TokenSeq, tokenize
 
@@ -27,6 +29,7 @@ DEFAULT_K1 = 1.2  # BM25 term-frequency saturation
 DEFAULT_B = 0.75  # BM25 length normalization
 MODE_QUESTION = "question_only"
 MODE_QUESTION_ANSWER = "question_plus_answer"
+MODES = {"q": MODE_QUESTION, "qa": MODE_QUESTION_ANSWER}  # retrieve --mode
 POOL_UNION_MINUS_INTERSECTION = "union_minus_intersection"
 POOL_WHOLE_BOOK = "whole_book"
 DEFAULT_K_BASE = 32  # eval-ir baseline candidate pool
@@ -253,3 +256,32 @@ def flatten_paragraphs(paragraphs: Sequence[Paragraph]) -> tuple[str, ...]:
     for p in paragraphs:
         out.extend(p.tokens.tokens)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the chunk subcommand (dispatched by ``cli.main``), and the book check of
+# the stages after it
+
+
+def require_book_coverage(indexes, qa, grouped_paras=None) -> None:
+    """Every question's book must have an index and, when ``grouped_paras``
+    is given, paragraphs."""
+    books = {q.book_id for q in qa}
+    for what, known in (("index", indexes), ("paragraphs", grouped_paras)):
+        missing = sorted(books - set(known)) if known is not None else []
+        if missing:
+            raise CorpusError(f"no {what} for books: {', '.join(missing[:10])}")
+
+
+def _cmd_chunk(args) -> int:
+    # Chunking only slices token tuples; a pool would add nothing but the
+    # pickling of every book and paragraph.
+    books = load_books(args.books)
+    paragraphs = [p for b in books for p in chunk_book(b, args.width)]
+    write_paragraphs(args.out, paragraphs)
+    config = {"books": str(args.books), "width": args.width, "out": str(args.out)}
+    books_path = Path(args.books)
+    inputs = sorted(books_path.glob("*.txt")) if books_path.is_dir() else [books_path]
+    write_sidecar(args.out, "chunk", config, inputs, __version__)
+    print(f"wrote {len(paragraphs)} paragraphs", file=sys.stderr)
+    return 0

@@ -35,11 +35,14 @@ def iter_jsonl(
                     continue
                 try:
                     yield lineno, json.loads(line)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     # Besides malformed JSON, an integer of more digits than
-                    # ``sys.get_int_max_str_digits()`` allows.
+                    # ``sys.get_int_max_str_digits()`` allows, or arrays and
+                    # objects nested deeper than the recursion limit.
                     if isinstance(exc, json.JSONDecodeError):
                         reason = exc.msg
+                    elif isinstance(exc, RecursionError):
+                        reason = "nested too deeply"
                     else:  # its advice on raising the limit is no use here
                         reason = str(exc).split(";")[0]
                     raise error(f"{path}: line {lineno}: invalid JSON ({reason})") from exc

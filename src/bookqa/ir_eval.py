@@ -12,9 +12,11 @@ from the span score, which is computed once per (question, paragraph).
 
 from __future__ import annotations
 
+import json
 from typing import Mapping, Sequence
 
-from .bm25 import Bm25Index, oracle_query, question_query, retrieve
+from . import __version__
+from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
 from .corpus import (
     DEFAULT_K_BASE,
     DEFAULT_K_TOP,
@@ -22,17 +24,23 @@ from .corpus import (
     MODE_QUESTION_ANSWER,
     Paragraph,
     QaExample,
+    load_paragraphs,
+    load_qa,
+    require_book_coverage,
 )
 from .errors import EvalError, ProtocolError
-from .fileio import map_grouped
+from .fileio import map_grouped, write_lines, write_sidecar
 from .records import record
 from .reranker import (
+    FileReranker,
     IdentityReranker,
     LexicalReranker,
     RerankCandidate,
     RerankRequest,
     Scorer,
     apply_scores,
+    open_scorer,
+    write_requests_file,
 )
 from .spans import coverage_rouge
 
@@ -242,3 +250,48 @@ def run_ablation(
     else:
         items = [ablation(q) for q in examples]
     return aggregate_ablation(items, k_base, k_top)
+
+
+# ---------------------------------------------------------------------------
+# the eval-ir subcommand (dispatched by ``cli.main``)
+
+
+def _cmd_eval_ir(args) -> int:
+    indexes = load_indexes(args.index)
+    grouped_paras = load_paragraphs(args.paragraphs)
+    qa = load_qa(args.qa)
+    require_book_coverage(indexes, qa, grouped_paras)
+
+    inputs = [args.index, args.paragraphs, args.qa]
+    with open_scorer(args.reranker) as scorer:
+        result = run_ablation(
+            indexes,
+            grouped_paras,
+            qa,
+            scorer,
+            args.candidates,
+            args.top,
+            jobs=args.jobs,
+        )
+    config = {
+        "index": str(args.index),
+        "paragraphs": str(args.paragraphs),
+        "qa": str(args.qa),
+        "candidates": args.candidates,
+    }
+    if args.emit_rerank_requests:
+        out = args.emit_rerank_requests
+        write_requests_file(out, result.requests)
+        write_sidecar(
+            out, "eval-ir-requests", {**config, "out": str(out)}, inputs, __version__
+        )
+    if isinstance(scorer, FileReranker):
+        inputs.append(scorer.scores_path)
+
+    print(result.format_table())
+    if args.out:
+        payload = json.dumps(result.to_dict(), sort_keys=True, indent=2)
+        write_lines(args.out, [payload])
+        config.update(top=args.top, reranker=args.reranker, out=str(args.out))
+        write_sidecar(args.out, "eval-ir", config, inputs, __version__)
+    return 0

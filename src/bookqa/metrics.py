@@ -9,45 +9,19 @@ the max over references per question and are macro-averaged.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from itertools import chain
 from typing import Mapping, Sequence
 
-from .corpus import QaExample
+from . import __version__
+from .corpus import QaExample, load_qa
 from .errors import EvalError
+from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
 from .records import record
+from .spans import ROUGE_BETA, lcs_with_masks, position_masks, rouge_from_lcs
 from .text import normalize_eval, normalize_squad
-
-ROUGE_BETA = 1.2
-
-
-def position_masks(reference: Sequence[str]) -> dict[str, int]:
-    """Map each token to a bitmask of its positions in ``reference``."""
-    masks: dict[str, int] = {}
-    for i, tok in enumerate(reference):
-        masks[tok] = masks.get(tok, 0) | (1 << i)
-    return masks
-
-
-def lcs_with_masks(candidate: Sequence[str], masks: dict[str, int], ref_len: int) -> int:
-    """LCS length of ``candidate`` against the reference of length
-    ``ref_len`` whose ``position_masks`` are ``masks``.
-
-    Bit-parallel recurrence (Allison & Dix 1986; Hyyro 2004): ``v`` holds
-    the current row of the LCS table in difference form, bit ``j`` cleared
-    where the row steps up by one at column ``j``, so the LCS is the number
-    of cleared bits.  One pass over ``candidate`` costs O(|candidate|)
-    big-int operations of ``ref_len`` bits.
-    """
-    full = (1 << ref_len) - 1
-    v = full
-    for tok in candidate:
-        mask = masks.get(tok)
-        if mask:
-            u = v & mask
-            v = ((v + u) | (v - u)) & full
-    return ref_len - v.bit_count()
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -59,16 +33,6 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     if not a:
         return 0
     return lcs_with_masks(a, position_masks(b), len(b))
-
-
-def rouge_from_lcs(lcs: int, cand_len: int, ref_len: int, beta: float) -> float:
-    """Rouge-L F-measure from an LCS length and the two sequence lengths."""
-    if lcs == 0:
-        return 0.0
-    precision = lcs / cand_len
-    recall = lcs / ref_len
-    beta_sq = beta * beta
-    return (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 
 def rouge_l(
@@ -459,3 +423,39 @@ def evaluate_qa(
         f1=f1_sum / n,
         n_questions=n,
     )
+
+
+# ---------------------------------------------------------------------------
+# the eval-qa subcommand (dispatched by ``cli.main``)
+
+
+def _load_predictions(path) -> dict[str, str]:
+    predictions: dict[str, str] = {}
+    for lineno, obj in iter_jsonl(path, EvalError):
+        qid = require_field(obj, "question_id", path, lineno, str, EvalError)
+        answer = require_field(obj, "answer", path, lineno, str, EvalError)
+        if qid in predictions:
+            raise EvalError(f"{path}: line {lineno}: duplicate prediction for {qid!r}")
+        predictions[qid] = answer
+    if not predictions:
+        raise EvalError(f"{path}: no prediction records")
+    return predictions
+
+
+def _cmd_eval_qa(args) -> int:
+    predictions = _load_predictions(args.predictions)
+    qa = load_qa(args.qa)
+    report = evaluate_qa(predictions, qa)
+    payload = json.dumps(report.to_percent_dict(), sort_keys=True, indent=2)
+    print(payload)
+    if args.out:
+        write_lines(args.out, [payload])
+        config = {
+            "predictions": str(args.predictions),
+            "qa": str(args.qa),
+            "out": str(args.out),
+        }
+        write_sidecar(
+            args.out, "eval-qa", config, [args.predictions, args.qa], __version__
+        )
+    return 0

@@ -5,19 +5,64 @@ punctuation-only tokens dropped); span offsets index into that normalized
 sequence.  This is what makes the two coverage notions consistent: a
 paragraph contains an answer verbatim exactly when its best same-length
 window reaches a Rouge-L of 1.0.
+
+The bit-parallel LCS kernel lives here, and ``metrics`` takes it from here
+for Rouge-L, so that the stages that search spans never load ``metrics``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from typing import Sequence
 
-from .corpus import Paragraph
-from .errors import EvalError
-from .metrics import ROUGE_BETA, lcs_with_masks, position_masks, rouge_from_lcs
+from . import __version__
+from .corpus import Paragraph, load_paragraphs, load_qa
+from .errors import CorpusError, EvalError, FormatError
+from .fileio import iter_jsonl, map_grouped, write_lines, write_sidecar
 from .records import record
 from .text import normalize_eval, normalize_eval_tokens
+
+ROUGE_BETA = 1.2
+
+
+def position_masks(reference: Sequence[str]) -> dict[str, int]:
+    """Map each token to a bitmask of its positions in ``reference``."""
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(reference):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return masks
+
+
+def lcs_with_masks(candidate: Sequence[str], masks: dict[str, int], ref_len: int) -> int:
+    """LCS length of ``candidate`` against the reference of length
+    ``ref_len`` whose ``position_masks`` are ``masks``.
+
+    Bit-parallel recurrence (Allison & Dix 1986; Hyyro 2004): ``v`` holds
+    the current row of the LCS table in difference form, bit ``j`` cleared
+    where the row steps up by one at column ``j``, so the LCS is the number
+    of cleared bits.  One pass over ``candidate`` costs O(|candidate|)
+    big-int operations of ``ref_len`` bits.
+    """
+    full = (1 << ref_len) - 1
+    v = full
+    for tok in candidate:
+        mask = masks.get(tok)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return ref_len - v.bit_count()
+
+
+def rouge_from_lcs(lcs: int, cand_len: int, ref_len: int, beta: float) -> float:
+    """Rouge-L F-measure from an LCS length and the two sequence lengths."""
+    if lcs == 0:
+        return 0.0
+    precision = lcs / cand_len
+    recall = lcs / ref_len
+    beta_sq = beta * beta
+    return (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 
 @record
@@ -145,3 +190,68 @@ def contains_answer(paragraph: Paragraph, answers: Sequence[str]) -> bool:
             if para_tokens[start : start + width] == target:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the span-oracle subcommand (dispatched by ``cli.main``)
+
+
+def _cmd_span_oracle(args) -> int:
+    # Not at module level: ``metrics`` imports this module, and ``eval-qa``
+    # has no use for ``bm25``.
+    from .bm25 import retrieval_from_record
+
+    grouped_paras = load_paragraphs(args.paragraphs)
+    qa = load_qa(args.qa)
+    by_id = {q.question_id: q for q in qa}
+    selections = []
+    for lineno, obj in iter_jsonl(args.selections):
+        try:
+            result = retrieval_from_record(obj)
+        except FormatError as exc:
+            raise FormatError(f"{args.selections}: line {lineno}: {exc}") from exc
+        if result.question_id not in by_id:
+            raise EvalError(
+                f"{args.selections}: line {lineno}: unknown question "
+                f"{result.question_id!r}"
+            )
+        selections.append((by_id[result.question_id], result))
+    for q, _ in selections:
+        if q.book_id not in grouped_paras:
+            raise CorpusError(f"no paragraphs for book {q.book_id!r}")
+
+    def labels(selection):
+        q, result = selection
+        paragraphs = grouped_paras[q.book_id]  # dense from 0, in order
+        answers = [a for a in q.answers if normalize_eval(a).tokens]
+        lines = []
+        for para_index in result.para_indexes()[: args.top]:
+            if not 0 <= para_index < len(paragraphs):
+                raise CorpusError(
+                    f"selection references unknown para_index {para_index} "
+                    f"in book {q.book_id!r}"
+                )
+            for answer in answers:
+                span = best_span(paragraphs[para_index], answer, q.question_id)
+                lines.append(span.to_json_line())
+        return lines
+
+    done = map_grouped(labels, selections, [q.book_id for q, _ in selections], args.jobs)
+    ordered = [line for lines in done for line in lines]
+    write_lines(args.out, ordered)
+    config = {
+        "paragraphs": str(args.paragraphs),
+        "qa": str(args.qa),
+        "selections": str(args.selections),
+        "top": args.top,
+        "out": str(args.out),
+    }
+    write_sidecar(
+        args.out,
+        "span-oracle",
+        config,
+        [args.paragraphs, args.qa, args.selections],
+        __version__,
+    )
+    print(f"wrote {len(ordered)} weak labels", file=sys.stderr)
+    return 0

@@ -11,16 +11,22 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from typing import Sequence
 
-from .bm25 import Bm25Index, oracle_query, question_query, retrieve
+from . import __version__
+from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
 from .corpus import (
     POOL_UNION_MINUS_INTERSECTION,
     POOL_WHOLE_BOOK,
     Paragraph,
     QaExample,
+    load_paragraphs,
+    load_qa,
+    require_book_coverage,
 )
 from .errors import ConfigError, CorpusError
+from .fileio import map_grouped, write_lines, write_sidecar
 from .records import record
 from .spans import best_span_tokens
 from .text import normalize_eval, normalize_eval_tokens
@@ -207,3 +213,44 @@ def supervision_stats(
         dead_zone_rate=dead / len(pairs),
         positives_per_book=per_book,
     )
+
+
+# ---------------------------------------------------------------------------
+# the supervise subcommand (dispatched by ``cli.main``)
+
+
+def _cmd_supervise(args) -> int:
+    # Config is validated before any file work starts.
+    cfg = SupervisionConfig(
+        k_retrieve=args.k,
+        pos_threshold=args.pos_threshold,
+        neg_threshold=args.neg_threshold,
+        negatives_per_positive=args.negatives_per_positive,
+        negative_pool=args.negative_pool,
+        rng_seed=args.seed,
+    )
+    indexes = load_indexes(args.index)
+    grouped_paras = load_paragraphs(args.paragraphs)
+    qa = load_qa(args.qa)
+    require_book_coverage(indexes, qa, grouped_paras)
+
+    def pairs(q):
+        book = q.book_id
+        return generate_pairs(indexes[book], grouped_paras[book], q, cfg)
+
+    per_question = map_grouped(pairs, qa, [q.book_id for q in qa], args.jobs)
+    all_pairs = [p for question_pairs in per_question for p in question_pairs]
+    write_lines(args.out, (p.to_json_line() for p in all_pairs))
+    config = {
+        "index": str(args.index),
+        "paragraphs": str(args.paragraphs),
+        "qa": str(args.qa),
+        "out": str(args.out),
+        **cfg.to_dict(),
+    }
+    write_sidecar(
+        args.out, "supervise", config, [args.index, args.paragraphs, args.qa], __version__
+    )
+    stats = supervision_stats(all_pairs, cfg.pos_threshold, cfg.neg_threshold)
+    print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
+    return 0

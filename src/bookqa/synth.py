@@ -21,10 +21,15 @@ decoy).
 
 from __future__ import annotations
 
+import json
 import random
+import sys
+from pathlib import Path
 
-from .corpus import Book, QaExample
+from . import __version__
+from .corpus import Book, QaExample, write_books, write_qa
 from .errors import ConfigError
+from .fileio import write_lines, write_sidecar
 from .records import record
 from .text import tokenize
 
@@ -178,3 +183,55 @@ def synth_corpus(
         books.append(Book(book_id, f"Synthetic Book {b:03d}", tokenize(text)))
 
     return books, qa, truths
+
+
+# ---------------------------------------------------------------------------
+# the synth subcommand (dispatched by ``cli.main``)
+
+
+def _cmd_synth(args) -> int:
+    books, qa, truths = synth_corpus(
+        seed=args.seed,
+        n_books=args.books,
+        paras_per_book=args.paras_per_book,
+        questions_per_book=args.questions_per_book,
+        paraphrase=args.paraphrase,
+        width=args.width,
+    )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config = {
+        "seed": args.seed,
+        "books": args.books,
+        "paras_per_book": args.paras_per_book,
+        "questions_per_book": args.questions_per_book,
+        "paraphrase": args.paraphrase,
+        "width": args.width,
+        "out_dir": str(out_dir),
+    }
+    books_path = out_dir / "books.jsonl"
+    qa_path = out_dir / "qa.jsonl"
+    truth_path = out_dir / "truth.jsonl"
+    write_books(books_path, books)
+    write_qa(qa_path, qa)
+    write_lines(
+        truth_path,
+        (
+            json.dumps(
+                {
+                    "question_id": t.question_id,
+                    "book_id": t.book_id,
+                    "para_index": t.para_index,
+                    "topic": t.topic,
+                    "hard": t.hard,
+                }
+            )
+            for t in truths
+        ),
+    )
+    for path in (books_path, qa_path, truth_path):
+        write_sidecar(path, "synth", config, [], __version__)
+    print(
+        f"wrote {len(books)} books, {len(qa)} questions to {out_dir}", file=sys.stderr
+    )
+    return 0

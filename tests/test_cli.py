@@ -563,7 +563,7 @@ def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
     import os
     import pickle
 
-    import bookqa.cli
+    import bookqa.bm25
     import bookqa.fileio
     import bookqa.reranker
 
@@ -576,7 +576,7 @@ def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
         pickled.extend(len(pickle.dumps(item)) for item in items)
         return original(fn, items, jobs)
 
-    for module in (bookqa.fileio, bookqa.cli):
+    for module in (bookqa.fileio, bookqa.bm25):
         monkeypatch.setattr(module, "parallel_map", pickling_map)
     exec_spec = f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}"
     for spec in ("lexical", exec_spec):
@@ -651,12 +651,12 @@ def tiny_corpus(tmp_path, capsys):
 def test_index_releases_each_books_tokens(tmp_path, capsys):
     """A book's tokens are dropped once its line is made, so an index map
     that runs in the stage process holds one book's tokens at a time."""
-    import bookqa.cli
+    import bookqa.bm25
     from bookqa.corpus import load_paragraphs
 
     paras, _, _ = tiny_corpus(tmp_path, capsys)
     book = load_paragraphs(paras)["b"]
-    line = bookqa.cli._index_worker((book, 1.2, 0.75))
+    line = bookqa.bm25._index_worker((book, 1.2, 0.75))
     assert [p.tokens.__dict__.get("_tokens") for p in book] == [None] * len(book)
     assert line == (tmp_path / "index.jsonl").read_text(encoding="utf-8").rstrip("\n")
 
@@ -693,6 +693,19 @@ def test_index_int_too_large_for_a_float_fails_with_format_error(tmp_path, capsy
         problem = "k1 is an int too large for a float"  # no digit limit before 3.10.7
     assert err.startswith(f"error[format]: {index}: line 1: ")
     assert problem in err
+    assert not out.exists()
+
+
+def test_index_line_nested_too_deeply_fails_with_format_error(tmp_path, capsys):
+    """Arrays nested past the recursion limit make the JSON decoder raise
+    ``RecursionError``, which must end the stage with the input's error
+    code, not a traceback."""
+    _, index, qa = tiny_corpus(tmp_path, capsys)
+    index.write_text("[" * 200_000 + "]" * 200_000 + "\n", encoding="utf-8")
+    out = tmp_path / "retrieved.jsonl"
+    err = run_fail(capsys, "retrieve", "--index", index, "--qa", qa, "--out", out)
+    assert "Traceback" not in err
+    assert err == f"error[format]: {index}: line 1: invalid JSON (nested too deeply)\n"
     assert not out.exists()
 
 

@@ -23,11 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from bookqa import bm25, cli, corpus, ir_eval, reranker, supervision
+from bookqa import bm25, corpus, ir_eval, reranker, supervision
 from bookqa.cli import MODES, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HELP_TEXTS = Path(__file__).parent / "data" / "cli_help.json"
+USAGE_ERRORS = Path(__file__).parent / "data" / "cli_usage_errors.json"
 SCORERS = Path(__file__).parent / "scorers"
 
 # Layers (and the stdlib machinery behind them) that only some subcommands
@@ -228,6 +229,57 @@ def test_no_stage_loads_dataclasses_or_inspect(small_run, tmp_path, stage, jobs)
     assert sorted(set(result["loaded"]).intersection(NOT_IN_ANY_STAGE)) == []
 
 
+# What every stage loads of bookqa: the CLI module and the shared data model.
+SHARED = {
+    "bookqa", "bookqa.cli", "bookqa.corpus", "bookqa.errors", "bookqa.fileio",
+    "bookqa.records", "bookqa.text",
+}
+EVAL_IR = {"bookqa.bm25", "bookqa.ir_eval", "bookqa.reranker", "bookqa.spans"}
+STAGE_LAYERS = {
+    "synth": {"bookqa.synth"},
+    "chunk": set(),
+    "index": {"bookqa.bm25"},
+    "retrieve": {"bookqa.bm25"},
+    "supervise": {"bookqa.bm25", "bookqa.spans", "bookqa.supervision"},
+    "span-oracle": {"bookqa.bm25", "bookqa.spans"},
+    "eval-qa": {"bookqa.metrics", "bookqa.spans"},
+    "eval-ir-lexical": EVAL_IR,
+    "eval-ir-file": EVAL_IR,
+    "eval-ir-exec": EVAL_IR,
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_each_stage_loads_only_its_own_layers(small_run, tmp_path, stage):
+    """A stage process compiles every bookqa module it loads, so each loads
+    the shared modules and the layers its subcommand runs, and no other:
+    only ``eval-qa`` loads ``metrics`` (the span search takes its LCS
+    kernel from ``spans``), only ``synth`` loads ``synth``, and no stage
+    loads ``oracles``."""
+    result = fresh_run(stage_argv(small_run, tmp_path, stage, 2))
+    assert result["code"] == 0
+    loaded = {name for name in result["loaded"] if name.split(".")[0] == "bookqa"}
+    assert loaded == SHARED | STAGE_LAYERS[stage]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_no_stage_imports_the_cli_module_again(small_run, tmp_path, stage):
+    """A stage process runs ``bookqa.cli`` as ``__main__``, so a layer that
+    imported ``bookqa.cli`` would make it compile the file a second time."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bookqa.cli", *stage_argv(small_run, tmp_path, stage, 1)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "bookqa.corpus" in imported
+    assert "bookqa.cli" not in imported
+
+
 # ---------------------------------------------------------------------------
 # the paused cyclic collector
 
@@ -275,7 +327,7 @@ def test_main_gives_back_the_callers_collector_state(small_run, tmp_path, monkey
             with pytest.raises(SystemExit):
                 main(["chunk"])
             assert gc.isenabled() is collecting
-            monkeypatch.setattr(cli, "chunk_book", failing_chunk_book)
+            monkeypatch.setattr(corpus, "chunk_book", failing_chunk_book)
             with pytest.raises(RuntimeError, match="not a BookQaError"):
                 main(chunk)
             assert gc.isenabled() is collecting
@@ -495,3 +547,32 @@ def test_help_text_unchanged(monkeypatch, capsys, subcommand):
     assert exit_info.value.code == 0
     expected = json.loads(HELP_TEXTS.read_text(encoding="utf-8"))[subcommand]
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="the error texts were captured with the argparse layout of Python 3.10-3.12",
+)
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no subcommand",
+        "unknown subcommand",
+        "retrieve without --index",
+        "retrieve --mode x",
+        "unknown option on eval-ir",
+    ],
+)
+def test_usage_error_text_unchanged(monkeypatch, capsys, case):
+    """A usage error exits with status 2 and prints, byte for byte, the
+    stderr of a parser that gives every subcommand its arguments:
+    ``build_parser`` gives them only to the subcommand argv names, which
+    must not change what any error prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the --jobs default
+    expected = json.loads(USAGE_ERRORS.read_text(encoding="utf-8"))[case]
+    with pytest.raises(SystemExit) as exit_info:
+        main(expected["argv"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr() == ("", expected["stderr"])
