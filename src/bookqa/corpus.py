@@ -234,6 +234,8 @@ def load_paragraphs(path: Path | str) -> dict[str, list[Paragraph]]:
     for lineno, obj in iter_jsonl(path, CorpusError):
         book_id = require_field(obj, "book_id", path, lineno, str, CorpusError)
         para_index = require_field(obj, "para_index", path, lineno, int, CorpusError)
+        if para_index < 0:
+            raise CorpusError(f"{path}: line {lineno}: para_index must be >= 0")
         text = require_field(obj, "text", path, lineno, str, CorpusError)
         tokens = LazyTokenSeq(text)
         if not tokens:

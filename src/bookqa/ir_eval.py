@@ -5,9 +5,13 @@ the reranked top-k drawn from the baseline's top candidate pool, the full
 candidate pool itself (the upper bound for any reranker over it), and the
 question+answer oracle retrieval top-k.  Coverage is reported two ways per
 selection: the mean best same-length-span Rouge-L, and the fraction of
-questions whose answer occurs verbatim in some selected paragraph (EM).  A
-verbatim occurrence is exactly a best-span Rouge-L of 1.0, so EM is derived
-from the span score, which is computed once per (question, paragraph).
+questions whose answer occurs verbatim in some selected paragraph (EM).
+
+Each question's paragraphs get one cached best-span Rouge-L each, and every
+row is the maximum of those values over its paragraphs.  A verbatim
+occurrence is exactly a Rouge-L of 1.0, so EM is the share of questions whose
+row value is 1.0.  The baseline and reranked rows are drawn from the pool and
+read the same cached values, so they never exceed the upper-bound row.
 """
 
 from __future__ import annotations
@@ -67,6 +71,15 @@ def model_selection_score(report: CoverageReport) -> float:
     return (report.em_coverage + report.rouge_coverage) / 2.0
 
 
+def coverage_report(label: str, rouges: Sequence[float]) -> CoverageReport:
+    """One row's report from each question's best-span Rouge-L: EM is the
+    share of questions at exactly 1.0."""
+    if not rouges:
+        raise EvalError("no questions to evaluate")
+    n = len(rouges)
+    return CoverageReport(label, sum(r == 1.0 for r in rouges) / n, sum(rouges) / n, n)
+
+
 def evaluate_selection(
     examples: Sequence[QaExample],
     selections: Mapping[str, Sequence[Paragraph]],
@@ -74,19 +87,13 @@ def evaluate_selection(
 ) -> CoverageReport:
     """Coverage of per-question paragraph selections; every question must
     have at least one selected paragraph."""
-    if not examples:
-        raise EvalError("no questions to evaluate")
-    em_sum = 0.0
-    rouge_sum = 0.0
+    rouges = []
     for q in examples:
         selected = selections.get(q.question_id)
         if not selected:
             raise EvalError(f"question {q.question_id!r} has no selected paragraphs")
-        rouge = coverage_rouge(selected, q.answers)
-        em_sum += float(rouge == 1.0)
-        rouge_sum += rouge
-    n = len(examples)
-    return CoverageReport(selection_label, em_sum / n, rouge_sum / n, n)
+        rouges.append(coverage_rouge(selected, q.answers))
+    return coverage_report(selection_label, rouges)
 
 
 def row_labels(k_base: int, k_top: int) -> tuple[str, str, str, str]:
@@ -98,15 +105,6 @@ def row_labels(k_base: int, k_top: int) -> tuple[str, str, str, str]:
     )
 
 
-@record
-class QuestionAblation:
-    """Per-question (EM, Rouge-L) coverage for the four ablation rows, and
-    the rerank request that was scored."""
-
-    rows: tuple[tuple[bool, float], ...]
-    request: RerankRequest
-
-
 def ablation_for_question(
     index: Bm25Index,
     paragraphs: Sequence[Paragraph],
@@ -114,11 +112,13 @@ def ablation_for_question(
     scorer: Scorer,
     k_base: int = DEFAULT_K_BASE,
     k_top: int = DEFAULT_K_TOP,
-) -> QuestionAblation:
-    """Retrieve the pool, score its request, and cover the four rows: each
-    row is the maximum of its paragraphs' coverage, computed once each."""
-    by_index = {p.para_index: p for p in paragraphs}
+) -> tuple[tuple[float, float, float, float], RerankRequest]:
+    """The four rows' best-span Rouge-L for one question, and the rerank
+    request that was scored.
 
+    ``paragraphs`` is the book's list, dense from 0, so a paragraph is found
+    by its index.  Each row is the maximum over its paragraphs of one cached
+    coverage per paragraph."""
     baseline = retrieve(
         index, question_query(example), k_base, example.question_id, MODE_QUESTION
     )
@@ -127,20 +127,26 @@ def ablation_for_question(
             f"question {example.question_id!r} has no BM25 candidates; "
             "its query shares no terms with the book"
         )
-    unknown = [p for p in baseline.para_indexes() if p not in by_index]
+    oracle = retrieve(
+        index, oracle_query(example), k_top, example.question_id, MODE_QUESTION_ANSWER
+    )
+    if not oracle.ranked:
+        raise EvalError(f"question {example.question_id!r} has no oracle candidates")
+    pool = baseline.para_indexes()
+    oracle_top = oracle.para_indexes()
+    unknown = [
+        p for p in dict.fromkeys(pool + oracle_top) if not 0 <= p < len(paragraphs)
+    ]
     if unknown:
         raise EvalError(
             f"index for book {example.book_id!r} references paragraphs missing "
             f"from the paragraphs file: {unknown[:5]}"
         )
-    candidates = [by_index[p] for p in baseline.para_indexes()]
 
     request = RerankRequest(
         question_id=example.question_id,
         question=example.question,
-        candidates=tuple(
-            RerankCandidate(p.para_index, p.text()) for p in candidates
-        ),
+        candidates=tuple(RerankCandidate(p, paragraphs[p].text()) for p in pool),
     )
     try:
         reranked = apply_scores(request, scorer.score(request))
@@ -150,43 +156,26 @@ def ablation_for_question(
         raise error(
             f"reranker failed on question {example.question_id!r}: {exc}"
         ) from exc
-    reranked_paras = [by_index[c.para_index] for c in reranked[:k_top]]
-
-    oracle = retrieve(
-        index, oracle_query(example), k_top, example.question_id, MODE_QUESTION_ANSWER
-    )
-    if not oracle.ranked:
-        raise EvalError(
-            f"question {example.question_id!r} has no oracle candidates"
-        )
-    oracle_paras = [by_index[p] for p in oracle.para_indexes()]
 
     rouge_by_para: dict[int, float] = {}
 
-    def cover(selected: Sequence[Paragraph]) -> tuple[bool, float]:
+    def cover(selected: Sequence[int]) -> float:
         best = 0.0
         for p in selected:
-            if p.para_index not in rouge_by_para:
-                rouge_by_para[p.para_index] = coverage_rouge([p], example.answers)
-            best = max(best, rouge_by_para[p.para_index])
+            if p not in rouge_by_para:
+                rouge_by_para[p] = coverage_rouge([paragraphs[p]], example.answers)
+            best = max(best, rouge_by_para[p])
             if best >= 1.0:
                 break
-        return best == 1.0, best
+        return best
 
-    base_cov = cover(candidates[:k_top])
-    rerank_cov = cover(reranked_paras)
-    upper_cov = cover(candidates)
-    oracle_cov = cover(oracle_paras)
-
-    # Selecting from within the pool can never beat the pool itself.
-    for label, cov in (("baseline", base_cov), ("reranked", rerank_cov)):
-        if (cov[0] and not upper_cov[0]) or cov[1] > upper_cov[1] + 1e-12:
-            raise EvalError(
-                f"coverage invariant violated for question {example.question_id!r}: "
-                f"{label} top-{k_top} exceeds its top-{k_base} superset"
-            )
-
-    return QuestionAblation((base_cov, rerank_cov, upper_cov, oracle_cov), request)
+    rows = (
+        cover(pool[:k_top]),
+        cover([c.para_index for c in reranked[:k_top]]),
+        cover(pool),
+        cover(oracle_top),
+    )
+    return rows, request
 
 
 @record
@@ -209,18 +198,14 @@ class AblationResult:
 
 
 def aggregate_ablation(
-    items: Sequence[QuestionAblation], k_base: int, k_top: int
+    items: Sequence[tuple[tuple[float, ...], RerankRequest]], k_base: int, k_top: int
 ) -> AblationResult:
-    if not items:
-        raise EvalError("no questions to evaluate")
-    labels = row_labels(k_base, k_top)
-    n = len(items)
-    reports = []
-    for row, label in enumerate(labels):
-        em = sum(float(item.rows[row][0]) for item in items) / n
-        rouge = sum(item.rows[row][1] for item in items) / n
-        reports.append(CoverageReport(label, em, rouge, n))
-    return AblationResult(tuple(reports), tuple(item.request for item in items))
+    """The four row reports from ``ablation_for_question`` results."""
+    reports = tuple(
+        coverage_report(label, [rows[i] for rows, _ in items])
+        for i, label in enumerate(row_labels(k_base, k_top))
+    )
+    return AblationResult(reports, tuple(request for _, request in items))
 
 
 def run_ablation(
@@ -239,7 +224,7 @@ def run_ablation(
     # other scorer stays in this process and sees the questions one at a
     # time, in order: an external scorer is one process with one request in
     # flight, which forked workers must not share.
-    def ablation(q: QaExample) -> QuestionAblation:
+    def ablation(q: QaExample):
         book = q.book_id
         return ablation_for_question(
             indexes[book], paragraphs_by_book[book], q, scorer, k_base, k_top

@@ -150,7 +150,9 @@ def best_span(paragraph: Paragraph, answer: str, question_id: str = "") -> WeakS
     )
 
 
-def _usable_answer_tokens(answers: Sequence[str]) -> list[tuple[str, ...]]:
+def answer_tokens(answers: Sequence[str]) -> list[tuple[str, ...]]:
+    """Each answer's normalized tokens; answers that normalize to nothing
+    are dropped."""
     return [t for t in (normalize_eval(a).tokens for a in answers) if t]
 
 
@@ -159,13 +161,13 @@ def coverage_rouge(paragraphs: Sequence[Paragraph], answers: Sequence[str]) -> f
     that normalize to nothing are skipped."""
     if not paragraphs or not answers:
         raise EvalError("coverage needs at least one paragraph and one answer")
-    answer_tokens = _usable_answer_tokens(answers)
-    if not answer_tokens:
+    targets = answer_tokens(answers)
+    if not targets:
         return 0.0
     best = 0.0
     for paragraph in paragraphs:
         para_tokens = normalize_eval_tokens(paragraph.tokens.tokens)
-        for ans in answer_tokens:
+        for ans in targets:
             value = best_span_tokens(para_tokens, ans)[2]
             if value > best:
                 best = value
@@ -181,7 +183,7 @@ def contains_answer(paragraph: Paragraph, answers: Sequence[str]) -> bool:
     ``coverage_rouge(...) == 1.0`` instead, and the tests hold the two equal.
     """
     para_tokens = normalize_eval_tokens(paragraph.tokens.tokens)
-    for ans in _usable_answer_tokens(answers):
+    for ans in answer_tokens(answers):
         width = len(ans)
         if width > len(para_tokens):
             continue

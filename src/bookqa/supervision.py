@@ -28,8 +28,8 @@ from .corpus import (
 from .errors import ConfigError, CorpusError
 from .fileio import map_grouped, write_lines, write_sidecar
 from .records import record
-from .spans import best_span_tokens
-from .text import normalize_eval, normalize_eval_tokens
+from .spans import answer_tokens, best_span_tokens
+from .text import normalize_eval_tokens
 
 LABEL_POSITIVE = "positive"
 LABEL_NEGATIVE = "negative"
@@ -96,14 +96,15 @@ def generate_pairs(
 ) -> list[SupervisionPair]:
     """Supervision pairs for one question; an empty list is a legal outcome.
 
-    The negative sampler draws from a per-question RNG stream derived from
-    ``(rng_seed, question_id)``, so output is independent of scheduling.
+    ``paragraphs`` is the book's list, dense from 0, so a paragraph is found
+    by its index.  The negative sampler draws from a per-question RNG stream
+    derived from ``(rng_seed, question_id)``, so output is independent of
+    scheduling.
     """
     if index.book_id != example.book_id:
         raise CorpusError(
             f"index is for book {index.book_id!r}, question references {example.book_id!r}"
         )
-    by_index = {p.para_index: p for p in paragraphs if p.book_id == example.book_id}
 
     retrieved_q = retrieve(index, question_query(example), cfg.k_retrieve)
     retrieved_qa = retrieve(index, oracle_query(example), cfg.k_retrieve)
@@ -111,26 +112,25 @@ def generate_pairs(
     set_qa = set(retrieved_qa.para_indexes())
     intersection = set_q & set_qa
 
-    answer_tokens = [t for t in (normalize_eval(a).tokens for a in example.answers) if t]
+    answers = answer_tokens(example.answers)
     score_cache: dict[int, float] = {}
 
     def filter_score(para_index: int) -> float:
         if para_index not in score_cache:
-            paragraph = by_index.get(para_index)
-            if paragraph is None:
+            if not 0 <= para_index < len(paragraphs):
                 raise CorpusError(
                     f"retrieved para_index {para_index} missing from paragraphs"
                 )
-            norm = normalize_eval_tokens(paragraph.tokens.tokens)
+            norm = normalize_eval_tokens(paragraphs[para_index].tokens.tokens)
             score_cache[para_index] = max(
-                (best_span_tokens(norm, ans)[2] for ans in answer_tokens), default=0.0
+                (best_span_tokens(norm, ans)[2] for ans in answers), default=0.0
             )
         return score_cache[para_index]
 
     positives = [p for p in sorted(intersection) if filter_score(p) > cfg.pos_threshold]
 
     if cfg.negative_pool == POOL_WHOLE_BOOK:
-        pool = sorted(set(by_index) - intersection)
+        pool = [p for p in range(len(paragraphs)) if p not in intersection]
     else:
         pool = sorted((set_q | set_qa) - intersection)
     rng = random.Random(f"{cfg.rng_seed}:{example.question_id}")

@@ -147,7 +147,10 @@ def synth_corpus(
                 available_keys = [k for k in synonym_keys if k in entity_pool]
                 first = rng.choice(available_keys)
                 entity_pool.remove(first)
-                rest = rng.sample(entity_pool, rng.randint(2, 3))
+                # Extra words are never synonym keys, which later
+                # questions need for their own first word.
+                plain = [e for e in entity_pool if e not in SYNONYMS]
+                rest = rng.sample(plain, rng.randint(2, 3))
                 answer_words = [first] + rest
                 planted_words = [SYNONYMS[first]] + rest
             else:

@@ -865,3 +865,79 @@ def test_non_utf8_input_fails_with_its_line(tmp_path, capsys, bad_input, code):
         f"error[{code}]: {path}: line 4: not valid UTF-8 (invalid continuation byte)\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["index", "eval-ir"])
+def test_negative_para_index_fails_with_corpus_error(tmp_path, capsys, stage):
+    _, index, qa = tiny_corpus(tmp_path, capsys)
+    paras = write_jsonl(
+        tmp_path / "negative.jsonl", [{"book_id": "b", "para_index": -1, "text": "a b c"}]
+    )
+    out = tmp_path / "out.json"
+    if stage == "index":
+        argv = ["index", "--paragraphs", paras, "--out", out]
+    else:
+        argv = ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa, "--out", out]
+    err = run_fail(capsys, *argv)
+    assert err == f"error[corpus]: {paras}: line 1: para_index must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "stage, answers, error",
+    [
+        (
+            "eval-ir",
+            ["lantern ember"],
+            "error[eval]: index for book 'b' references paragraphs missing from the "
+            "paragraphs file: [1]\n",
+        ),
+        (
+            "supervise",
+            ["tower falcon", "lantern ember"],
+            "error[corpus]: retrieved para_index 1 missing from paragraphs\n",
+        ),
+    ],
+    ids=["eval-ir", "supervise"],
+)
+def test_index_naming_missing_paragraphs_fails_alike_at_any_jobs(
+    tmp_path, capsys, monkeypatch, stage, answers, error
+):
+    """Book ``b`` is indexed with two paragraphs, but the paragraphs file
+    holds only paragraph 0, which alone matches the question.  In
+    ``eval-ir`` only the q+a oracle selection reaches paragraph 1; in
+    ``supervise`` paragraph 0 answers the first answer, so it is a positive,
+    and the negative sampler then scores paragraph 1.  Book ``c`` is whole,
+    so at ``--jobs 2`` both books run in forked workers."""
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+    full = write_jsonl(
+        tmp_path / "full.jsonl",
+        [
+            {"book_id": "b", "para_index": 0, "text": "tower falcon"},
+            {"book_id": "b", "para_index": 1, "text": "lantern ember"},
+            {"book_id": "c", "para_index": 0, "text": "stone wall"},
+        ],
+    )
+    index = tmp_path / "index.jsonl"
+    run_ok(capsys, "index", "--paragraphs", full, "--out", index)
+    lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+    paras = tmp_path / "paras.jsonl"
+    paras.write_text(lines[0] + lines[2], encoding="utf-8")
+    qa = write_jsonl(
+        tmp_path / "qa.jsonl",
+        [
+            {"question_id": "q1", "book_id": "b", "question": "where is the tower falcon",
+             "answers": answers},
+            {"question_id": "q2", "book_id": "c", "question": "what stone", "answers": ["wall"]},
+        ],
+    )
+    out = tmp_path / "out.jsonl"
+    errors = [
+        run_fail(
+            capsys, stage, "--index", index, "--paragraphs", paras, "--qa", qa,
+            "--out", out, "--jobs", jobs,
+        )
+        for jobs in (1, 2)
+    ]
+    assert errors == [error, error]
+    assert not out.exists()

@@ -1,10 +1,11 @@
 import pytest
 
-from bookqa.bm25 import build_index, question_query, retrieve
+from bookqa.bm25 import build_index, oracle_query, question_query, retrieve
 from bookqa.corpus import QaExample, chunk_book
 from bookqa.errors import EvalError
 from bookqa.ir_eval import (
     CoverageReport,
+    ablation_for_question,
     aggregate_ablation,
     evaluate_selection,
     model_selection_score,
@@ -181,12 +182,39 @@ def test_aggregate_requires_items():
 
 
 def test_baseline_row_equals_direct_retrieval_coverage():
+    """Each row equals ``evaluate_selection`` over its own selections: the
+    baseline top-5, the identity-reranked top-5 (the same paragraphs), the
+    top-32 pool and the q+a top-5."""
     paragraphs, indexes, qa, _ = _setup(seed=15, n_books=1)
     result = run_ablation(indexes, paragraphs, qa, IdentityReranker(), k_top=5)
-    selections = {}
+    selections = [{}, {}, {}, {}]
     for q in qa:
-        got = retrieve(indexes[q.book_id], question_query(q), 32)
-        by_index = {p.para_index: p for p in paragraphs[q.book_id]}
-        selections[q.question_id] = [by_index[p] for p in got.para_indexes()[:5]]
-    direct = evaluate_selection(qa, selections, "bm25_top5")
-    assert direct == result.rows[0]
+        book = paragraphs[q.book_id]
+        pool = retrieve(indexes[q.book_id], question_query(q), 32).para_indexes()
+        oracle = retrieve(indexes[q.book_id], oracle_query(q), 5).para_indexes()
+        for chosen, selected in zip(selections, (pool[:5], pool[:5], pool, oracle)):
+            chosen[q.question_id] = [book[p] for p in selected]
+    direct = [
+        evaluate_selection(qa, chosen, label)
+        for chosen, label in zip(selections, row_labels(32, 5))
+    ]
+    assert direct == list(result.rows)
+
+
+@pytest.mark.parametrize(
+    "make_scorer",
+    [lambda qa: IdentityReranker(), lambda qa: LexicalReranker(), OracleScorer],
+    ids=["identity", "lexical", "oracle"],
+)
+def test_pool_rows_never_exceed_the_upper_bound_per_question(make_scorer):
+    """The baseline and reranked top-5 are drawn from the top-32 pool, so
+    for every question their coverage is at most the pool's."""
+    for seed in (1, 6, 9, 12):
+        paragraphs, indexes, qa, _ = _setup(seed=seed)
+        scorer = make_scorer(qa)
+        for q in qa:
+            (base, reranked, upper, _), _ = ablation_for_question(
+                indexes[q.book_id], paragraphs[q.book_id], q, scorer
+            )
+            assert base <= upper
+            assert reranked <= upper

@@ -124,3 +124,13 @@ def test_synth_validates_parameters():
         synth_corpus(seed=1, width=4)
     with pytest.raises(ConfigError):
         synth_corpus(seed=1, paras_per_book=12, questions_per_book=9, paraphrase=True)
+
+
+def test_synth_paraphrase_builds_at_eight_questions_per_book():
+    """Extra answer words are never synonym keys, so the keys last until
+    every question has drawn its own."""
+    for seed in range(50):
+        _, qa, _ = synth_corpus(
+            seed=seed, n_books=1, paras_per_book=8, questions_per_book=8, paraphrase=True, width=30
+        )
+        assert sorted(q.answers[0].split()[0] for q in qa) == sorted(SYNONYMS)
