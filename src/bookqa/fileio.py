@@ -36,20 +36,25 @@ def iter_jsonl(
                 try:
                     yield lineno, json.loads(line)
                 except (ValueError, RecursionError) as exc:
-                    # Besides malformed JSON, an integer of more digits than
-                    # ``sys.get_int_max_str_digits()`` allows, or arrays and
-                    # objects nested deeper than the recursion limit.
-                    if isinstance(exc, json.JSONDecodeError):
-                        reason = exc.msg
-                    elif isinstance(exc, RecursionError):
-                        reason = "nested too deeply"
-                    else:  # its advice on raising the limit is no use here
-                        reason = str(exc).split(";")[0]
+                    reason = json_failure_reason(exc)
                     raise error(f"{path}: line {lineno}: invalid JSON ({reason})") from exc
         except UnicodeDecodeError as exc:
             bad = _undecodable_line(path)
             where = f" line {bad}:" if bad else ""
             raise error(f"{path}:{where} not valid UTF-8 ({exc.reason})") from exc
+
+
+def json_failure_reason(exc: ValueError | RecursionError) -> str:
+    """Why ``json.loads`` raised ``exc``.
+
+    Besides malformed JSON, it fails on an integer of more digits than
+    ``sys.get_int_max_str_digits()`` allows, and on arrays and objects
+    nested deeper than the recursion limit."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return str(exc).split(";")[0]  # its advice on raising the limit is no use here
 
 
 def _undecodable_line(path: Path) -> int | None:
@@ -77,7 +82,10 @@ def require_field(
     error: type[BookQaError] = FormatError,
 ) -> Any:
     """``obj[field]``, which must be of type ``kind`` exactly: a JSON
-    ``true`` is a ``bool``, and a ``bool`` is an ``int`` to ``isinstance``."""
+    ``true`` is a ``bool``, and a ``bool`` is an ``int`` to ``isinstance``.
+
+    A string must encode as UTF-8, which one holding a lone surrogate (a
+    ``\\ud800`` escape is valid JSON) does not: every writer would fail on it."""
     if not isinstance(obj, dict):
         raise error(f"{path}: line {lineno}: record is not an object")
     if field not in obj:
@@ -85,6 +93,11 @@ def require_field(
     value = obj[field]
     if type(value) is not kind:
         raise error(f"{path}: line {lineno}: field '{field}' has wrong type")
+    if kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise error(f"{path}: line {lineno}: field '{field}' holds a lone surrogate") from exc
     return value
 
 

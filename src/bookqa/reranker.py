@@ -6,10 +6,14 @@ descending score with ties keeping the incoming (BM25) order, so a constant
 scorer is exactly the identity reranker.
 
 External scorers speak newline-delimited JSON over stdin/stdout: one
-handshake line ``{"protocol_version": 1}``, then one response line per
-request, in order, with one request in flight at a time (a ``concurrent``
-handshake field is accepted and ignored).  A file-exchange mode (requests
-file out, scores file in) covers batch scoring on other machines.
+handshake line ``{"protocol_version": 1}`` (a JSON object; the version is
+the integer 1), then one response line per request, in order, with one
+request in flight at a time (a ``concurrent`` handshake field is accepted
+and ignored).  A line that is not UTF-8 or not JSON fails with
+``ProtocolError`` for the reason a line of a JSONL input would; so do a
+command ``shlex`` cannot split and a refused handshake, whose scorer is
+killed and reaped first.  A file-exchange mode (requests file out, scores
+file in) covers batch scoring on other machines.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ import math
 import shlex
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from .bm25 import accumulate_scores, build_index
 from .corpus import DEFAULT_B, DEFAULT_K1, Paragraph
 from .errors import ConfigError, ProtocolError
-from .fileio import iter_jsonl, write_lines
+from .fileio import iter_jsonl, json_failure_reason, write_lines
 from .records import record
 from .text import normalize_eval, tokenize
 
@@ -64,33 +68,8 @@ class RerankRequest:
         )
 
 
-def request_from_record(obj: dict) -> RerankRequest:
-    try:
-        return RerankRequest(
-            question_id=str(obj["question_id"]),
-            question=str(obj["question"]),
-            candidates=tuple(
-                RerankCandidate(int(c["para_index"]), str(c["text"]))
-                for c in obj["candidates"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad rerank request record: {exc}") from exc
-
-
-@record
-class RerankResponse:
-    question_id: str
-    scores: tuple[float, ...]
-
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {"question_id": self.question_id, "scores": list(self.scores)}
-        )
-
-
-def response_from_record(obj: dict) -> RerankResponse:
-    """The response a line of ``RerankResponse.to_json_line`` describes.
+def response_from_record(obj: Any) -> tuple[str, list[float]]:
+    """The ``(question_id, scores)`` of a decoded response line.
 
     Nothing is converted: ``question_id`` must be a string and every score a
     finite int or float, and a bool is neither.  JSON puts no bound on
@@ -114,10 +93,15 @@ def response_from_record(obj: dict) -> RerankResponse:
             raise ProtocolError(f"bad rerank response record: non-finite score {s!r}")
         if type(s) is int and not -sys.float_info.max <= s <= sys.float_info.max:
             raise ProtocolError("bad rerank response record: score is an int too large for a float")
-    return RerankResponse(question_id, tuple(scores))
+    return question_id, scores
 
 
-def validate_scores(request: RerankRequest, scores: Sequence[float]) -> None:
+def apply_scores(
+    request: RerankRequest, scores: Sequence[float]
+) -> list[RerankCandidate]:
+    """Order candidates by descending score; ties keep the incoming order.
+
+    Every scorer's scores are checked here: one finite score per candidate."""
     if len(scores) != len(request.candidates):
         raise ProtocolError(
             f"question {request.question_id!r}: got {len(scores)} scores "
@@ -128,13 +112,6 @@ def validate_scores(request: RerankRequest, scores: Sequence[float]) -> None:
             raise ProtocolError(
                 f"question {request.question_id!r}: non-finite score {value!r}"
             )
-
-
-def apply_scores(
-    request: RerankRequest, scores: Sequence[float]
-) -> list[RerankCandidate]:
-    """Order candidates by descending score; ties keep the incoming order."""
-    validate_scores(request, scores)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return [request.candidates[i] for i in order]
 
@@ -184,7 +161,10 @@ class ExternalProcessReranker:
         # Imported here: only this scorer starts a process.
         import subprocess
 
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:
+            raise ProtocolError(f"cannot split scorer command: {exc}") from exc
         if not argv:
             raise ProtocolError("empty scorer command")
         self.command = argv
@@ -198,22 +178,38 @@ class ExternalProcessReranker:
             )
         except OSError as exc:
             raise ProtocolError(f"cannot start scorer {argv!r}: {exc}") from exc
-        handshake = self._read_line("handshake")
         try:
-            obj = json.loads(handshake)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"invalid handshake line: {handshake!r}") from exc
-        if obj.get("protocol_version") != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"unsupported protocol_version {obj.get('protocol_version')!r}"
-            )
+            handshake = self._read_json("handshake")
+            if type(handshake) is not dict:
+                raise ProtocolError("scorer handshake is not a JSON object")
+            version = handshake.get("protocol_version")
+            # Exactly an int: ``True == 1`` and ``1.0 == 1`` in Python.
+            if type(version) is not int or version != PROTOCOL_VERSION:
+                raise ProtocolError(f"unsupported protocol_version {version!r}")
+        except BaseException:
+            # Nothing will close a scorer that was never handed out.
+            with self.process:  # closes its pipes and reaps it
+                self.process.kill()
+            raise
 
     def _read_line(self, what: str) -> str:
-        line = self.process.stdout.readline()
+        try:
+            line = self.process.stdout.readline()
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"scorer {what}: not valid UTF-8 ({exc.reason})") from exc
         if not line:
             code = self.process.poll()
             raise ProtocolError(f"scorer exited before sending {what} (code {code})")
         return line
+
+    def _read_json(self, what: str) -> Any:
+        """The next line, decoded, failing as a line of a JSONL file does."""
+        line = self._read_line(what)
+        try:
+            return json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            reason = json_failure_reason(exc)
+            raise ProtocolError(f"scorer {what}: invalid JSON ({reason})") from exc
 
     def score(self, request: RerankRequest) -> list[float]:
         try:
@@ -221,18 +217,15 @@ class ExternalProcessReranker:
             self.process.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ProtocolError(f"scorer pipe closed: {exc}") from exc
-        line = self._read_line(f"response for {request.question_id!r}")
-        try:
-            response = response_from_record(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"invalid response line: {line!r}") from exc
-        if response.question_id != request.question_id:
+        question_id, scores = response_from_record(
+            self._read_json(f"response for {request.question_id!r}")
+        )
+        if question_id != request.question_id:
             raise ProtocolError(
-                f"response for {response.question_id!r} does not match "
+                f"response for {question_id!r} does not match "
                 f"request {request.question_id!r}"
             )
-        validate_scores(request, response.scores)
-        return list(response.scores)
+        return scores
 
     def close(self) -> None:
         import subprocess
@@ -262,19 +255,17 @@ class FileReranker:
         self.scores_path = scores_path
         self.scores: dict[str, list[float]] = {}
         for _, obj in iter_jsonl(scores_path, ProtocolError):
-            response = response_from_record(obj)
-            if response.question_id in self.scores:
+            question_id, scores = response_from_record(obj)
+            if question_id in self.scores:
                 raise ProtocolError(
-                    f"{scores_path}: duplicate response for {response.question_id!r}"
+                    f"{scores_path}: duplicate response for {question_id!r}"
                 )
-            self.scores[response.question_id] = list(response.scores)
+            self.scores[question_id] = scores
 
     def score(self, request: RerankRequest) -> list[float]:
         if request.question_id not in self.scores:
             raise ProtocolError(f"no scores for question {request.question_id!r}")
-        scores = self.scores[request.question_id]
-        validate_scores(request, scores)
-        return scores
+        return self.scores[request.question_id]
 
 
 def write_requests_file(path, requests: Iterable[RerankRequest]) -> None:

@@ -941,3 +941,71 @@ def test_index_naming_missing_paragraphs_fails_alike_at_any_jobs(
     ]
     assert errors == [error, error]
     assert not out.exists()
+
+
+def broken_scorer_spec(mode):
+    return f"exec:{sys.executable} {SCORERS / 'broken_scorer.py'} {mode}"
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (
+            broken_scorer_spec("not_utf8"),
+            "error[protocol]: reranker failed on question 'q1': "
+            "scorer response for 'q1': not valid UTF-8 (invalid start byte)\n",
+        ),
+        (
+            broken_scorer_spec("nested"),
+            "error[protocol]: reranker failed on question 'q1': "
+            "scorer response for 'q1': invalid JSON (nested too deeply)\n",
+        ),
+        (
+            broken_scorer_spec("handshake_not_object"),
+            "error[protocol]: scorer handshake is not a JSON object\n",
+        ),
+        (
+            'exec:python3 "x',
+            "error[protocol]: cannot split scorer command: No closing quotation\n",
+        ),
+    ],
+    ids=["not-utf8-response", "nested-response", "handshake-not-object", "unsplittable-command"],
+)
+def test_misbehaving_exec_scorer_fails_with_protocol_error(tmp_path, capsys, spec, error):
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    out = tmp_path / "table.json"
+    err = run_fail(
+        capsys, "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
+        "--reranker", spec, "--out", out,
+    )
+    assert err == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["chunk", "index", "eval-ir"])
+def test_lone_surrogate_fails_with_corpus_error(tmp_path, capsys, stage):
+    """``\\ud800`` is valid JSON, but no UTF-8 writer can encode the string
+    it makes, so the loader refuses it with the input's line."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    out = tmp_path / "out.jsonl"
+    if stage == "chunk":
+        bad = write_jsonl(tmp_path / "bad.jsonl", [{"book_id": "b", "text": "one \ud800 two"}])
+        argv, field = ["chunk", "--books", bad], "text"
+    elif stage == "index":
+        bad = write_jsonl(
+            tmp_path / "bad.jsonl", [{"book_id": "b", "para_index": 0, "text": "one \udfff two"}]
+        )
+        argv, field = ["index", "--paragraphs", bad], "text"
+    else:
+        bad = write_jsonl(
+            tmp_path / "bad.jsonl",
+            [{"question_id": "q1", "book_id": "b", "question": "what is \ud800 red",
+              "answers": ["door"]}],
+        )
+        argv = ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", bad,
+                "--emit-rerank-requests", tmp_path / "requests.jsonl"]
+        field = "question"
+    err = run_fail(capsys, *argv, "--out", out)
+    assert err == f"error[corpus]: {bad}: line 1: field '{field}' holds a lone surrogate\n"
+    assert not out.exists()
+    assert not (tmp_path / "requests.jsonl").exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -19,9 +20,7 @@ from bookqa.reranker import (
     LexicalReranker,
     RerankCandidate,
     RerankRequest,
-    RerankResponse,
     apply_scores,
-    request_from_record,
     response_from_record,
     write_requests_file,
 )
@@ -40,6 +39,15 @@ def make_request(texts, question="which one", qid="q1"):
         question=question,
         candidates=tuple(RerankCandidate(i, t) for i, t in enumerate(texts)),
     )
+
+
+def request_record(request):
+    """The JSON object a request line must hold."""
+    return {
+        "question_id": request.question_id,
+        "question": request.question,
+        "candidates": [{"para_index": c.para_index, "text": c.text} for c in request.candidates],
+    }
 
 
 def test_request_validation():
@@ -104,21 +112,14 @@ def test_protocol_roundtrip_identity(data):
             RerankCandidate(i, data.draw(st.text(max_size=30))) for i in range(n)
         ),
     )
-    assert request_from_record(json.loads(request.to_json_line())) == request
+    assert json.loads(request.to_json_line()) == request_record(request)
 
-    response = RerankResponse(
-        question_id=data.draw(ids),
-        scores=tuple(
-            data.draw(
-                st.lists(
-                    st.floats(allow_nan=False, allow_infinity=False),
-                    min_size=n,
-                    max_size=n,
-                )
-            )
-        ),
+    question_id = data.draw(ids)
+    scores = data.draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
     )
-    assert response_from_record(json.loads(response.to_json_line())) == response
+    line = json.dumps({"question_id": question_id, "scores": scores})
+    assert response_from_record(json.loads(line)) == (question_id, scores)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +141,7 @@ def test_response_from_record_refuses_unconverted_values(record, problem):
 
 
 def test_response_from_record_keeps_int_scores():
-    assert response_from_record({"question_id": "q", "scores": [2, 0.5]}).scores == (2, 0.5)
+    assert response_from_record({"question_id": "q", "scores": [2, 0.5]}) == ("q", [2, 0.5])
 
 
 def test_lexical_reranker_no_shared_terms_scores_zero():
@@ -236,9 +237,39 @@ def test_external_scorer_pipelined():
     ],
 )
 def test_external_scorer_protocol_errors(mode, match):
+    """Each fails on the path ``eval-ir`` takes: the scores, checked by
+    ``apply_scores``."""
+    request = make_request(["a", "b"])
     with ExternalProcessReranker(scorer_cmd("broken_scorer.py", mode)) as scorer:
         with pytest.raises(ProtocolError, match=match):
+            apply_scores(request, scorer.score(request))
+
+
+if hasattr(sys, "get_int_max_str_digits"):
+    LONG_INT_ERROR = (
+        "scorer response for 'q1': invalid JSON (Exceeds the limit (4300 digits) "
+        "for integer string conversion: value has 5001 digits)"
+    )
+else:  # no digit limit before 3.10.7
+    LONG_INT_ERROR = "bad rerank response record: score is an int too large for a float"
+
+
+@pytest.mark.parametrize(
+    "mode, error",
+    [
+        ("nested", "scorer response for 'q1': invalid JSON (nested too deeply)"),
+        ("long_int", LONG_INT_ERROR),
+        ("not_utf8", "scorer response for 'q1': not valid UTF-8 (invalid start byte)"),
+    ],
+    ids=["nested", "long_int", "not_utf8"],
+)
+def test_external_scorer_lines_fail_as_file_lines_do(mode, error):
+    """A response line fails for the reasons, and in the words, that a line
+    of a JSONL input does."""
+    with ExternalProcessReranker(scorer_cmd("broken_scorer.py", mode)) as scorer:
+        with pytest.raises(ProtocolError) as info:
             scorer.score(make_request(["a", "b"]))
+    assert str(info.value) == error
 
 
 def test_external_scorer_bad_handshake():
@@ -246,23 +277,44 @@ def test_external_scorer_bad_handshake():
         ExternalProcessReranker(scorer_cmd("broken_scorer.py", "bad_handshake"))
 
 
+@pytest.mark.parametrize(
+    "mode, problem",
+    [
+        ("handshake_not_object", "scorer handshake is not a JSON object"),
+        ("handshake_true", "unsupported protocol_version True"),
+        ("handshake_float", "unsupported protocol_version 1.0"),
+    ],
+    ids=["not_object", "true", "float"],
+)
+def test_external_scorer_handshake_must_be_version_1_exactly(mode, problem):
+    """``True == 1`` and ``1.0 == 1`` in Python; neither is the version."""
+    with pytest.raises(ProtocolError) as info:
+        ExternalProcessReranker(scorer_cmd("broken_scorer.py", mode))
+    assert str(info.value) == problem
+
+
+def test_scorer_refused_at_start_up_is_stopped(tmp_path):
+    pid_path = tmp_path / "scorer.pid"
+    with pytest.raises(ProtocolError, match="^unsupported protocol_version 2$"):
+        ExternalProcessReranker(scorer_cmd("broken_scorer.py", "refused_sleeping", str(pid_path)))
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_path.read_text()), 0)
+
+
 def test_file_exchange_roundtrip(tmp_path):
     requests = [make_request(["a", "bb"], qid="q1"), make_request(["ccc"], qid="q2")]
     requests_path = tmp_path / "requests.jsonl"
     write_requests_file(requests_path, requests)
-    parsed = [
-        request_from_record(json.loads(line))
-        for line in requests_path.read_text().splitlines()
-    ]
-    assert parsed == requests
+    parsed = [json.loads(line) for line in requests_path.read_text().splitlines()]
+    assert parsed == [request_record(r) for r in requests]
 
     scores_path = tmp_path / "scores.jsonl"
     scores_path.write_text(
-        "\n".join(
-            RerankResponse(r.question_id, tuple(float(i) for i in range(len(r.candidates)))).to_json_line()
+        "".join(
+            json.dumps({"question_id": r.question_id, "scores": [float(i) for i in range(len(r.candidates))]})
+            + "\n"
             for r in requests
         )
-        + "\n"
     )
     scorer = FileReranker(scores_path)
     assert scorer.score(requests[0]) == [0.0, 1.0]
