@@ -18,7 +18,6 @@ import math
 import sys
 from typing import Iterable, Sequence
 
-from . import __version__
 from .corpus import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -32,7 +31,7 @@ from .corpus import (
     require_book_coverage,
 )
 from .errors import CorpusError, FormatError
-from .fileio import iter_jsonl, map_grouped, parallel_map, write_lines, write_sidecar
+from .fileio import iter_jsonl, json_line, map_grouped, parallel_map, write_lines, write_sidecar
 from .records import record
 from .text import TokenSeq, normalize_eval_tokens, tokenize
 
@@ -64,14 +63,8 @@ class RetrievalResult:
         return [p for p, _ in self.ranked]
 
     def to_json_line(self) -> str:
-        # Scores fixed at 6 decimal places for a byte-stable wire format.
-        entries = ", ".join(
-            f'{{"para_index": {p}, "score": {s:.6f}}}' for p, s in self.ranked
-        )
-        return (
-            f'{{"question_id": {json.dumps(self.question_id)}, '
-            f'"mode": {json.dumps(self.mode)}, "ranked": [{entries}]}}'
-        )
+        ranked = [{"para_index": p, "score": float(s)} for p, s in self.ranked]
+        return json_line({"question_id": self.question_id, "mode": self.mode, "ranked": ranked})
 
 
 def retrieval_from_record(obj: dict) -> RetrievalResult:
@@ -236,39 +229,37 @@ def index_to_record(index: Bm25Index) -> dict:
     }
 
 
-def _posting_pairs(postings: dict, doc_len: dict) -> dict | None:
-    """The postings as tuples of ``(para_index, tf)`` tuples, or None if one
-    is not a pair of ints with ``para_index`` in ``doc_len`` and ``tf >= 1``.
+def _posting_pairs(postings: dict, doc_len: dict) -> dict:
+    """The postings as tuples of ``(para_index, tf)`` tuples, each a pair of
+    ints with ``para_index`` in ``doc_len`` and ``tf >= 1``.
 
     Tuples, not the decoded lists: smaller, and not shared with the record.
     Of the values JSON decodes to, only a list of two ints converts to a pair
-    of ints; the tuples of ``index_to_record`` are taken as they are."""
-    if not set(map(type, postings.values())) <= {list, tuple}:
-        return None
-    try:
-        pairs = {term: tuple(map(tuple, plist)) for term, plist in postings.items()}
-        for plist in pairs.values():
-            for p, f in plist:
+    of ints; the tuples of ``index_to_record`` are taken as they are.  The
+    terms are converted and checked in record order, and the first list that
+    fails is walked again to raise ``ValueError`` naming its first bad
+    posting, the first bad one in the record."""
+    pairs = {}
+    for term, plist in postings.items():
+        try:
+            if type(plist) is not list and type(plist) is not tuple:
+                raise TypeError
+            # TypeError: a posting that is not iterable; ValueError: not a pair.
+            pairs[term] = row = tuple(map(tuple, plist))
+            for p, f in row:
                 # ``type``, not ``isinstance``: a bool is an int, but no paragraph or count.
                 if type(p) is not int or type(f) is not int or p not in doc_len or f < 1:
-                    return None
-    except (TypeError, ValueError):  # a posting that does not iterate as a pair
-        return None
+                    raise TypeError
+        except (TypeError, ValueError):
+            for entry in plist if type(plist) in (list, tuple) else [plist]:
+                if type(entry) not in (list, tuple) or len(entry) != 2 or set(map(type, entry)) != {int}:
+                    raise ValueError(f"term {term!r} has posting {entry!r}, not a pair of ints")
+                p, f = entry
+                if p not in doc_len:
+                    raise ValueError(f"term {term!r} has a posting for unknown paragraph {p}")
+                if f < 1:
+                    raise ValueError(f"term {term!r} has term frequency {f} in paragraph {p}")
     return pairs
-
-
-def _posting_problem(postings: dict, doc_len: dict) -> str | None:
-    """What is wrong with the first bad posting in record order, or None."""
-    for term, plist in postings.items():
-        for entry in plist if type(plist) in (list, tuple) else [plist]:
-            if type(entry) not in (list, tuple) or len(entry) != 2 or set(map(type, entry)) != {int}:
-                return f"term {term!r} has posting {entry!r}, not a pair of ints"
-            p, f = entry
-            if p not in doc_len:
-                return f"term {term!r} has a posting for unknown paragraph {p}"
-            if f < 1:
-                return f"term {term!r} has term frequency {f} in paragraph {p}"
-    return None
 
 
 def index_from_record(obj: dict) -> Bm25Index:
@@ -313,9 +304,10 @@ def index_from_record(obj: dict) -> Bm25Index:
             if type(n) is int and n > 0:
                 raise bad(f"paragraph {p} has a doc_len too large for a float")
             raise bad(f"paragraph {p} has doc_len {n!r}, not a length")
-    pairs = _posting_pairs(postings, doc_len)
-    if pairs is None:
-        raise bad(_posting_problem(postings, doc_len))
+    try:
+        pairs = _posting_pairs(postings, doc_len)
+    except ValueError as exc:
+        raise bad(str(exc)) from None
     if n_docs != len(doc_len):
         raise bad(f"n_docs {n_docs} but {len(doc_len)} doc_len entries")
     if not n_docs or avg_doc_len != sum(doc_len.values()) / n_docs:
@@ -378,7 +370,7 @@ def _cmd_index(args) -> int:
         "b": args.b,
         "out": str(args.out),
     }
-    write_sidecar(args.out, "index", config, [args.paragraphs], __version__)
+    write_sidecar(args.out, "index", config, [args.paragraphs])
     print(f"indexed {len(books)} books", file=sys.stderr)
     return 0
 
@@ -402,6 +394,6 @@ def _cmd_retrieve(args) -> int:
         "mode": args.mode,
         "out": str(args.out),
     }
-    write_sidecar(args.out, "retrieve", config, [args.index, args.qa], __version__)
+    write_sidecar(args.out, "retrieve", config, [args.index, args.qa])
     print(f"retrieved for {len(qa)} questions", file=sys.stderr)
     return 0

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import __version__
 from .errors import CorpusError
 from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
 from .records import record
@@ -227,8 +226,8 @@ def load_paragraphs(path: Path | str) -> dict[str, list[Paragraph]]:
     """Load paragraphs grouped per book; indexes must be dense from zero.
 
     Each paragraph keeps its text and is tokenized on first use, so a stage
-    pays only for the paragraphs it reads, and a paragraph sent to a worker
-    carries its text, not its tokens."""
+    pays only for the paragraphs it reads.  Forked workers inherit the
+    paragraphs as loaded and tokenize only those they read."""
     path = Path(path)
     grouped: dict[str, list[Paragraph]] = {}
     for lineno, obj in iter_jsonl(path, CorpusError):
@@ -284,6 +283,6 @@ def _cmd_chunk(args) -> int:
     config = {"books": str(args.books), "width": args.width, "out": str(args.out)}
     books_path = Path(args.books)
     inputs = sorted(books_path.glob("*.txt")) if books_path.is_dir() else [books_path]
-    write_sidecar(args.out, "chunk", config, inputs, __version__)
+    write_sidecar(args.out, "chunk", config, inputs)
     print(f"wrote {len(paragraphs)} paragraphs", file=sys.stderr)
     return 0

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Callable, Hashable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
+from . import __version__
 from .errors import BookQaError, FormatError, WorkerError
 
 T = TypeVar("T")
@@ -42,6 +43,24 @@ def iter_jsonl(
             bad = _undecodable_line(path)
             where = f" line {bad}:" if bad else ""
             raise error(f"{path}:{where} not valid UTF-8 ({exc.reason})") from exc
+
+
+def json_line(obj: dict) -> str:
+    """``obj`` as one JSON line in the artifacts' byte-stable form: keys (plain
+    names) in order, strings as ``json.dumps`` writes them, ints as they are,
+    every float fixed at 6 decimal places, and a list of such objects."""
+    parts = []
+    for key, value in obj.items():
+        if type(value) is float:
+            text = f"{value:.6f}"
+        elif type(value) is str:
+            text = json.dumps(value)
+        elif type(value) is list:
+            text = "[" + ", ".join(map(json_line, value)) + "]"
+        else:
+            text = str(value)
+        parts.append(f'"{key}": {text}')
+    return "{" + ", ".join(parts) + "}"
 
 
 def json_failure_reason(exc: ValueError | RecursionError) -> str:
@@ -139,13 +158,12 @@ def write_sidecar(
     subcommand: str,
     config: dict[str, Any],
     inputs: Sequence[Path | str],
-    tool_version: str,
 ) -> Path:
     """Write ``<artifact>.meta.json`` echoing the run configuration and input
     digests.  Deliberately excludes wall-clock data so reruns are byte-identical."""
     artifact = Path(artifact)
     meta = {
-        "tool": {"name": "bookqa", "version": tool_version},
+        "tool": {"name": "bookqa", "version": __version__},
         "subcommand": subcommand,
         "config": config,
         "inputs": {str(p): sha256_file(p) for p in inputs},

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from typing import Mapping, Sequence
 
-from . import __version__
 from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
 from .corpus import (
     DEFAULT_K_BASE,
@@ -46,7 +45,7 @@ from .reranker import (
     open_scorer,
     write_requests_file,
 )
-from .spans import coverage_rouge
+from .spans import AnswerCoverage, coverage_rouge
 
 
 @record
@@ -157,18 +156,7 @@ def ablation_for_question(
             f"reranker failed on question {example.question_id!r}: {exc}"
         ) from exc
 
-    rouge_by_para: dict[int, float] = {}
-
-    def cover(selected: Sequence[int]) -> float:
-        best = 0.0
-        for p in selected:
-            if p not in rouge_by_para:
-                rouge_by_para[p] = coverage_rouge([paragraphs[p]], example.answers)
-            best = max(best, rouge_by_para[p])
-            if best >= 1.0:
-                break
-        return best
-
+    cover = AnswerCoverage(paragraphs, example.answers).best
     rows = (
         cover(pool[:k_top]),
         cover([c.para_index for c in reranked[:k_top]]),
@@ -267,9 +255,7 @@ def _cmd_eval_ir(args) -> int:
     if args.emit_rerank_requests:
         out = args.emit_rerank_requests
         write_requests_file(out, result.requests)
-        write_sidecar(
-            out, "eval-ir-requests", {**config, "out": str(out)}, inputs, __version__
-        )
+        write_sidecar(out, "eval-ir-requests", {**config, "out": str(out)}, inputs)
     if isinstance(scorer, FileReranker):
         inputs.append(scorer.scores_path)
 
@@ -278,5 +264,5 @@ def _cmd_eval_ir(args) -> int:
         payload = json.dumps(result.to_dict(), sort_keys=True, indent=2)
         write_lines(args.out, [payload])
         config.update(top=args.top, reranker=args.reranker, out=str(args.out))
-        write_sidecar(args.out, "eval-ir", config, inputs, __version__)
+        write_sidecar(args.out, "eval-ir", config, inputs)
     return 0

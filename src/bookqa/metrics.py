@@ -15,7 +15,6 @@ from collections import Counter
 from itertools import chain
 from typing import Mapping, Sequence
 
-from . import __version__
 from .corpus import QaExample, load_qa
 from .errors import EvalError
 from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
@@ -455,7 +454,5 @@ def _cmd_eval_qa(args) -> int:
             "qa": str(args.qa),
             "out": str(args.out),
         }
-        write_sidecar(
-            args.out, "eval-qa", config, [args.predictions, args.qa], __version__
-        )
+        write_sidecar(args.out, "eval-qa", config, [args.predictions, args.qa])
     return 0

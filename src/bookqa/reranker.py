@@ -198,7 +198,13 @@ class ExternalProcessReranker:
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"scorer {what}: not valid UTF-8 ({exc.reason})") from exc
         if not line:
-            code = self.process.poll()
+            import subprocess
+
+            # The pipe closes before the exit: wait a moment to name its code.
+            try:
+                code = self.process.wait(timeout=1)
+            except subprocess.TimeoutExpired:
+                code = None
             raise ProtocolError(f"scorer exited before sending {what} (code {code})")
         return line
 
@@ -230,16 +236,16 @@ class ExternalProcessReranker:
     def close(self) -> None:
         import subprocess
 
-        if self.process.stdin:
-            try:
-                self.process.stdin.close()
-            except OSError:
-                pass
+        try:
+            self.process.stdin.close()
+        except OSError:
+            pass
         try:
             self.process.wait(timeout=10)
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait()
+        self.process.stdout.close()
 
     def __enter__(self) -> "ExternalProcessReranker":
         return self

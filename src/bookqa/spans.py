@@ -12,15 +12,13 @@ for Rouge-L, so that the stages that search spans never load ``metrics``.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from . import __version__
 from .corpus import Paragraph, load_paragraphs, load_qa
 from .errors import CorpusError, EvalError, FormatError
-from .fileio import iter_jsonl, map_grouped, write_lines, write_sidecar
+from .fileio import iter_jsonl, json_line, map_grouped, write_lines, write_sidecar
 from .records import record
 from .text import normalize_eval, normalize_eval_tokens
 
@@ -75,12 +73,7 @@ class WeakSpanLabel:
     score: float
 
     def to_json_line(self) -> str:
-        return (
-            f'{{"question_id": {json.dumps(self.question_id)}, '
-            f'"book_id": {json.dumps(self.book_id)}, '
-            f'"para_index": {self.para_index}, "start": {self.start}, '
-            f'"end": {self.end}, "score": {self.score:.6f}}}'
-        )
+        return json_line({**vars(self), "score": float(self.score)})  # fields in order
 
 
 def best_span_tokens(
@@ -135,19 +128,11 @@ def best_span_tokens(
 
 def best_span(paragraph: Paragraph, answer: str, question_id: str = "") -> WeakSpanLabel:
     """Weak label for one (paragraph, reference answer) pair."""
-    answer_tokens = normalize_eval(answer).tokens
-    if not answer_tokens:
+    coverage = AnswerCoverage([paragraph], [answer])
+    if not coverage.answers:
         raise EvalError(f"answer normalizes to nothing: {answer!r}")
-    para_tokens = normalize_eval_tokens(paragraph.tokens.tokens)
-    start, end, score = best_span_tokens(para_tokens, answer_tokens)
-    return WeakSpanLabel(
-        question_id=question_id,
-        book_id=paragraph.book_id,
-        para_index=paragraph.para_index,
-        start=start,
-        end=end,
-        score=score,
-    )
+    [span] = coverage.spans(0)
+    return WeakSpanLabel(question_id, paragraph.book_id, paragraph.para_index, *span)
 
 
 def answer_tokens(answers: Sequence[str]) -> list[tuple[str, ...]]:
@@ -156,31 +141,65 @@ def answer_tokens(answers: Sequence[str]) -> list[tuple[str, ...]]:
     return [t for t in (normalize_eval(a).tokens for a in answers) if t]
 
 
+class AnswerCoverage:
+    """How one book's paragraphs score against one question's answers: for
+    ``supervise`` (``rouge``), ``eval-ir`` and ``coverage_rouge`` (``best``)
+    and ``span-oracle`` (``spans``).  The answers are normalized once, here,
+    and ``rouge`` keeps each paragraph's value.  ``paragraphs`` is indexed
+    by position: a book's list is dense from 0."""
+
+    def __init__(self, paragraphs: Sequence[Paragraph], answers: Sequence[str]) -> None:
+        self.paragraphs = paragraphs
+        self.answers = answer_tokens(answers)
+        self._rouge: dict[int, float] = {}
+
+    def _tokens(self, para_index: int) -> list[str]:
+        if not 0 <= para_index < len(self.paragraphs):
+            raise CorpusError(f"retrieved para_index {para_index} missing from paragraphs")
+        return normalize_eval_tokens(self.paragraphs[para_index].tokens.tokens)
+
+    def spans(self, para_index: int) -> list[tuple[int, int, float]]:
+        """The paragraph's best span against each answer, in answer order."""
+        para = self._tokens(para_index)
+        return [best_span_tokens(para, ans) for ans in self.answers]
+
+    def rouge(self, para_index: int) -> float:
+        """The paragraph's largest best-span Rouge-L over the answers (0.0
+        if there are none); the scan stops at 1.0, which nothing beats."""
+        score = self._rouge.get(para_index)
+        if score is None:
+            para = self._tokens(para_index)
+            score = 0.0
+            for ans in self.answers:
+                score = max(score, best_span_tokens(para, ans)[2])
+                if score >= 1.0:
+                    break
+            self._rouge[para_index] = score
+        return score
+
+    def best(self, para_indexes: Iterable[int]) -> float:
+        """The largest ``rouge`` over ``para_indexes``, stopping at 1.0."""
+        best = 0.0
+        for p in para_indexes:
+            best = max(best, self.rouge(p))
+            if best >= 1.0:
+                break
+        return best
+
+
 def coverage_rouge(paragraphs: Sequence[Paragraph], answers: Sequence[str]) -> float:
     """Max best-span Rouge-L over every (paragraph, answer) pair; answers
     that normalize to nothing are skipped."""
     if not paragraphs or not answers:
         raise EvalError("coverage needs at least one paragraph and one answer")
-    targets = answer_tokens(answers)
-    if not targets:
-        return 0.0
-    best = 0.0
-    for paragraph in paragraphs:
-        para_tokens = normalize_eval_tokens(paragraph.tokens.tokens)
-        for ans in targets:
-            value = best_span_tokens(para_tokens, ans)[2]
-            if value > best:
-                best = value
-                if best >= 1.0:
-                    return best
-    return best
+    return AnswerCoverage(paragraphs, answers).best(range(len(paragraphs)))
 
 
 def contains_answer(paragraph: Paragraph, answers: Sequence[str]) -> bool:
     """True iff some answer occurs contiguously in the normalized paragraph.
 
-    The exact-match reference: the IR evaluation derives EM from
-    ``coverage_rouge(...) == 1.0`` instead, and the tests hold the two equal.
+    The exact-match reference: the IR evaluation derives EM from a best-span
+    Rouge-L of 1.0 instead, and the tests hold the two equal.
     """
     para_tokens = normalize_eval_tokens(paragraph.tokens.tokens)
     for ans in answer_tokens(answers):
@@ -225,7 +244,7 @@ def _cmd_span_oracle(args) -> int:
     def labels(selection):
         q, result = selection
         paragraphs = grouped_paras[q.book_id]  # dense from 0, in order
-        answers = [a for a in q.answers if normalize_eval(a).tokens]
+        coverage = AnswerCoverage(paragraphs, q.answers)
         lines = []
         for para_index in result.para_indexes()[: args.top]:
             if not 0 <= para_index < len(paragraphs):
@@ -233,9 +252,9 @@ def _cmd_span_oracle(args) -> int:
                     f"selection references unknown para_index {para_index} "
                     f"in book {q.book_id!r}"
                 )
-            for answer in answers:
-                span = best_span(paragraphs[para_index], answer, q.question_id)
-                lines.append(span.to_json_line())
+            for span in coverage.spans(para_index):
+                label = WeakSpanLabel(q.question_id, q.book_id, para_index, *span)
+                lines.append(label.to_json_line())
         return lines
 
     done = map_grouped(labels, selections, [q.book_id for q, _ in selections], args.jobs)
@@ -248,12 +267,6 @@ def _cmd_span_oracle(args) -> int:
         "top": args.top,
         "out": str(args.out),
     }
-    write_sidecar(
-        args.out,
-        "span-oracle",
-        config,
-        [args.paragraphs, args.qa, args.selections],
-        __version__,
-    )
+    write_sidecar(args.out, "span-oracle", config, [args.paragraphs, args.qa, args.selections])
     print(f"wrote {len(ordered)} weak labels", file=sys.stderr)
     return 0

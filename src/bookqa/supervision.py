@@ -14,7 +14,6 @@ import random
 import sys
 from typing import Sequence
 
-from . import __version__
 from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
 from .corpus import (
     POOL_UNION_MINUS_INTERSECTION,
@@ -26,10 +25,9 @@ from .corpus import (
     require_book_coverage,
 )
 from .errors import ConfigError, CorpusError
-from .fileio import map_grouped, write_lines, write_sidecar
+from .fileio import json_line, map_grouped, write_lines, write_sidecar
 from .records import record
-from .spans import answer_tokens, best_span_tokens
-from .text import normalize_eval_tokens
+from .spans import AnswerCoverage
 
 LABEL_POSITIVE = "positive"
 LABEL_NEGATIVE = "negative"
@@ -79,13 +77,7 @@ class SupervisionPair:
     provenance: str
 
     def to_json_line(self) -> str:
-        return (
-            f'{{"question_id": {json.dumps(self.question_id)}, '
-            f'"book_id": {json.dumps(self.book_id)}, '
-            f'"para_index": {self.para_index}, "label": {json.dumps(self.label)}, '
-            f'"filter_score": {self.filter_score:.6f}, '
-            f'"provenance": {json.dumps(self.provenance)}}}'
-        )
+        return json_line({**vars(self), "filter_score": float(self.filter_score)})  # fields in order
 
 
 def generate_pairs(
@@ -112,20 +104,7 @@ def generate_pairs(
     set_qa = set(retrieved_qa.para_indexes())
     intersection = set_q & set_qa
 
-    answers = answer_tokens(example.answers)
-    score_cache: dict[int, float] = {}
-
-    def filter_score(para_index: int) -> float:
-        if para_index not in score_cache:
-            if not 0 <= para_index < len(paragraphs):
-                raise CorpusError(
-                    f"retrieved para_index {para_index} missing from paragraphs"
-                )
-            norm = normalize_eval_tokens(paragraphs[para_index].tokens.tokens)
-            score_cache[para_index] = max(
-                (best_span_tokens(norm, ans)[2] for ans in answers), default=0.0
-            )
-        return score_cache[para_index]
+    filter_score = AnswerCoverage(paragraphs, example.answers).rouge
 
     positives = [p for p in sorted(intersection) if filter_score(p) > cfg.pos_threshold]
 
@@ -248,9 +227,7 @@ def _cmd_supervise(args) -> int:
         "out": str(args.out),
         **cfg.to_dict(),
     }
-    write_sidecar(
-        args.out, "supervise", config, [args.index, args.paragraphs, args.qa], __version__
-    )
+    write_sidecar(args.out, "supervise", config, [args.index, args.paragraphs, args.qa])
     stats = supervision_stats(all_pairs, cfg.pos_threshold, cfg.neg_threshold)
     print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
     return 0

@@ -26,7 +26,6 @@ import random
 import sys
 from pathlib import Path
 
-from . import __version__
 from .corpus import Book, QaExample, write_books, write_qa
 from .errors import ConfigError
 from .fileio import write_lines, write_sidecar
@@ -233,7 +232,7 @@ def _cmd_synth(args) -> int:
         ),
     )
     for path in (books_path, qa_path, truth_path):
-        write_sidecar(path, "synth", config, [], __version__)
+        write_sidecar(path, "synth", config, [])
     print(
         f"wrote {len(books)} books, {len(qa)} questions to {out_dir}", file=sys.stderr
     )

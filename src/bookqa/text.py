@@ -78,10 +78,11 @@ class LazyTokenSeq(TokenSeq):
     """The ``tokenize`` result for ``source``, computed on first use of
     ``tokens``.
 
-    It pickles as the text alone, so a worker that receives one tokenizes it
-    there, and it compares equal to the eager ``TokenSeq`` with the same
-    tokens.  Truth is answered from the text, without tokenizing: every
-    whitespace-delimited chunk yields at least one token.
+    It compares equal to the eager ``TokenSeq`` with the same tokens, and
+    pickles as the text alone.  No stage sends one through a pipe: forked
+    workers inherit the paragraphs they read.  Truth is answered from the
+    text, without tokenizing: every whitespace-delimited chunk yields at
+    least one token.
     """
 
     def __init__(self, source: str) -> None:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bookqa import bm25
 from bookqa.bm25 import (
     MODE_QUESTION,
     accumulate_scores,
@@ -252,12 +251,27 @@ _JSON_SCALARS = st.one_of(
 _JSON_POSTING = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
 
 
+def _first_bad_posting(postings, doc_len):
+    """What is wrong with the first bad posting in record order, or None:
+    the reference the loader's one pass must agree with."""
+    for term, plist in postings.items():
+        for entry in plist if type(plist) in (list, tuple) else [plist]:
+            if type(entry) not in (list, tuple) or len(entry) != 2 or set(map(type, entry)) != {int}:
+                return f"term {term!r} has posting {entry!r}, not a pair of ints"
+            p, f = entry
+            if p not in doc_len:
+                return f"term {term!r} has a posting for unknown paragraph {p}"
+            if f < 1:
+                return f"term {term!r} has term frequency {f} in paragraph {p}"
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.sampled_from(["a", "b", "c"]), st.one_of(_JSON_SCALARS, st.lists(_JSON_POSTING, max_size=3))))
 def test_record_postings_load_exactly_when_no_posting_is_named_bad(postings):
     record = _record_with()
     record["postings"] = postings
-    problem = bm25._posting_problem(postings, {0: 3, 1: 2})
+    problem = _first_bad_posting(postings, {0: 3, 1: 2})
     if problem is None:
         assert index_from_record(record).postings == {
             t: tuple(map(tuple, v)) for t, v in postings.items()

@@ -45,13 +45,36 @@ def test_write_lines_failure_creates_nothing(tmp_path):
     assert os.listdir(tmp_path / "sub") == []
 
 
+def test_artifact_lines_are_pinned_with_every_score_at_six_decimals():
+    # An int score prints with 6 decimals like any other.
+    from bookqa.bm25 import RetrievalResult
+    from bookqa.spans import WeakSpanLabel
+    from bookqa.supervision import SupervisionPair
+
+    retrieval = RetrievalResult("q\u00e9", ((4, 3), (1, 0.1234567)), "qa")
+    assert retrieval.to_json_line() == (
+        '{"question_id": "q\\u00e9", "mode": "qa", "ranked": '
+        '[{"para_index": 4, "score": 3.000000}, {"para_index": 1, "score": 0.123457}]}'
+    )
+    label = WeakSpanLabel('q"1', "b", 7, 2, 5, 1)
+    assert label.to_json_line() == (
+        '{"question_id": "q\\"1", "book_id": "b", "para_index": 7, '
+        '"start": 2, "end": 5, "score": 1.000000}'
+    )
+    pair = SupervisionPair("q1", "b", 3, "negative", 0.25, "complement")
+    assert pair.to_json_line() == (
+        '{"question_id": "q1", "book_id": "b", "para_index": 3, "label": "negative", '
+        '"filter_score": 0.250000, "provenance": "complement"}'
+    )
+
+
 def test_write_sidecar_failure_keeps_previous_sidecar(tmp_path):
     artifact = tmp_path / "out.jsonl"
     write_lines(artifact, ["x"])
-    sidecar = write_sidecar(artifact, "test", {"k": 1}, [artifact], "0")
+    sidecar = write_sidecar(artifact, "test", {"k": 1}, [artifact])
     before = sidecar.read_bytes()
     with pytest.raises(TypeError):  # json.dump fails part-way through
-        write_sidecar(artifact, "test", {"k": 2, "z": object()}, [artifact], "0")
+        write_sidecar(artifact, "test", {"k": 2, "z": object()}, [artifact])
     assert sidecar.read_bytes() == before
     assert json.loads(before)["config"] == {"k": 1}
     assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "out.jsonl.meta.json"]

@@ -233,7 +233,7 @@ def test_external_scorer_pipelined():
         ("short", "scores"),
         ("nan", "non-finite"),
         ("string_scores", "score '1.5' is not a number"),
-        ("die", "exited"),
+        pytest.param("die", r"exited before sending response for 'q1' \(code 3\)", id="die-exited"),
     ],
 )
 def test_external_scorer_protocol_errors(mode, match):

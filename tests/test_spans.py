@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -220,3 +221,67 @@ def test_coverage_preconditions():
         coverage_rouge([], ["a"])
     with pytest.raises(EvalError):
         coverage_rouge([p], [])
+
+
+def test_each_answer_and_paragraph_is_normalized_once_per_question(tmp_path, monkeypatch, capsys):
+    """supervise, eval-ir and span-oracle normalize a question's two answers
+    once each, and each paragraph they score at most once (span-oracle:
+    exactly once per selected paragraph, not once per answer).  The BM25
+    queries normalize through ``bm25``'s own names and are not counted."""
+    from bookqa import ir_eval, spans, supervision
+    from bookqa.bm25 import build_index, question_query, retrieve
+    from bookqa.cli import main
+    from bookqa.corpus import QaExample, write_paragraphs, write_qa
+    from bookqa.fileio import write_lines
+    from bookqa.reranker import IdentityReranker
+    from bookqa.text import normalize_eval
+
+    texts = [
+        "red fox ran by the old mill",
+        "a red hen sat on the wall",
+        "the grey mill stood by a river",
+        "gold leaves fell on the mill",
+    ]
+    paragraphs = [make_paragraph("b", i, text.split()) for i, text in enumerate(texts)]
+    question = QaExample("q1", "b", "what stood by the mill", ("the grey river", "an old red mill"))
+    answers, tokens = Counter(), Counter()
+
+    def count_answer(text):
+        answers[text] += 1
+        return normalize_eval(text)
+
+    def count_paragraph(toks):
+        tokens[tuple(toks)] += 1
+        return normalize_eval_tokens(toks)
+
+    monkeypatch.setattr(spans, "normalize_eval", count_answer)
+    for module in (spans, supervision, ir_eval):
+        monkeypatch.setattr(module, "normalize_eval_tokens", count_paragraph, raising=False)
+
+    def check(stage, scored):
+        assert answers == Counter(question.answers), stage
+        assert tokens and all(n == 1 for n in tokens.values()), (stage, tokens)
+        assert set(tokens) <= {p.tokens.tokens for p in paragraphs}, stage
+        if scored is not None:
+            assert set(tokens) == {paragraphs[p].tokens.tokens for p in scored}, stage
+        answers.clear()
+        tokens.clear()
+
+    index = build_index(paragraphs)
+    cfg = supervision.SupervisionConfig(k_retrieve=4, negative_pool="whole_book")
+    supervision.generate_pairs(index, paragraphs, question, cfg)
+    check("supervise", None)
+    ir_eval.ablation_for_question(index, paragraphs, question, IdentityReranker(), 4, 2)
+    check("eval-ir", None)
+
+    selected = retrieve(index, question_query(question), 3, "q1")
+    write_paragraphs(tmp_path / "paras.jsonl", paragraphs)
+    write_qa(tmp_path / "qa.jsonl", [question])
+    write_lines(tmp_path / "sel.jsonl", [selected.to_json_line()])
+    argv = [
+        "span-oracle", "--paragraphs", tmp_path / "paras.jsonl", "--qa", tmp_path / "qa.jsonl",
+        "--selections", tmp_path / "sel.jsonl", "--out", tmp_path / "labels.jsonl",
+    ]
+    assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    check("span-oracle", selected.para_indexes())
+    assert len((tmp_path / "labels.jsonl").read_text().splitlines()) == 2 * len(selected.ranked)
