@@ -19,7 +19,7 @@ from .corpus import QaExample, load_qa
 from .errors import EvalError
 from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
 from .records import record
-from .spans import ROUGE_BETA, lcs_with_masks, position_masks, rouge_from_lcs
+from .spans import lcs_with_masks, position_masks, rouge_from_lcs
 from .text import normalize_eval, normalize_squad
 
 
@@ -34,14 +34,12 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return lcs_with_masks(a, position_masks(b), len(b))
 
 
-def rouge_l(
-    candidate: Sequence[str], reference: Sequence[str], beta: float = ROUGE_BETA
-) -> float:
-    """LCS-based F-measure with recall weighted by ``beta``."""
+def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """LCS-based F-measure with recall weighted by ``spans.ROUGE_BETA``."""
     if not candidate or not reference:
         return 0.0
     lcs = lcs_length(candidate, reference)
-    return rouge_from_lcs(lcs, len(candidate), len(reference), beta)
+    return rouge_from_lcs(lcs, len(candidate), len(reference))
 
 
 def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:

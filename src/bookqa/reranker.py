@@ -157,12 +157,12 @@ class ExternalProcessReranker:
     """Spawns a scorer subprocess speaking the line protocol, one request in
     flight at a time."""
 
-    def __init__(self, command: str | Sequence[str]):
+    def __init__(self, command: str):
         # Imported here: only this scorer starts a process.
         import subprocess
 
         try:
-            argv = shlex.split(command) if isinstance(command, str) else list(command)
+            argv = shlex.split(command)
         except ValueError as exc:
             raise ProtocolError(f"cannot split scorer command: {exc}") from exc
         if not argv:

@@ -53,13 +53,14 @@ def lcs_with_masks(candidate: Sequence[str], masks: dict[str, int], ref_len: int
     return ref_len - v.bit_count()
 
 
-def rouge_from_lcs(lcs: int, cand_len: int, ref_len: int, beta: float) -> float:
-    """Rouge-L F-measure from an LCS length and the two sequence lengths."""
+def rouge_from_lcs(lcs: int, cand_len: int, ref_len: int) -> float:
+    """Rouge-L F-measure, recall weighted by ``ROUGE_BETA``, from an LCS
+    length and the two sequence lengths."""
     if lcs == 0:
         return 0.0
     precision = lcs / cand_len
     recall = lcs / ref_len
-    beta_sq = beta * beta
+    beta_sq = ROUGE_BETA * ROUGE_BETA
     return (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 
@@ -77,7 +78,7 @@ class WeakSpanLabel:
 
 
 def best_span_tokens(
-    para_tokens: Sequence[str], answer_tokens: Sequence[str], beta: float = ROUGE_BETA
+    para_tokens: Sequence[str], answer_tokens: Sequence[str]
 ) -> tuple[int, int, float]:
     """Best contiguous window of length ``min(|answer|, |paragraph|)`` by
     Rouge-L against the answer; ties break on the smallest start offset.
@@ -122,7 +123,7 @@ def best_span_tokens(
             if held[gone] <= need[gone]:
                 overlap -= 1
             held[gone] -= 1
-    score = rouge_from_lcs(best_lcs, width, ref_len, beta)
+    score = rouge_from_lcs(best_lcs, width, ref_len)
     return best_start, best_start + width, score
 
 

@@ -1,18 +1,106 @@
+"""The brute-force references, and the seeded checks of the functions the
+stages run against them (acceptance criterion 1 runs these checks at full
+size).
+
+Each check draws its instances from the ``random.Random`` it is given, calls
+production through its module, so a patched function is the one checked, and
+fails with the first instance that disagrees, printed as drawn.
+"""
+
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bookqa.metrics import align_exact, lcs_length
+from bookqa import bm25, metrics, spans
+from bookqa.corpus import Paragraph
 from bookqa.oracles import (
-    _shrink_pair,
     brute_best_span,
     brute_bm25_score,
     brute_ngram_counts,
     brute_rouge_l,
     enumerated_lcs,
     exhaustive_meteor_alignment,
-    run_oracle_suite,
 )
+from bookqa.text import TokenSeq
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+FLOAT_TOL = 1e-12
+_ALPHABET = ("a", "b", "c")
+_SPAN_VOCAB = ("red", "blue", "green", "gold", "grey", "teal")
+_BM25_VOCAB = ("ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew")
+
+
+def _rand_tokens(rng, max_len):
+    return [rng.choice(_ALPHABET) for _ in range(rng.randint(0, max_len))]
+
+
+def check_lcs(rng, cases):
+    """``metrics.lcs_length`` against subsequence enumeration."""
+    for _ in range(cases):
+        a = _rand_tokens(rng, 12)
+        b = _rand_tokens(rng, 12)
+        got, want = metrics.lcs_length(a, b), enumerated_lcs(a, b)
+        assert got == want, f"lcs_length(a={a}, b={b}) = {got}, want {want}"
+
+
+def check_best_span(rng, cases):
+    """``spans.best_span_tokens`` against the exhaustive window sweep."""
+    for _ in range(cases):
+        para = [rng.choice(_SPAN_VOCAB) for _ in range(rng.randint(1, 60))]
+        answer = [rng.choice(_SPAN_VOCAB) for _ in range(rng.randint(1, 6))]
+        got, want = spans.best_span_tokens(para, answer), brute_best_span(para, answer)
+        assert got[:2] == want[:2] and abs(got[2] - want[2]) <= FLOAT_TOL, (
+            f"best_span_tokens(para={para}, answer={answer}) = {got}, want {want}"
+        )
+
+
+def check_bm25(rng, cases):
+    """``bm25.accumulate_scores``, the scoring every stage runs, against BM25
+    recomputed from raw token counts."""
+    for _ in range(cases):
+        n_docs = rng.randint(2, 6)
+        docs = [
+            [rng.choice(_BM25_VOCAB) for _ in range(rng.randint(3, 30))]
+            for _ in range(n_docs)
+        ]
+        query = [rng.choice(_BM25_VOCAB) for _ in range(rng.randint(1, 6))]
+        target = rng.randrange(n_docs)
+        k1 = rng.choice((0.8, 1.2, 1.5))
+        b = rng.choice((0.3, 0.75, 1.0))
+        paragraphs = [
+            Paragraph("x", i, TokenSeq(tuple(doc))) for i, doc in enumerate(docs)
+        ]
+        index = bm25.build_index(paragraphs, k1=k1, b=b)
+        got = bm25.accumulate_scores(index, query).get(target, 0.0)
+        want = brute_bm25_score(docs, query, target, k1, b)
+        assert abs(got - want) <= FLOAT_TOL, (
+            f"accumulate_scores: docs={docs} query={query} target={target} "
+            f"k1={k1} b={b} got={got!r} want={want!r}"
+        )
+
+
+def check_meteor(rng, cases):
+    """``metrics.align_exact`` against the exhaustive assignment search."""
+    for _ in range(cases):
+        cand = _rand_tokens(rng, 8)
+        ref = _rand_tokens(rng, 8)
+        got, want = metrics.align_exact(cand, ref), exhaustive_meteor_alignment(cand, ref)
+        assert got == want, f"align_exact(cand={cand}, ref={ref}) = {got}, want {want}"
+
+
+def run_oracle_checks(seed, lcs_cases, span_cases, bm25_cases, meteor_cases):
+    """The four checks in order on one ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    check_lcs(rng, lcs_cases)
+    check_best_span(rng, span_cases)
+    check_bm25(rng, bm25_cases)
+    check_meteor(rng, meteor_cases)
 
 
 def test_enumerated_lcs_known_values():
@@ -55,43 +143,57 @@ def test_brute_ngram_counts():
     assert brute_ngram_counts(["a"], 2) == {}
 
 
-def test_shrinker_minimizes_failure():
-    # A fake mismatch that persists whenever both sides contain "z".
-    def fails(a, b):
-        return "z" in a and "z" in b
-
-    a, b = _shrink_pair(["x", "z", "y"], ["w", "w", "z"], fails)
-    assert a == ["z"] and b == ["z"]
-
-
 def test_suite_passes_at_reduced_sizes():
-    report = run_oracle_suite(
-        seed=5, lcs_cases=300, span_cases=60, bm25_cases=40, meteor_cases=60
+    run_oracle_checks(seed=5, lcs_cases=300, span_cases=60, bm25_cases=40, meteor_cases=60)
+
+
+@pytest.mark.parametrize(
+    "module, name, wrong, check",
+    [
+        pytest.param(
+            metrics, "lcs_length", lambda a, b: min(len(a), len(b)), check_lcs,
+            id="lcs_length",
+        ),
+        pytest.param(
+            spans, "best_span_tokens",
+            lambda para, answer: (0, min(len(para), len(answer)), 0.0), check_best_span,
+            id="best_span_tokens",
+        ),
+        pytest.param(
+            bm25, "accumulate_scores", lambda index, query: {}, check_bm25,
+            id="accumulate_scores",
+        ),
+        pytest.param(
+            metrics, "align_exact", lambda cand, ref: (0, 0), check_meteor,
+            id="align_exact",
+        ),
+    ],
+)
+def test_each_check_detects_an_injected_bug(monkeypatch, module, name, wrong, check):
+    monkeypatch.setattr(module, name, wrong)
+    with pytest.raises(AssertionError, match=name):
+        check(random.Random(5), 50)
+
+
+def test_importing_the_references_loads_no_other_bookqa_module():
+    """The references share no code with what they check: in a fresh
+    interpreter, ``import bookqa.oracles`` loads only the package and itself."""
+    probe = (
+        "import sys, bookqa.oracles; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'bookqa')))"
     )
-    assert report.passed
-    assert [c.cases for c in report.checks] == [300, 60, 40, 60]
-    assert all("ok" in line for line in report.lines()[:-1])
-
-
-def test_suite_detects_an_injected_bug(monkeypatch):
-    # Sanity-check that the comparison harness can actually fail: patch the
-    # production LCS with an off-by-one and expect mismatches plus a shrunken
-    # reproducer.
-    import bookqa.oracles as oracles_module
-
-    def broken_lcs(a, b):
-        return min(len(a), len(b))  # pretends everything matches
-
-    monkeypatch.setattr(oracles_module.metrics, "lcs_length", broken_lcs)
-    report = run_oracle_suite(seed=5, lcs_cases=50, span_cases=1, bm25_cases=1, meteor_cases=1)
-    lcs_check = report.checks[0]
-    assert lcs_check.mismatches > 0
-    assert lcs_check.first_failure is not None
-    assert not report.passed
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["bookqa", "bookqa.oracles"]
 
 
 def test_production_matches_oracles_on_adversarial_repeats():
     cand = ["a", "a", "b", "a", "b", "b"]
     ref = ["b", "a", "a", "b", "b", "a"]
-    assert align_exact(cand, ref) == exhaustive_meteor_alignment(cand, ref)
-    assert lcs_length(cand, ref) == enumerated_lcs(cand, ref)
+    assert metrics.align_exact(cand, ref) == exhaustive_meteor_alignment(cand, ref)
+    assert metrics.lcs_length(cand, ref) == enumerated_lcs(cand, ref)
