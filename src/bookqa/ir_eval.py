@@ -31,7 +31,7 @@ from .corpus import (
     load_qa,
     require_book_coverage,
 )
-from .errors import EvalError, ProtocolError
+from .errors import ConfigError, EvalError, ProtocolError
 from .fileio import map_grouped, write_lines, write_sidecar
 from .records import record
 from .reranker import (
@@ -230,6 +230,8 @@ def run_ablation(
 
 
 def _cmd_eval_ir(args) -> int:
+    if args.top > args.candidates:  # the bm25 and reranked rows select from the pool
+        raise ConfigError(f"--top {args.top} exceeds --candidates {args.candidates}")
     indexes = load_indexes(args.index)
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)

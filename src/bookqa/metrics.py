@@ -19,19 +19,28 @@ from .corpus import QaExample, load_qa
 from .errors import EvalError
 from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
 from .records import record
-from .spans import lcs_with_masks, position_masks, rouge_from_lcs
+from .spans import position_masks, rouge_from_lcs
 from .text import normalize_eval, normalize_squad
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length by the bit-parallel kernel: masks
-    over the longer side, one pass over the shorter, so O(min(|a|, |b|))
-    big-int operations of max(|a|, |b|) bits."""
+    """Longest common subsequence length by the bit-parallel recurrence
+    (Allison & Dix 1986; Hyyro 2004): one pass over the shorter side, a few
+    big-int operations per token on masks over the longer.  Bit ``j`` of
+    ``v`` is cleared where the LCS row steps up at column ``j``."""
     if len(b) < len(a):
         a, b = b, a
     if not a:
         return 0
-    return lcs_with_masks(a, position_masks(b), len(b))
+    masks = position_masks(b)
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        mask = masks.get(tok)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> float:

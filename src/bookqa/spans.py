@@ -6,14 +6,14 @@ sequence.  This is what makes the two coverage notions consistent: a
 paragraph contains an answer verbatim exactly when its best same-length
 window reaches a Rouge-L of 1.0.
 
-The bit-parallel LCS kernel lives here, and ``metrics`` takes it from here
-for Rouge-L, so that the stages that search spans never load ``metrics``.
+Span search runs the bit-parallel LCS recurrence for all of a paragraph's
+windows at once.  ``metrics`` takes ``position_masks`` and ``rouge_from_lcs``
+from here, so that the stages that search spans never load ``metrics``.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from typing import Iterable, Sequence
 
 from .corpus import Paragraph, load_paragraphs, load_qa
@@ -24,6 +24,9 @@ from .text import normalize_eval, normalize_eval_tokens
 
 ROUGE_BETA = 1.2
 
+# The number of set bits of each byte value, for ``bytes.translate``.
+_BYTE_POPCOUNT = bytes(i.bit_count() for i in range(256))
+
 
 def position_masks(reference: Sequence[str]) -> dict[str, int]:
     """Map each token to a bitmask of its positions in ``reference``."""
@@ -31,26 +34,6 @@ def position_masks(reference: Sequence[str]) -> dict[str, int]:
     for i, tok in enumerate(reference):
         masks[tok] = masks.get(tok, 0) | (1 << i)
     return masks
-
-
-def lcs_with_masks(candidate: Sequence[str], masks: dict[str, int], ref_len: int) -> int:
-    """LCS length of ``candidate`` against the reference of length
-    ``ref_len`` whose ``position_masks`` are ``masks``.
-
-    Bit-parallel recurrence (Allison & Dix 1986; Hyyro 2004): ``v`` holds
-    the current row of the LCS table in difference form, bit ``j`` cleared
-    where the row steps up by one at column ``j``, so the LCS is the number
-    of cleared bits.  One pass over ``candidate`` costs O(|candidate|)
-    big-int operations of ``ref_len`` bits.
-    """
-    full = (1 << ref_len) - 1
-    v = full
-    for tok in candidate:
-        mask = masks.get(tok)
-        if mask:
-            u = v & mask
-            v = ((v + u) | (v - u)) & full
-    return ref_len - v.bit_count()
 
 
 def rouge_from_lcs(lcs: int, cand_len: int, ref_len: int) -> float:
@@ -88,43 +71,49 @@ def best_span_tokens(
 
     Every window has the same width ``w`` and the answer length ``a`` is
     fixed, so Rouge-L ``(1+beta^2)*L / (w + beta^2*a)`` strictly increases in
-    the window's LCS ``L``: windows are compared by integer LCS and the score
-    is computed once, by the same float expression as ``rouge_l``.  The
-    multiset overlap between window and answer bounds ``L`` from above and
-    is kept as the window slides; a window whose overlap is no more than the
-    best LCS so far could at most tie, and a tie keeps the earlier start, so
-    its LCS is never computed.
+    the window's LCS ``L``: the first window with the largest ``L`` wins, and
+    the score is computed once, by the same float expression as ``rouge_l``.
+
+    One pass of ``w`` bit-parallel LCS steps (Allison & Dix 1986; Hyyro
+    2004) scores every window.  Window ``j`` owns field ``j`` of ``v``: the
+    ``a`` bits of its LCS row, bit ``i`` cleared where the row steps up at
+    answer position ``i``, and a carry bit, in whole bytes so that ``bytes``
+    methods pack and unpack the fields.  Field ``j`` of ``g`` holds the
+    answer positions of token ``j``, and after ``t`` shifts those of token
+    ``j + t``, the ``t``-th of window ``j``.  A sum carries only into its
+    field's carry bit, which ``full`` clears, and ``u`` is a subset of
+    ``v``, so the difference borrows nothing: each field runs the exact
+    integer recurrence alone, and ``L = a - popcount(field)``.
     """
     width = min(len(answer_tokens), len(para_tokens))
     if width == 0:
         return 0, 0, 0.0
     ref_len = len(answer_tokens)
-    masks = position_masks(answer_tokens)
-    need = Counter(answer_tokens)
-    held = dict.fromkeys(need, 0)
-    overlap = 0
-    best_start, best_lcs = 0, 0
-    for end, tok in enumerate(para_tokens):
-        if tok in held:
-            held[tok] += 1
-            if held[tok] <= need[tok]:
-                overlap += 1
-        start = end + 1 - width
-        if start < 0:
-            continue
-        if overlap > best_lcs:
-            lcs = lcs_with_masks(para_tokens[start : end + 1], masks, ref_len)
-            if lcs > best_lcs:
-                best_start, best_lcs = start, lcs
-                if lcs == width:  # no window can beat a full-width LCS
-                    break
-        gone = para_tokens[start]
-        if gone in held:
-            if held[gone] <= need[gone]:
-                overlap -= 1
-            held[gone] -= 1
-    score = rouge_from_lcs(best_lcs, width, ref_len)
-    return best_start, best_start + width, score
+    nbytes = ref_len // 8 + 1  # a state bits and a carry bit
+    windows = len(para_tokens) - width + 1
+    masks = {t: m.to_bytes(nbytes, "little") for t, m in position_masks(answer_tokens).items()}
+    zero = bytes(nbytes)
+    g = int.from_bytes(b"".join([masks.get(t, zero) for t in para_tokens]), "little")
+    full = v = int.from_bytes(((1 << ref_len) - 1).to_bytes(nbytes, "little") * windows, "little")
+    for _ in range(width):
+        u = v & g
+        v = ((v + u) | (v - u)) & full
+        g >>= 8 * nbytes
+    fields = v.to_bytes(nbytes * windows, "little")
+    if ref_len < 256:
+        # Times 0x0101...01, a field's byte popcounts add up in its top byte;
+        # no byte carries, as nbytes bytes in a row hold at most ref_len set bits.
+        ones = int.from_bytes(b"\x01" * nbytes, "little")
+        sums = int.from_bytes(fields.translate(_BYTE_POPCOUNT), "little") * ones
+        counts = sums.to_bytes(len(fields) + nbytes - 1, "little")[nbytes - 1 :: nbytes]
+    else:
+        step = range(0, len(fields), nbytes)
+        counts = [int.from_bytes(fields[i : i + nbytes], "little").bit_count() for i in step]
+    fewest = ref_len - width  # the count of a window whose LCS is its width
+    while fewest not in counts:  # a byte search, faster than min(counts)
+        fewest += 1
+    start = counts.index(fewest)
+    return start, start + width, rouge_from_lcs(ref_len - fewest, width, ref_len)
 
 
 def best_span(paragraph: Paragraph, answer: str, question_id: str = "") -> WeakSpanLabel:

@@ -144,6 +144,33 @@ def test_eval_ir_table_on_stdout(tmp_path, capsys):
     assert "100.00" in lines[4]
 
 
+def test_eval_ir_refuses_top_above_candidates_before_reading_inputs(tmp_path, capsys):
+    """A top-10 row drawn from a 3-paragraph pool would be mislabelled.  The
+    inputs do not exist, so the refusal comes before any is read."""
+    missing = [tmp_path / name for name in ("index.jsonl", "paras.jsonl", "qa.jsonl")]
+    err = run_fail(
+        capsys,
+        "eval-ir", "--index", missing[0], "--paragraphs", missing[1], "--qa", missing[2],
+        "--top", "10", "--candidates", "3",
+    )
+    assert err.startswith("error[config]")
+    assert "--top 10" in err and "--candidates 3" in err
+
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    captured = run_ok(
+        capsys,
+        "eval-ir",
+        "--index", work / "index.jsonl",
+        "--paragraphs", work / "paras.jsonl",
+        "--qa", work / "corpus" / "qa.jsonl",
+        "--top", "3", "--candidates", "3",
+    )
+    assert [line.split()[0] for line in captured.out.strip().splitlines()[1:]] == [
+        "bm25_top3", "reranked_top3", "upperbound_top3", "oracle_top3",
+    ]
+
+
 def test_determinism_byte_identical_across_jobs(tmp_path, capsys):
     """With the default fork bound these maps are too short to fork."""
     assert_identical_across_jobs(tmp_path, capsys)

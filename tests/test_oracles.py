@@ -34,6 +34,10 @@ FLOAT_TOL = 1e-12
 _ALPHABET = ("a", "b", "c")
 _SPAN_VOCAB = ("red", "blue", "green", "gold", "grey", "teal")
 _BM25_VOCAB = ("ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew")
+# The most LCS cells (windows x width x answer length) the brute-force sweep
+# may visit on one drawn instance: it bounds the paragraph's windows, so
+# that 20,000 instances take about a minute.
+_SWEEP_CELLS = 20_000
 
 
 def _rand_tokens(rng, max_len):
@@ -54,6 +58,29 @@ def check_best_span(rng, cases):
     for _ in range(cases):
         para = [rng.choice(_SPAN_VOCAB) for _ in range(rng.randint(1, 60))]
         answer = [rng.choice(_SPAN_VOCAB) for _ in range(rng.randint(1, 6))]
+        got, want = spans.best_span_tokens(para, answer), brute_best_span(para, answer)
+        assert got[:2] == want[:2] and abs(got[2] - want[2]) <= FLOAT_TOL, (
+            f"best_span_tokens(para={para}, answer={answer}) = {got}, want {want}"
+        )
+
+
+def check_best_span_field_widths(rng, cases):
+    """``spans.best_span_tokens`` against the exhaustive window sweep, case
+    ``i`` with an answer whose packed field is ``i % 13 + 1`` bytes wide.
+
+    A field holds an answer of ``a`` tokens in ``a // 8 + 1`` bytes, so the
+    13 widths span answers of 1 to 100 tokens.  Each case draws a vocabulary
+    of 2 to 50 types and a paragraph of 0 to 300 tokens, shorter than the
+    answer included, with at most as many windows as keep the sweep within
+    ``_SWEEP_CELLS``.  CI runs it on 20,000 cases.
+    """
+    for i in range(cases):
+        nbytes = i % 13 + 1
+        a = rng.randint(max(1, 8 * nbytes - 8), min(100, 8 * nbytes - 1))
+        vocab = [f"w{k}" for k in range(rng.randint(2, 50))]
+        windows = max(1, _SWEEP_CELLS // (a * a))
+        para = [rng.choice(vocab) for _ in range(rng.randint(0, min(300, a - 1 + windows)))]
+        answer = [rng.choice(vocab) for _ in range(a)]
         got, want = spans.best_span_tokens(para, answer), brute_best_span(para, answer)
         assert got[:2] == want[:2] and abs(got[2] - want[2]) <= FLOAT_TOL, (
             f"best_span_tokens(para={para}, answer={answer}) = {got}, want {want}"
@@ -147,6 +174,10 @@ def test_suite_passes_at_reduced_sizes():
     run_oracle_checks(seed=5, lcs_cases=300, span_cases=60, bm25_cases=40, meteor_cases=60)
 
 
+def test_best_span_passes_every_field_width_at_reduced_size():
+    check_best_span_field_widths(random.Random(5), 13 * 20)
+
+
 @pytest.mark.parametrize(
     "module, name, wrong, check",
     [
@@ -158,6 +189,12 @@ def test_suite_passes_at_reduced_sizes():
             spans, "best_span_tokens",
             lambda para, answer: (0, min(len(para), len(answer)), 0.0), check_best_span,
             id="best_span_tokens",
+        ),
+        pytest.param(
+            spans, "best_span_tokens",
+            lambda para, answer: (0, min(len(para), len(answer)), 0.0),
+            check_best_span_field_widths,
+            id="best_span_tokens-field-widths",
         ),
         pytest.param(
             bm25, "accumulate_scores", lambda index, query: {}, check_bm25,

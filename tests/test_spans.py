@@ -90,6 +90,20 @@ def test_best_span_matches_sweep_on_answers_wider_than_a_word():
         _assert_matches_sweep(para, answer)
 
 
+@pytest.mark.parametrize("answer_len", [255, 256, 300])
+def test_best_span_matches_sweep_on_answers_past_255_tokens(answer_len):
+    """From 256 answer tokens on, a window's count of set bits (answer
+    length minus LCS) can pass 255, one byte, and the counts are read field
+    by field.  The sparse paragraphs share few tokens with the answer, so
+    their windows' counts do pass it."""
+    rng = random.Random(answer_len)
+    answer = rng.choices(["a", "b", "c"], k=answer_len)
+    for weights in ([1, 1, 1, 1], [1, 1, 1, 60]):
+        for para_len in (answer_len - 9, answer_len + 2):
+            para = rng.choices(["a", "b", "c", "d"], weights=weights, k=para_len)
+            _assert_matches_sweep(para, answer)
+
+
 def test_best_span_matches_sweep_on_paragraphs_shorter_than_answer():
     rng = random.Random(31)
     for _ in range(100):
