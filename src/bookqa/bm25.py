@@ -266,7 +266,7 @@ def index_from_record(obj: dict) -> Bm25Index:
     """The index a record of ``index_to_record`` describes.
 
     Nothing is converted but the ``doc_len`` keys, which JSON keeps as
-    strings and which must be the decimal forms of distinct ints.
+    strings and which must be the decimal forms of distinct ints ``>= 0``.
     ``book_id`` must be a string, ``n_docs`` and every ``doc_len`` length
     an int, and ``k1``, ``b`` and ``avg_doc_len`` ints or floats; a bool is
     none of these, and no int may be larger than the largest float.  The
@@ -300,6 +300,8 @@ def index_from_record(obj: dict) -> Bm25Index:
     if not keys_canonical:
         raise bad(f"doc_len keys {list(obj['doc_len'])!r} are not distinct paragraph indexes")
     for p, n in doc_len.items():
+        if p < 0:
+            raise bad(f"doc_len key {p}: para_index must be >= 0")
         if type(n) is not int or not 0 <= n <= _FLOAT_MAX:
             if type(n) is int and n > 0:
                 raise bad(f"paragraph {p} has a doc_len too large for a float")

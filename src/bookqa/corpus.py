@@ -265,13 +265,24 @@ def flatten_paragraphs(paragraphs: Sequence[Paragraph]) -> tuple[str, ...]:
 
 
 def require_book_coverage(indexes, qa, grouped_paras=None) -> None:
-    """Every question's book must have an index and, when ``grouped_paras``
-    is given, paragraphs."""
+    """The one check that a question stage's inputs agree, made as it loads.
+    Every question's book needs an index and paragraphs (unless ``indexes``
+    or ``grouped_paras`` is None); given both, its index must cover exactly
+    its ``n`` paragraphs ``0..n-1``.  Text is not compared."""
     books = {q.book_id for q in qa}
     for what, known in (("index", indexes), ("paragraphs", grouped_paras)):
         missing = sorted(books - set(known)) if known is not None else []
         if missing:
             raise CorpusError(f"no {what} for books: {', '.join(missing[:10])}")
+    if indexes is None or grouped_paras is None:
+        return
+    for book in sorted(books):
+        keys, n = indexes[book].doc_len, len(grouped_paras[book])
+        if len(keys) != n or min(keys) != 0 or max(keys) != n - 1:  # distinct ints
+            raise CorpusError(
+                f"index for book {book!r} covers {len(keys)} paragraphs numbered {min(keys)} "
+                f"to {max(keys)}, but the paragraphs file has {n}, numbered 0 to {n - 1}"
+            )
 
 
 def _cmd_chunk(args) -> int:

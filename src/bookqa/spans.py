@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Sequence
 
-from .corpus import Paragraph, load_paragraphs, load_qa
+from .corpus import Paragraph, load_paragraphs, load_qa, require_book_coverage
 from .errors import CorpusError, EvalError, FormatError
 from .fileio import iter_jsonl, json_line, map_grouped, write_lines, write_sidecar
 from .records import record
@@ -136,7 +136,8 @@ class AnswerCoverage:
     ``supervise`` (``rouge``), ``eval-ir`` and ``coverage_rouge`` (``best``)
     and ``span-oracle`` (``spans``).  The answers are normalized once, here,
     and ``rouge`` keeps each paragraph's value.  ``paragraphs`` is indexed
-    by position: a book's list is dense from 0."""
+    by position: a book's list is dense from 0, and callers have checked
+    that every index they pass is in range."""
 
     def __init__(self, paragraphs: Sequence[Paragraph], answers: Sequence[str]) -> None:
         self.paragraphs = paragraphs
@@ -144,8 +145,6 @@ class AnswerCoverage:
         self._rouge: dict[int, float] = {}
 
     def _tokens(self, para_index: int) -> list[str]:
-        if not 0 <= para_index < len(self.paragraphs):
-            raise CorpusError(f"retrieved para_index {para_index} missing from paragraphs")
         return normalize_eval_tokens(self.paragraphs[para_index].tokens.tokens)
 
     def spans(self, para_index: int) -> list[tuple[int, int, float]]:
@@ -214,40 +213,41 @@ def _cmd_span_oracle(args) -> int:
 
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)
+    require_book_coverage(None, qa, grouped_paras)
     by_id = {q.question_id: q for q in qa}
-    selections = []
+    selections = {}  # question id -> (question, the paragraphs to label)
     for lineno, obj in iter_jsonl(args.selections):
         try:
             result = retrieval_from_record(obj)
         except FormatError as exc:
             raise FormatError(f"{args.selections}: line {lineno}: {exc}") from exc
-        if result.question_id not in by_id:
-            raise EvalError(
-                f"{args.selections}: line {lineno}: unknown question "
-                f"{result.question_id!r}"
-            )
-        selections.append((by_id[result.question_id], result))
-    for q, _ in selections:
-        if q.book_id not in grouped_paras:
-            raise CorpusError(f"no paragraphs for book {q.book_id!r}")
-
-    def labels(selection):
-        q, result = selection
-        paragraphs = grouped_paras[q.book_id]  # dense from 0, in order
-        coverage = AnswerCoverage(paragraphs, q.answers)
-        lines = []
-        for para_index in result.para_indexes()[: args.top]:
-            if not 0 <= para_index < len(paragraphs):
+        qid = result.question_id
+        where = f"{args.selections}: line {lineno}"
+        if qid not in by_id:
+            raise EvalError(f"{where}: unknown question {qid!r}")
+        if qid in selections:
+            raise EvalError(f"{where}: question {qid!r} is selected twice")
+        q, top = by_id[qid], result.para_indexes()[: args.top]
+        for para_index in top:
+            if not 0 <= para_index < len(grouped_paras[q.book_id]):
                 raise CorpusError(
                     f"selection references unknown para_index {para_index} "
                     f"in book {q.book_id!r}"
                 )
+        selections[qid] = q, top
+
+    def labels(selection):
+        q, top = selection
+        coverage = AnswerCoverage(grouped_paras[q.book_id], q.answers)
+        lines = []
+        for para_index in top:
             for span in coverage.spans(para_index):
                 label = WeakSpanLabel(q.question_id, q.book_id, para_index, *span)
                 lines.append(label.to_json_line())
         return lines
 
-    done = map_grouped(labels, selections, [q.book_id for q, _ in selections], args.jobs)
+    chosen = list(selections.values())
+    done = map_grouped(labels, chosen, [q.book_id for q, _ in chosen], args.jobs)
     ordered = [line for lines in done for line in lines]
     write_lines(args.out, ordered)
     config = {

@@ -24,7 +24,7 @@ from .corpus import (
     load_qa,
     require_book_coverage,
 )
-from .errors import ConfigError, CorpusError
+from .errors import ConfigError
 from .fileio import json_line, map_grouped, write_lines, write_sidecar
 from .records import record
 from .spans import AnswerCoverage
@@ -88,16 +88,13 @@ def generate_pairs(
 ) -> list[SupervisionPair]:
     """Supervision pairs for one question; an empty list is a legal outcome.
 
-    ``paragraphs`` is the book's list, dense from 0, so a paragraph is found
-    by its index.  The negative sampler draws from a per-question RNG stream
+    ``index`` and ``paragraphs`` are the question's book's, and the caller
+    has checked that the index covers exactly the paragraphs, a list dense
+    from 0 (``corpus.require_book_coverage``), so a paragraph is found by
+    its index.  The negative sampler draws from a per-question RNG stream
     derived from ``(rng_seed, question_id)``, so output is independent of
     scheduling.
     """
-    if index.book_id != example.book_id:
-        raise CorpusError(
-            f"index is for book {index.book_id!r}, question references {example.book_id!r}"
-        )
-
     retrieved_q = retrieve(index, question_query(example), cfg.k_retrieve)
     retrieved_qa = retrieve(index, oracle_query(example), cfg.k_retrieve)
     set_q = set(retrieved_q.para_indexes())

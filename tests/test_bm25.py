@@ -229,6 +229,13 @@ def test_index_from_record_rejects_posting_for_unknown_paragraph():
         index_from_record(record)
 
 
+def test_index_from_record_rejects_negative_doc_len_key():
+    """A key of -1 is the decimal form of an int, but no paragraph's index."""
+    record = _record_with(doc_len={"-1": 3, "0": 3}, postings={"apple": [[-1, 2]], "pie": [[0, 1]]})
+    with pytest.raises(FormatError, match=r"^bad index record for book 'b': doc_len key -1: para_index must be >= 0$"):
+        index_from_record(record)
+
+
 def test_index_from_record_rejects_term_frequency_below_one():
     record = _record_with()
     record["postings"]["wall"] = [[1, 0]]

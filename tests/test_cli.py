@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -675,6 +676,19 @@ def tiny_corpus(tmp_path, capsys):
     return paras, index, qa
 
 
+def shift_index_keys(index, book, by):
+    """Rewrite ``book``'s index record with every paragraph number moved by
+    ``by``: a record consistent with itself, for paragraphs ``by..n-1+by``."""
+    records = [json.loads(line) for line in index.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        if record["book_id"] == book:
+            record["doc_len"] = {str(int(p) + by): n for p, n in record["doc_len"].items()}
+            record["postings"] = {
+                t: [[p + by, f] for p, f in plist] for t, plist in record["postings"].items()
+            }
+    write_jsonl(index, records)
+
+
 def test_index_releases_each_books_tokens(tmp_path, capsys):
     """A book's tokens are dropped once its line is made, so an index map
     that runs in the stage process holds one book's tokens at a time."""
@@ -843,6 +857,36 @@ def test_selection_of_non_finite_repeated_scores_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_span_oracle_refuses_a_question_selected_twice(tmp_path, capsys):
+    """A selections file that holds ``retrieve``'s lines twice would label
+    every paragraph twice; its second line is refused."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    selections = tmp_path / "selections.jsonl"
+    run_ok(capsys, "retrieve", "--index", index, "--qa", qa, "--out", selections)
+    selections.write_text(selections.read_text(encoding="utf-8") * 2, encoding="utf-8")
+    out = tmp_path / "spans.jsonl"
+    err = run_fail(
+        capsys, "span-oracle", "--paragraphs", paras, "--qa", qa, "--selections", selections,
+        "--out", out,
+    )
+    assert err == f"error[eval]: {selections}: line 2: question 'q1' is selected twice\n"
+    assert not out.exists()
+
+
+def test_retrieve_refuses_a_negative_doc_len_key(tmp_path, capsys):
+    """``retrieve`` reads no paragraphs to check the index against, so the
+    index itself must hold no paragraph numbered below 0."""
+    _, index, qa = tiny_corpus(tmp_path, capsys)
+    shift_index_keys(index, "b", -1)
+    out = tmp_path / "retrieved.jsonl"
+    err = run_fail(capsys, "retrieve", "--index", index, "--qa", qa, "--out", out)
+    assert err == (
+        f"error[format]: {index}: line 1: bad index record for book 'b': "
+        "doc_len key -1: para_index must be >= 0\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value, problem",
     [
@@ -911,63 +955,77 @@ def test_negative_para_index_fails_with_corpus_error(tmp_path, capsys, stage):
 
 
 @pytest.mark.parametrize(
-    "stage, answers, error",
+    "mismatch, error",
     [
         (
-            "eval-ir",
-            ["lantern ember"],
-            "error[eval]: index for book 'b' references paragraphs missing from the "
-            "paragraphs file: [1]\n",
+            "fewer",
+            "error[corpus]: index for book 'b' covers 2 paragraphs numbered 0 to 1, "
+            "but the paragraphs file has 1, numbered 0 to 0\n",
         ),
         (
-            "supervise",
-            ["tower falcon", "lantern ember"],
-            "error[corpus]: retrieved para_index 1 missing from paragraphs\n",
+            "more",
+            "error[corpus]: index for book 'b' covers 2 paragraphs numbered 0 to 1, "
+            "but the paragraphs file has 3, numbered 0 to 2\n",
+        ),
+        (
+            "shifted",
+            "error[corpus]: index for book 'b' covers 2 paragraphs numbered 1 to 2, "
+            "but the paragraphs file has 2, numbered 0 to 1\n",
         ),
     ],
-    ids=["eval-ir", "supervise"],
+    ids=["fewer", "more", "shifted"],
 )
+@pytest.mark.parametrize("stage", ["supervise", "eval-ir"])
 def test_index_naming_missing_paragraphs_fails_alike_at_any_jobs(
-    tmp_path, capsys, monkeypatch, stage, answers, error
+    tmp_path, capsys, monkeypatch, stage, mismatch, error
 ):
-    """Book ``b`` is indexed with two paragraphs, but the paragraphs file
-    holds only paragraph 0, which alone matches the question.  In
-    ``eval-ir`` only the q+a oracle selection reaches paragraph 1; in
-    ``supervise`` paragraph 0 answers the first answer, so it is a positive,
-    and the negative sampler then scores paragraph 1.  Book ``c`` is whole,
-    so at ``--jobs 2`` both books run in forked workers."""
+    """Book ``b`` is indexed with two paragraphs.  The paragraphs file then
+    holds fewer or more of them, or the index numbers them from 1.  Book
+    ``c`` is whole.  Every such stage fails with one message as it loads,
+    before any question runs and before any worker forks: every map at
+    ``--jobs 2`` would fork before its first item, and a last run makes
+    each fork raise, which would end the stage in ``error[worker]``."""
     monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
-    full = write_jsonl(
-        tmp_path / "full.jsonl",
-        [
-            {"book_id": "b", "para_index": 0, "text": "tower falcon"},
-            {"book_id": "b", "para_index": 1, "text": "lantern ember"},
-            {"book_id": "c", "para_index": 0, "text": "stone wall"},
-        ],
-    )
+    book_b = [
+        {"book_id": "b", "para_index": 0, "text": "tower falcon"},
+        {"book_id": "b", "para_index": 1, "text": "lantern ember"},
+    ]
+    book_c = [{"book_id": "c", "para_index": 0, "text": "stone wall"}]
     index = tmp_path / "index.jsonl"
-    run_ok(capsys, "index", "--paragraphs", full, "--out", index)
-    lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
-    paras = tmp_path / "paras.jsonl"
-    paras.write_text(lines[0] + lines[2], encoding="utf-8")
+    run_ok(capsys, "index", "--paragraphs", write_jsonl(tmp_path / "full.jsonl", book_b + book_c), "--out", index)
+    if mismatch == "fewer":
+        book_b = book_b[:1]
+    elif mismatch == "more":
+        book_b = book_b + [{"book_id": "b", "para_index": 2, "text": "iron gate"}]
+    else:
+        shift_index_keys(index, "b", 1)
+    paras = write_jsonl(tmp_path / "paras.jsonl", book_b + book_c)
     qa = write_jsonl(
         tmp_path / "qa.jsonl",
         [
             {"question_id": "q1", "book_id": "b", "question": "where is the tower falcon",
-             "answers": answers},
+             "answers": ["tower falcon", "lantern ember"]},
             {"question_id": "q2", "book_id": "c", "question": "what stone", "answers": ["wall"]},
         ],
     )
     out = tmp_path / "out.jsonl"
-    errors = [
-        run_fail(
+    out.write_text("earlier output\n", encoding="utf-8")
+
+    def fail(jobs):
+        return run_fail(
             capsys, stage, "--index", index, "--paragraphs", paras, "--qa", qa,
             "--out", out, "--jobs", jobs,
         )
-        for jobs in (1, 2)
-    ]
-    assert errors == [error, error]
-    assert not out.exists()
+
+    errors = [fail(1), fail(2)]
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    errors.append(fail(2))
+    assert errors == [error] * 3
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
 
 
 def broken_scorer_spec(mode):

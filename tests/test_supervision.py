@@ -145,14 +145,6 @@ def test_deterministic_under_seed_and_monotone_thresholds():
         assert n_tight <= n_loose
 
 
-def test_mismatched_book_rejected():
-    paragraphs, indexes, qa, _ = _synth_setup(seed=2)
-    q = qa[0]
-    other_book = next(b for b in indexes if b != q.book_id)
-    with pytest.raises(CorpusError):
-        generate_pairs(indexes[other_book], paragraphs[other_book], q, SupervisionConfig())
-
-
 def test_paragraph_in_single_retrieval_never_positive():
     # A paragraph matching only the question's context word is in C_Q's
     # nonzero set but cannot be positive: positives need the intersection
