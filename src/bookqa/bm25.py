@@ -231,7 +231,9 @@ def index_to_record(index: Bm25Index) -> dict:
 
 def _posting_pairs(postings: dict, doc_len: dict) -> dict:
     """The postings as tuples of ``(para_index, tf)`` tuples, each a pair of
-    ints with ``para_index`` in ``doc_len`` and ``tf >= 1``.
+    ints with ``para_index`` in ``doc_len`` and ``tf >= 1``, and each term's
+    ``para_index`` strictly ascending, as ``build_index`` makes them: a
+    paragraph named twice would count twice in the term's df.
 
     Tuples, not the decoded lists: smaller, and not shared with the record.
     Of the values JSON decodes to, only a list of two ints converts to a pair
@@ -246,11 +248,14 @@ def _posting_pairs(postings: dict, doc_len: dict) -> dict:
                 raise TypeError
             # TypeError: a posting that is not iterable; ValueError: not a pair.
             pairs[term] = row = tuple(map(tuple, plist))
+            last = -1  # every key of doc_len is >= 0
             for p, f in row:
                 # ``type``, not ``isinstance``: a bool is an int, but no paragraph or count.
-                if type(p) is not int or type(f) is not int or p not in doc_len or f < 1:
+                if type(p) is not int or type(f) is not int or p not in doc_len or f < 1 or p <= last:
                     raise TypeError
+                last = p
         except (TypeError, ValueError):
+            last = -1
             for entry in plist if type(plist) in (list, tuple) else [plist]:
                 if type(entry) not in (list, tuple) or len(entry) != 2 or set(map(type, entry)) != {int}:
                     raise ValueError(f"term {term!r} has posting {entry!r}, not a pair of ints")
@@ -259,6 +264,11 @@ def _posting_pairs(postings: dict, doc_len: dict) -> dict:
                     raise ValueError(f"term {term!r} has a posting for unknown paragraph {p}")
                 if f < 1:
                     raise ValueError(f"term {term!r} has term frequency {f} in paragraph {p}")
+                if p == last:
+                    raise ValueError(f"term {term!r} names paragraph {p} twice")
+                if p < last:
+                    raise ValueError(f"term {term!r} names paragraph {p} after paragraph {last}")
+                last = p
     return pairs
 
 
@@ -273,7 +283,8 @@ def index_from_record(obj: dict) -> Bm25Index:
     record must be consistent with itself: ``n_docs`` counts the ``doc_len``
     entries, ``avg_doc_len`` is their mean as ``build_index`` computes it,
     every posting is a pair of ints naming a paragraph of ``doc_len`` with a
-    term frequency of at least 1, ``k1`` is finite and ``>= 0``, and
+    term frequency of at least 1, each term's postings name their paragraphs
+    once each in ascending order, ``k1`` is finite and ``>= 0``, and
     ``0 <= b <= 1``.  A record that is not fails with
     ``FormatError`` instead of scoring wrong."""
     try:

@@ -67,7 +67,13 @@ from .corpus import (
     DEFAULT_CHUNK_WIDTH,
     DEFAULT_K1,
     DEFAULT_K_BASE,
+    DEFAULT_K_RETRIEVE,
     DEFAULT_K_TOP,
+    DEFAULT_NEG_THRESHOLD,
+    DEFAULT_NEGATIVE_POOL,
+    DEFAULT_NEGATIVE_SEED,
+    DEFAULT_NEGATIVES_PER_POSITIVE,
+    DEFAULT_POS_THRESHOLD,
     MODES,
     POOL_UNION_MINUS_INTERSECTION,
     POOL_WHOLE_BOOK,
@@ -154,15 +160,20 @@ def _supervise_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--index", required=True, help="index file from the index stage")
     p.add_argument("--paragraphs", required=True, help="chunk output file")
     p.add_argument("--qa", required=True, help="QA JSONL file")
-    p.add_argument("--pos-threshold", type=_unit_float, default=0.7, help="positives need span Rouge-L above this")
-    p.add_argument("--neg-threshold", type=_unit_float, default=0.4, help="negatives need span Rouge-L below this")
-    p.add_argument("--k", type=_positive_int, default=32, help="retrieval depth for both weak retrievers")
-    p.add_argument("--seed", type=int, default=0, help="negative-sampling seed")
-    p.add_argument("--negatives-per-positive", type=_nonnegative_int, default=1, help="negative sampling quota")
+    p.add_argument("--pos-threshold", type=_unit_float, default=DEFAULT_POS_THRESHOLD, help="positives need span Rouge-L above this")
+    p.add_argument("--neg-threshold", type=_unit_float, default=DEFAULT_NEG_THRESHOLD, help="negatives need span Rouge-L below this")
+    p.add_argument("--k", type=_positive_int, default=DEFAULT_K_RETRIEVE, help="retrieval depth for both weak retrievers")
+    p.add_argument("--seed", type=int, default=DEFAULT_NEGATIVE_SEED, help="negative-sampling seed")
+    p.add_argument(
+        "--negatives-per-positive",
+        type=_nonnegative_int,
+        default=DEFAULT_NEGATIVES_PER_POSITIVE,
+        help="negative sampling quota",
+    )
     p.add_argument(
         "--negative-pool",
         choices=(POOL_UNION_MINUS_INTERSECTION, POOL_WHOLE_BOOK),
-        default=POOL_UNION_MINUS_INTERSECTION,
+        default=DEFAULT_NEGATIVE_POOL,
         help="universe negatives are drawn from",
     )
     p.add_argument("--out", required=True, help="supervision pairs JSONL output")

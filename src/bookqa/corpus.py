@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CorpusError
 from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
@@ -33,6 +33,12 @@ POOL_UNION_MINUS_INTERSECTION = "union_minus_intersection"
 POOL_WHOLE_BOOK = "whole_book"
 DEFAULT_K_BASE = 32  # eval-ir baseline candidate pool
 DEFAULT_K_TOP = 5  # eval-ir selection size per row
+DEFAULT_K_RETRIEVE = 32  # supervise retrieval depth, both weak retrievers
+DEFAULT_POS_THRESHOLD = 0.7  # supervise positives: span Rouge-L above this
+DEFAULT_NEG_THRESHOLD = 0.4  # supervise negatives: span Rouge-L below this
+DEFAULT_NEGATIVES_PER_POSITIVE = 1
+DEFAULT_NEGATIVE_SEED = 0
+DEFAULT_NEGATIVE_POOL = POOL_UNION_MINUS_INTERSECTION
 
 
 @record
@@ -135,13 +141,10 @@ def load_books(path: Path | str) -> list[Book]:
     return books
 
 
-def load_qa(path: Path | str, known_books: set[str] | None = None) -> list[QaExample]:
-    """Load QA records; when ``known_books`` is given, every record must
-    reference one of them (all orphans are reported together)."""
+def load_qa(path: Path | str) -> list[QaExample]:
     path = Path(path)
     examples: list[QaExample] = []
     seen: set[str] = set()
-    orphans: list[tuple[str, str]] = []
     for lineno, obj in iter_jsonl(path, CorpusError):
         qid = require_field(obj, "question_id", path, lineno, str, CorpusError)
         book_id = require_field(obj, "book_id", path, lineno, str, CorpusError)
@@ -158,24 +161,10 @@ def load_qa(path: Path | str, known_books: set[str] | None = None) -> list[QaExa
             )
         if not any(a.strip() for a in answers):
             raise CorpusError(f"{path}: line {lineno}: all answers are empty")
-        if known_books is not None and book_id not in known_books:
-            orphans.append((qid, book_id))
         examples.append(QaExample(qid, book_id, question, tuple(answers)))
-    if orphans:
-        shown = ", ".join(f"{q}->{b}" for q, b in orphans[:20])
-        more = "" if len(orphans) <= 20 else f" (+{len(orphans) - 20} more)"
-        raise CorpusError(
-            f"{path}: {len(orphans)} records reference unknown books: {shown}{more}"
-        )
     if not examples:
         raise CorpusError(f"{path}: no QA records")
     return examples
-
-
-def load_corpus(books_path: Path | str, qa_path: Path | str) -> tuple[list[Book], list[QaExample]]:
-    books = load_books(books_path)
-    qa = load_qa(qa_path, known_books={b.book_id for b in books})
-    return books, qa
 
 
 def write_books(path: Path | str, books: Iterable[Book]) -> None:
@@ -250,13 +239,6 @@ def load_paragraphs(path: Path | str) -> dict[str, list[Paragraph]]:
                 f"{path}: book {book_id!r} paragraph indexes are not dense from 0"
             )
     return grouped
-
-
-def flatten_paragraphs(paragraphs: Sequence[Paragraph]) -> tuple[str, ...]:
-    out: list[str] = []
-    for p in paragraphs:
-        out.extend(p.tokens.tokens)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

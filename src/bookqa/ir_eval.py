@@ -46,7 +46,7 @@ from .reranker import (
     open_scorer,
     write_requests_file,
 )
-from .spans import AnswerCoverage, coverage_rouge
+from .spans import AnswerCoverage
 
 
 @record
@@ -78,22 +78,6 @@ def coverage_report(label: str, rouges: Sequence[float]) -> CoverageReport:
         raise EvalError("no questions to evaluate")
     n = len(rouges)
     return CoverageReport(label, sum(r == 1.0 for r in rouges) / n, sum(rouges) / n, n)
-
-
-def evaluate_selection(
-    examples: Sequence[QaExample],
-    selections: Mapping[str, Sequence[Paragraph]],
-    selection_label: str,
-) -> CoverageReport:
-    """Coverage of per-question paragraph selections; every question must
-    have at least one selected paragraph."""
-    rouges = []
-    for q in examples:
-        selected = selections.get(q.question_id)
-        if not selected:
-            raise EvalError(f"question {q.question_id!r} has no selected paragraphs")
-        rouges.append(coverage_rouge(selected, q.answers))
-    return coverage_report(selection_label, rouges)
 
 
 def row_labels(k_base: int, k_top: int) -> tuple[str, str, str, str]:

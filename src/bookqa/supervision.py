@@ -16,6 +16,12 @@ from typing import Sequence
 
 from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
 from .corpus import (
+    DEFAULT_K_RETRIEVE,
+    DEFAULT_NEG_THRESHOLD,
+    DEFAULT_NEGATIVE_POOL,
+    DEFAULT_NEGATIVE_SEED,
+    DEFAULT_NEGATIVES_PER_POSITIVE,
+    DEFAULT_POS_THRESHOLD,
     POOL_UNION_MINUS_INTERSECTION,
     POOL_WHOLE_BOOK,
     Paragraph,
@@ -37,12 +43,12 @@ PROVENANCE_COMPLEMENT = "complement"
 
 @record
 class SupervisionConfig:
-    k_retrieve: int = 32
-    pos_threshold: float = 0.7
-    neg_threshold: float = 0.4
-    negatives_per_positive: int = 1
-    negative_pool: str = POOL_UNION_MINUS_INTERSECTION
-    rng_seed: int = 0
+    k_retrieve: int = DEFAULT_K_RETRIEVE
+    pos_threshold: float = DEFAULT_POS_THRESHOLD
+    neg_threshold: float = DEFAULT_NEG_THRESHOLD
+    negatives_per_positive: int = DEFAULT_NEGATIVES_PER_POSITIVE
+    negative_pool: str = DEFAULT_NEGATIVE_POOL
+    rng_seed: int = DEFAULT_NEGATIVE_SEED
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.neg_threshold < self.pos_threshold <= 1.0:
@@ -169,8 +175,8 @@ class SupervisionStats:
 
 def supervision_stats(
     pairs: Sequence[SupervisionPair],
-    pos_threshold: float = 0.7,
-    neg_threshold: float = 0.4,
+    pos_threshold: float = DEFAULT_POS_THRESHOLD,
+    neg_threshold: float = DEFAULT_NEG_THRESHOLD,
 ) -> SupervisionStats:
     if not pairs:
         return SupervisionStats(0, 0, 0, 0, 0.0, 0.0, {})

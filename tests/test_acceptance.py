@@ -3,7 +3,9 @@ PASS/FAIL line (run with ``pytest -s`` to see them as they complete).
 
 Criterion 4 needs the NarrativeQA dev split prepared as books/qa JSONL files
 and is skipped unless BOOKQA_NARRATIVEQA_BOOKS and BOOKQA_NARRATIVEQA_QA are
-set; see README for the expected schemas and runtime.
+set; see README for the expected schemas.  It runs the stages users run, and
+a tier-1 test holds those stages' rows equal to the in-memory ablation's on
+generated corpora.
 """
 
 import json
@@ -14,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
+import bookqa.fileio
 from bookqa.bm25 import build_index, oracle_query, question_query, retrieve
 from bookqa.cli import main as cli_main
-from bookqa.corpus import chunk_book, flatten_paragraphs, load_corpus
+from bookqa.corpus import chunk_book, load_books, load_qa
 from bookqa.ir_eval import run_ablation
 from bookqa.metrics import bleu_corpus, meteor_exact, rouge_l, token_f1
 from bookqa.reranker import IdentityReranker
@@ -87,7 +90,7 @@ def test_criterion_3_pipeline_invariants_seed_sweep():
         )
         paragraphs = {b.book_id: chunk_book(b, width=width) for b in books}
         for b in books:
-            assert flatten_paragraphs(paragraphs[b.book_id]) == b.tokens.tokens
+            assert tuple(t for p in paragraphs[b.book_id] for t in p.tokens.tokens) == b.tokens.tokens
         indexes = {b.book_id: build_index(paragraphs[b.book_id]) for b in books}
 
         configs = (
@@ -138,32 +141,67 @@ NARRATIVEQA_DEV_REFERENCE = {
 TOLERANCE_POINTS = 3.0
 
 
+def stage_coverage_rows(books, qa, work: Path, jobs: int) -> list[dict]:
+    """The coverage table's rows as the stages write them: ``chunk`` at
+    width 200, ``index``, and ``eval-ir`` with no reranker, each run
+    through ``cli.main`` at ``jobs``, with default BM25 parameters."""
+    paras, index, table = work / "paras.jsonl", work / "index.jsonl", work / "table.json"
+    for argv in (
+        ["chunk", "--books", books, "--width", 200, "--out", paras],
+        ["index", "--paragraphs", paras, "--out", index, "--jobs", jobs],
+        ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
+         "--reranker", "none", "--jobs", jobs, "--out", table],
+    ):
+        assert cli_main([str(a) for a in argv]) == 0, argv[0]
+    return json.loads(table.read_text(encoding="utf-8"))["rows"]
+
+
 @pytest.mark.skipif(
     not (os.environ.get("BOOKQA_NARRATIVEQA_BOOKS") and os.environ.get("BOOKQA_NARRATIVEQA_QA")),
     reason=(
         "NarrativeQA dev split not supplied; set BOOKQA_NARRATIVEQA_BOOKS and "
         "BOOKQA_NARRATIVEQA_QA to prepared books/qa JSONL files to run the "
-        "coverage reproduction (under two hours on eight cores)"
+        "coverage reproduction"
     ),
 )
-def test_criterion_4_narrativeqa_dev_coverage():
-    books_path = os.environ["BOOKQA_NARRATIVEQA_BOOKS"]
-    qa_path = os.environ["BOOKQA_NARRATIVEQA_QA"]
-    books, qa = load_corpus(books_path, qa_path)
-    paragraphs = {b.book_id: chunk_book(b, width=200) for b in books}
-    indexes = {b.book_id: build_index(paragraphs[b.book_id]) for b in books}
-    result = run_ablation(indexes, paragraphs, qa, IdentityReranker())
-    rows = {r.selection: r for r in result.rows}
+def test_criterion_4_narrativeqa_dev_coverage(tmp_path):
+    rows = stage_coverage_rows(
+        os.environ["BOOKQA_NARRATIVEQA_BOOKS"],
+        os.environ["BOOKQA_NARRATIVEQA_QA"],
+        tmp_path,
+        jobs=os.cpu_count() or 1,
+    )
+    rows = {r["selection"]: r for r in rows}
     failures = []
     for selection, (want_em, want_rouge) in NARRATIVEQA_DEV_REFERENCE.items():
-        got_em = 100.0 * rows[selection].em_coverage
-        got_rouge = 100.0 * rows[selection].rouge_coverage
+        got_em = 100.0 * rows[selection]["em_coverage"]
+        got_rouge = 100.0 * rows[selection]["rouge_coverage"]
         print(f"  {selection}: EM {got_em:.2f} (ref {want_em}), Rouge-L {got_rouge:.2f} (ref {want_rouge})")
         if abs(got_em - want_em) > TOLERANCE_POINTS:
             failures.append(f"{selection} EM {got_em:.2f} vs {want_em}")
         if abs(got_rouge - want_rouge) > TOLERANCE_POINTS:
             failures.append(f"{selection} Rouge-L {got_rouge:.2f} vs {want_rouge}")
     _report(4, not failures, "; ".join(failures) or "all rows within ±3.0 points")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed, paraphrase", [(3, False), (5, True)], ids=["plain", "paraphrase"])
+def test_criterion_4_stages_equal_the_in_memory_ablation(tmp_path, monkeypatch, seed, paraphrase, jobs):
+    """Criterion 4's stage run writes the rows that ``run_ablation`` makes
+    from the same books chunked and indexed in memory.  At ``--jobs 2`` every
+    map forks at once, as a paper-sized run's would."""
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+    corpus = tmp_path / "corpus"
+    argv = ["synth", "--seed", seed, "--books", 4, "--paras-per-book", 60,
+            "--questions-per-book", 6, "--out-dir", corpus]
+    assert cli_main([str(a) for a in argv + ["--paraphrase"] * paraphrase]) == 0
+    books, qa = corpus / "books.jsonl", corpus / "qa.jsonl"
+    rows = stage_coverage_rows(books, qa, tmp_path, jobs)
+
+    paragraphs = {b.book_id: chunk_book(b, width=200) for b in load_books(books)}
+    indexes = {book: build_index(paras) for book, paras in paragraphs.items()}
+    result = run_ablation(indexes, paragraphs, load_qa(qa), IdentityReranker())
+    assert rows == [r.to_dict() for r in result.rows]
 
 
 def _run_pipeline(work: Path, jobs: int) -> dict[str, bytes]:

@@ -252,16 +252,39 @@ def test_index_from_record_rejects_posting_that_is_not_a_pair_of_ints(posting):
         index_from_record(record)
 
 
+def test_index_from_record_rejects_a_paragraph_named_twice():
+    """Paragraph 0 named three times would make the term's df 4 against 2
+    paragraphs, a negative IDF, and no paragraph retrieved for ``x``."""
+    record = _record_with()
+    record["postings"]["x"] = [[0, 1], [0, 1], [0, 1], [1, 1]]
+    with pytest.raises(FormatError, match=r"^bad index record for book 'b': term 'x' names paragraph 0 twice$"):
+        index_from_record(record)
+    record["postings"]["x"] = [[0, 1], [1, 1]]
+    assert sorted(retrieve(index_from_record(record), ["x"], 5).para_indexes()) == [0, 1]
+
+
+def test_index_from_record_rejects_postings_out_of_order():
+    record = _record_with()
+    record["postings"]["pie"] = [[1, 1], [0, 1]]
+    with pytest.raises(FormatError, match=r"term 'pie' names paragraph 0 after paragraph 1$"):
+        index_from_record(record)
+
+
 _JSON_SCALARS = st.one_of(
     st.integers(-1, 3), st.sampled_from([1.0, 2.5, True, False, None, "1", "ab", ""])
 )
-_JSON_POSTING = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
+_JSON_POSTING = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.lists(st.integers(0, 1), min_size=2, max_size=2),  # valid, or out of order or repeated in a list
+)
 
 
 def _first_bad_posting(postings, doc_len):
     """What is wrong with the first bad posting in record order, or None:
     the reference the loader's one pass must agree with."""
     for term, plist in postings.items():
+        named = []
         for entry in plist if type(plist) in (list, tuple) else [plist]:
             if type(entry) not in (list, tuple) or len(entry) != 2 or set(map(type, entry)) != {int}:
                 return f"term {term!r} has posting {entry!r}, not a pair of ints"
@@ -270,6 +293,11 @@ def _first_bad_posting(postings, doc_len):
                 return f"term {term!r} has a posting for unknown paragraph {p}"
             if f < 1:
                 return f"term {term!r} has term frequency {f} in paragraph {p}"
+            if named and p == named[-1]:
+                return f"term {term!r} names paragraph {p} twice"
+            if named and p < named[-1]:
+                return f"term {term!r} names paragraph {p} after paragraph {named[-1]}"
+            named.append(p)
     return None
 
 

@@ -887,6 +887,32 @@ def test_retrieve_refuses_a_negative_doc_len_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def stage_argv(stage, paras, index, qa, out):
+    """A question stage's arguments over the given inputs."""
+    if stage == "retrieve":
+        return ["retrieve", "--index", index, "--qa", qa, "--out", out]
+    return [stage, "--index", index, "--paragraphs", paras, "--qa", qa, "--out", out]
+
+
+@pytest.mark.parametrize("stage", ["retrieve", "supervise", "eval-ir"])
+def test_index_naming_a_paragraph_twice_fails_with_format_error(tmp_path, capsys, stage):
+    """A posting list naming paragraph 1 twice would count the paragraph
+    twice in the term's df; every stage that reads the index refuses it as
+    it loads, and an earlier output stays as it was."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    record = json.loads(index.read_text(encoding="utf-8"))
+    record["postings"]["door"] = [[1, 1], [1, 1]]
+    write_jsonl(index, [record])
+    out = tmp_path / "out.jsonl"
+    out.write_text("earlier output\n", encoding="utf-8")
+    err = run_fail(capsys, *stage_argv(stage, paras, index, qa, out))
+    assert err == (
+        f"error[format]: {index}: line 1: bad index record for book 'b': "
+        "term 'door' names paragraph 1 twice\n"
+    )
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
 @pytest.mark.parametrize(
     "field, value, problem",
     [
@@ -1025,6 +1051,53 @@ def test_index_naming_missing_paragraphs_fails_alike_at_any_jobs(
     monkeypatch.setattr(os, "fork", no_fork)
     errors.append(fail(2))
     assert errors == [error] * 3
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "stage, missing",
+    [
+        ("span-oracle", "paragraphs"),
+        ("supervise", "index"),
+        ("supervise", "paragraphs"),
+        ("eval-ir", "index"),
+        ("eval-ir", "paragraphs"),
+    ],
+)
+def test_question_whose_book_is_missing_fails_every_question_stage_alike(
+    tmp_path, capsys, stage, missing, jobs
+):
+    """Question q2 asks about book ``ghost``.  The index lacks it, or holds
+    it while the paragraphs file does not.  Each question stage fails with
+    one ``error[corpus]`` line naming the book as it loads, and an earlier
+    output stays as it was."""
+    book_b = [{"book_id": "b", "para_index": 0, "text": "tower falcon"}]
+    ghost = [{"book_id": "ghost", "para_index": 0, "text": "stone wall"}]
+    indexed = write_jsonl(tmp_path / "indexed.jsonl", book_b + (ghost if missing == "paragraphs" else []))
+    index = tmp_path / "index.jsonl"
+    run_ok(capsys, "index", "--paragraphs", indexed, "--out", index)
+    paras = write_jsonl(tmp_path / "paras.jsonl", book_b)
+    qa = write_jsonl(
+        tmp_path / "qa.jsonl",
+        [
+            {"question_id": "q1", "book_id": "b", "question": "which tower", "answers": ["falcon"]},
+            {"question_id": "q2", "book_id": "ghost", "question": "what stone", "answers": ["wall"]},
+        ],
+    )
+    out = tmp_path / "out.jsonl"
+    out.write_text("earlier output\n", encoding="utf-8")
+    if stage == "span-oracle":
+        ranked = [{"para_index": 0, "score": 1.0}]
+        selections = write_jsonl(
+            tmp_path / "selections.jsonl",
+            [{"question_id": "q1", "mode": "question_only", "ranked": ranked}],
+        )
+        argv = [stage, "--paragraphs", paras, "--qa", qa, "--selections", selections, "--out", out]
+    else:
+        argv = stage_argv(stage, paras, index, qa, out)
+    err = run_fail(capsys, *argv, "--jobs", jobs)
+    assert err == f"error[corpus]: no {missing} for books: ghost\n"
     assert out.read_text(encoding="utf-8") == "earlier output\n"
 
 

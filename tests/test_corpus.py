@@ -8,9 +8,9 @@ from bookqa.corpus import (
     Book,
     QaExample,
     chunk_book,
-    flatten_paragraphs,
-    load_corpus,
+    load_books,
     load_paragraphs,
+    load_qa,
     write_paragraphs,
 )
 from bookqa.errors import CorpusError
@@ -50,7 +50,7 @@ def test_empty_book_rejected_at_construction():
 def test_chunk_roundtrip_lossless(n_tokens, width):
     book = make_book("b", " ".join(f"w{i}" for i in range(n_tokens)))
     paras = chunk_book(book, width=width)
-    assert flatten_paragraphs(paras) == book.tokens.tokens
+    assert tuple(t for p in paras for t in p.tokens.tokens) == book.tokens.tokens
     assert all(len(p.tokens) == width for p in paras[:-1])
     assert 1 <= len(paras[-1].tokens) <= width
     assert [p.para_index for p in paras] == list(range(len(paras)))
@@ -78,7 +78,7 @@ def test_load_corpus_roundtrip(tmp_path):
             {"question_id": "q3", "book_id": "b1", "question": "what", "answers": ["cat"]},
         ],
     )
-    books, qa = load_corpus(books_path, qa_path)
+    books, qa = load_books(books_path), load_qa(qa_path)
     assert [b.book_id for b in books] == ["b1", "b2"]
     assert len(qa) == 3
     assert qa[1].answers == ("a dog", "dog")
@@ -94,31 +94,13 @@ def test_load_corpus_directory_of_txt(tmp_path):
         qa_path,
         [{"question_id": "q1", "book_id": "alpha", "question": "x", "answers": ["text"]}],
     )
-    books, qa = load_corpus(books_dir, qa_path)
+    books, qa = load_books(books_dir), load_qa(qa_path)
     assert [b.book_id for b in books] == ["alpha", "beta"]
-
-
-def test_load_corpus_orphan_book_ids_listed(tmp_path):
-    books_path = tmp_path / "books.jsonl"
-    qa_path = tmp_path / "qa.jsonl"
-    _write_jsonl(books_path, [{"book_id": "b1", "title": "", "text": "x y"}])
-    _write_jsonl(
-        qa_path,
-        [
-            {"question_id": "q1", "book_id": "ghost", "question": "x", "answers": ["y"]},
-            {"question_id": "q2", "book_id": "phantom", "question": "x", "answers": ["y"]},
-        ],
-    )
-    with pytest.raises(CorpusError) as err:
-        load_corpus(books_path, qa_path)
-    assert "q1->ghost" in str(err.value)
-    assert "q2->phantom" in str(err.value)
+    assert [q.book_id for q in qa] == ["alpha"]
 
 
 def test_load_corpus_duplicate_question_id(tmp_path):
-    books_path = tmp_path / "books.jsonl"
     qa_path = tmp_path / "qa.jsonl"
-    _write_jsonl(books_path, [{"book_id": "b1", "title": "", "text": "x y"}])
     _write_jsonl(
         qa_path,
         [
@@ -127,7 +109,7 @@ def test_load_corpus_duplicate_question_id(tmp_path):
         ],
     )
     with pytest.raises(CorpusError, match="duplicate question_id"):
-        load_corpus(books_path, qa_path)
+        load_qa(qa_path)
 
 
 def test_load_corpus_malformed_record_names_file_line_field(tmp_path):
@@ -136,10 +118,8 @@ def test_load_corpus_malformed_record_names_file_line_field(tmp_path):
         books_path,
         [{"book_id": "b1", "title": "", "text": "x"}, {"book_id": "b2", "title": ""}],
     )
-    qa_path = tmp_path / "qa.jsonl"
-    _write_jsonl(qa_path, [])
     with pytest.raises(CorpusError) as err:
-        load_corpus(books_path, qa_path)
+        load_books(books_path)
     message = str(err.value)
     assert "line 2" in message and "'text'" in message and "books.jsonl" in message
 
@@ -148,7 +128,7 @@ def test_load_corpus_invalid_json_names_line(tmp_path):
     books_path = tmp_path / "books.jsonl"
     books_path.write_text('{"book_id": "b1", "title": "", "text": "x"}\n{nope\n', encoding="utf-8")
     with pytest.raises(CorpusError, match="line 2"):
-        load_corpus(books_path, tmp_path / "qa.jsonl")
+        load_books(books_path)
 
 
 def test_qa_example_requires_nonempty_answer():

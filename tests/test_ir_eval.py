@@ -3,11 +3,12 @@ import pytest
 from bookqa.bm25 import build_index, oracle_query, question_query, retrieve
 from bookqa.corpus import QaExample, chunk_book
 from bookqa.errors import EvalError
+from bookqa.oracles import brute_best_span
 from bookqa.ir_eval import (
     CoverageReport,
     ablation_for_question,
     aggregate_ablation,
-    evaluate_selection,
+    coverage_report,
     model_selection_score,
     row_labels,
     run_ablation,
@@ -15,6 +16,7 @@ from bookqa.ir_eval import (
 from bookqa.reranker import IdentityReranker, LexicalReranker, RerankRequest
 from bookqa.spans import coverage_rouge
 from bookqa.synth import synth_corpus
+from bookqa.text import normalize_eval, normalize_eval_tokens
 
 from conftest import make_paragraph
 
@@ -48,35 +50,27 @@ class OracleScorer:
         return out
 
 
-def test_evaluate_selection_trivial_cases():
+def test_coverage_report_trivial_cases():
     p_hit = make_paragraph("b", 0, ["the", "falcon", "flies"])
     p_miss = make_paragraph("b", 1, ["stone", "wall"])
-    qa = [QaExample("q1", "b", "where", ("falcon",))]
-    report = evaluate_selection(qa, {"q1": [p_hit, p_miss]}, "test_sel")
+    answers = ["falcon"]
+    report = coverage_report("test_sel", [coverage_rouge([p_hit, p_miss], answers)])
     assert report.em_coverage == 1.0
     assert report.rouge_coverage == 1.0
     assert report.n_questions == 1
     assert report.selection == "test_sel"
 
-    report = evaluate_selection(qa, {"q1": [p_miss]}, "test_sel")
+    report = coverage_report("test_sel", [coverage_rouge([p_miss], answers)])
     assert report.em_coverage == 0.0
     assert report.rouge_coverage == 0.0
 
 
-def test_evaluate_selection_single_question_equals_raw_values():
+def test_coverage_report_single_question_equals_raw_values():
     p = make_paragraph("b", 0, ["gold", "grey", "stone"])
-    qa = [QaExample("q1", "b", "x", ("gold stone",))]
-    report = evaluate_selection(qa, {"q1": [p]}, "one")
-    assert report.rouge_coverage == coverage_rouge([p], ["gold stone"])
+    rouge = coverage_rouge([p], ["gold stone"])
+    report = coverage_report("one", [rouge])
+    assert report.rouge_coverage == rouge
     assert report.em_coverage == 0.0
-
-
-def test_evaluate_selection_missing_selection_errors():
-    qa = [QaExample("q1", "b", "x", ("y",))]
-    with pytest.raises(EvalError, match="q1"):
-        evaluate_selection(qa, {}, "sel")
-    with pytest.raises(EvalError, match="q1"):
-        evaluate_selection(qa, {"q1": []}, "sel")
 
 
 def test_model_selection_score():
@@ -182,23 +176,34 @@ def test_aggregate_requires_items():
 
 
 def test_baseline_row_equals_direct_retrieval_coverage():
-    """Each row equals ``evaluate_selection`` over its own selections: the
-    baseline top-5, the identity-reranked top-5 (the same paragraphs), the
-    top-32 pool and the q+a top-5."""
-    paragraphs, indexes, qa, _ = _setup(seed=15, n_books=1)
-    result = run_ablation(indexes, paragraphs, qa, IdentityReranker(), k_top=5)
-    selections = [{}, {}, {}, {}]
-    for q in qa:
-        book = paragraphs[q.book_id]
-        pool = retrieve(indexes[q.book_id], question_query(q), 32).para_indexes()
-        oracle = retrieve(indexes[q.book_id], oracle_query(q), 5).para_indexes()
-        for chosen, selected in zip(selections, (pool[:5], pool[:5], pool, oracle)):
-            chosen[q.question_id] = [book[p] for p in selected]
-    direct = [
-        evaluate_selection(qa, chosen, label)
-        for chosen, label in zip(selections, row_labels(32, 5))
-    ]
-    assert direct == list(result.rows)
+    """Each row equals the brute-force coverage of its own selections: the
+    baseline top-k, the identity-reranked top-k (the same paragraphs), the
+    top-32 pool and the q+a top-k, each question scored by the best window
+    sweep over its normalized paragraph and answer tokens.  EM matches
+    exactly and Rouge-L to 1e-12, as criterion 1 compares.  The paraphrased
+    corpus has partial coverage, and a top-1 that is below the pool's."""
+    for seed, paraphrase, k_top in ((15, False, 5), (5, True, 1)):
+        paragraphs, indexes, qa, _ = _setup(seed=seed, paraphrase=paraphrase)
+        result = run_ablation(indexes, paragraphs, qa, IdentityReranker(), k_top=k_top)
+        per_row = [[], [], [], []]
+        for q in qa:
+            book = paragraphs[q.book_id]
+            pool = retrieve(indexes[q.book_id], question_query(q), 32).para_indexes()
+            oracle = retrieve(indexes[q.book_id], oracle_query(q), k_top).para_indexes()
+            answers = [normalize_eval(a).tokens for a in q.answers]
+            selections = (pool[:k_top], pool[:k_top], pool, oracle)
+            for rouges, selected in zip(per_row, selections):
+                rouges.append(max(
+                    brute_best_span(normalize_eval_tokens(book[p].tokens.tokens), answer)[2]
+                    for p in selected
+                    for answer in answers
+                    if answer
+                ))
+        for row, rouges, label in zip(result.rows, per_row, row_labels(32, k_top)):
+            assert row.selection == label
+            assert row.n_questions == len(qa)
+            assert row.em_coverage == sum(r == 1.0 for r in rouges) / len(qa)
+            assert row.rouge_coverage == pytest.approx(sum(rouges) / len(qa), abs=1e-12, rel=0)
 
 
 @pytest.mark.parametrize(

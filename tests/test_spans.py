@@ -214,19 +214,22 @@ def test_coverage_rouge_reduction_and_max():
 
 
 def test_coverage_rouge_matches_flat_brute_force():
+    """Mostly partial covers, so a scan that stops before the largest value
+    over the paragraphs or the answers shows."""
     rng = random.Random(17)
-    paras = [
-        make_paragraph("b", i, [rng.choice(VOCAB) for _ in range(rng.randint(1, 25))])
-        for i in range(4)
-    ]
-    answers = ["red gold", "grey"]
-    got = coverage_rouge(paras, answers)
-    want = max(
-        brute_best_span(list(p.tokens.tokens), a.split())[2]
-        for p in paras
-        for a in answers
-    )
-    assert got == pytest.approx(want, abs=1e-12)
+    for _ in range(200):
+        paras = [
+            make_paragraph("b", i, [rng.choice(VOCAB) for _ in range(rng.randint(1, 25))])
+            for i in range(4)
+        ]
+        answers = [" ".join(rng.choices(VOCAB, k=rng.randint(1, 5))) for _ in range(rng.randint(1, 3))]
+        got = coverage_rouge(paras, answers)
+        want = max(
+            brute_best_span(list(p.tokens.tokens), a.split())[2]
+            for p in paras
+            for a in answers
+        )
+        assert got == pytest.approx(want, abs=1e-12), (paras, answers)
 
 
 def test_coverage_preconditions():

@@ -488,6 +488,31 @@ def default_of(fn, name):
     return inspect.signature(fn).parameters[name].default
 
 
+def test_supervise_parser_defaults_equal_supervision_config():
+    """``supervise``'s defaults are defined once, in ``corpus``: the parser,
+    ``SupervisionConfig()`` and ``supervision_stats`` all take them."""
+    required = ("supervise", "--index", "i", "--paragraphs", "p", "--qa", "q", "--out", "o")
+    args = parse(*required)
+    config = supervision.SupervisionConfig()
+    assert (
+        args.k, args.pos_threshold, args.neg_threshold,
+        args.negatives_per_positive, args.negative_pool, args.seed,
+    ) == (
+        config.k_retrieve, config.pos_threshold, config.neg_threshold,
+        config.negatives_per_positive, config.negative_pool, config.rng_seed,
+    ) == (
+        corpus.DEFAULT_K_RETRIEVE, corpus.DEFAULT_POS_THRESHOLD, corpus.DEFAULT_NEG_THRESHOLD,
+        corpus.DEFAULT_NEGATIVES_PER_POSITIVE, corpus.DEFAULT_NEGATIVE_POOL,
+        corpus.DEFAULT_NEGATIVE_SEED,
+    )
+    assert (
+        default_of(supervision.supervision_stats, "pos_threshold"),
+        default_of(supervision.supervision_stats, "neg_threshold"),
+    ) == (config.pos_threshold, config.neg_threshold)
+    for pool in (supervision.POOL_UNION_MINUS_INTERSECTION, supervision.POOL_WHOLE_BOOK):
+        assert parse(*required, "--negative-pool", pool).negative_pool == pool
+
+
 def test_parser_defaults_equal_library_constants():
     for sub in (["synth", "--seed", 1, "--out-dir", "o"], ["chunk", "--books", "b", "--out", "o"]):
         args = parse(*sub)
@@ -502,19 +527,6 @@ def test_parser_defaults_equal_library_constants():
     args = parse("retrieve", "--index", "i", "--qa", "q", "--out", "o")
     assert MODES[args.mode] == bm25.MODE_QUESTION == default_of(bm25.retrieve, "mode")
     assert MODES == {"q": bm25.MODE_QUESTION, "qa": bm25.MODE_QUESTION_ANSWER}
-
-    required = ("supervise", "--index", "i", "--paragraphs", "p", "--qa", "q", "--out", "o")
-    args = parse(*required)
-    config = supervision.SupervisionConfig()
-    assert args.negative_pool == supervision.POOL_UNION_MINUS_INTERSECTION == config.negative_pool
-    assert (args.k, args.pos_threshold, args.neg_threshold) == (
-        config.k_retrieve, config.pos_threshold, config.neg_threshold
-    )
-    assert (args.negatives_per_positive, args.seed) == (
-        config.negatives_per_positive, config.rng_seed
-    )
-    for pool in (supervision.POOL_UNION_MINUS_INTERSECTION, supervision.POOL_WHOLE_BOOK):
-        assert parse(*required, "--negative-pool", pool).negative_pool == pool
 
     args = parse("span-oracle", "--paragraphs", "p", "--qa", "q", "--selections", "s", "--out", "o")
     assert args.top is None
