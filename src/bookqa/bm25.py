@@ -106,15 +106,7 @@ def retrieval_from_record(obj: dict) -> RetrievalResult:
 def build_index(
     paragraphs: Sequence[Paragraph], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> Bm25Index:
-    if not paragraphs:
-        raise CorpusError("cannot index an empty paragraph list")
-    book_ids = {p.book_id for p in paragraphs}
-    if len(book_ids) != 1:
-        raise CorpusError(f"index must cover a single book, got {sorted(book_ids)}")
-    indexes = [p.para_index for p in paragraphs]
-    if len(set(indexes)) != len(indexes):
-        raise CorpusError("duplicate para_index in index input")
-
+    """The index of one book's paragraphs, given at least one and each once."""
     ordered = sorted(paragraphs, key=lambda p: p.para_index)
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_len: dict[int, int] = {}
@@ -193,8 +185,6 @@ def retrieve(
 ) -> RetrievalResult:
     """Top-k paragraphs by descending score; ties break on ascending
     para_index and zero-score paragraphs are excluded."""
-    if k < 1:
-        raise CorpusError("retrieval k must be >= 1")
     ranked = sorted(
         ((p, s) for p, s in accumulate_scores(index, query).items() if s > 0.0),
         key=lambda e: (-e[1], e[0]),

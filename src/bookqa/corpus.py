@@ -47,25 +47,12 @@ class Book:
     title: str
     tokens: TokenSeq
 
-    def __post_init__(self) -> None:
-        if not self.book_id:
-            raise ValueError("book_id must be non-empty")
-        if len(self.tokens) == 0:
-            raise ValueError(f"book {self.book_id!r} has no tokens")
-
 
 @record
 class Paragraph:
     book_id: str
     para_index: int
     tokens: TokenSeq
-
-    def __post_init__(self) -> None:
-        if self.para_index < 0:
-            raise ValueError("para_index must be >= 0")
-        # Truth, not length: a lazy sequence answers it without tokenizing.
-        if not self.tokens:
-            raise ValueError("paragraph has no tokens")
 
     def text(self) -> str:
         return self.tokens.text()
@@ -78,12 +65,6 @@ class QaExample:
     question: str
     answers: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.question_id:
-            raise ValueError("question_id must be non-empty")
-        if not self.answers or not any(a.strip() for a in self.answers):
-            raise ValueError(f"question {self.question_id!r} needs a non-empty answer")
-
     def question_tokens(self) -> TokenSeq:
         return tokenize(self.question)
 
@@ -94,8 +75,6 @@ def chunk_book(book: Book, width: int = DEFAULT_CHUNK_WIDTH) -> list[Paragraph]:
     Lossless: concatenating the paragraph token lists reproduces the book
     exactly; only the final paragraph may be shorter than ``width``.
     """
-    if width < 1:
-        raise ValueError("chunk width must be >= 1")
     tokens = book.tokens.tokens
     return [
         Paragraph(book.book_id, start // width, TokenSeq(tokens[start : start + width]))
@@ -116,6 +95,8 @@ def load_books(path: Path | str) -> list[Book]:
                 text = file.read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"{file}: not valid UTF-8 ({exc.reason})") from exc
+            except OSError as exc:  # a directory named like a book, say
+                raise CorpusError(f"{file}: cannot read ({exc.strerror})") from exc
             tokens = tokenize(text)
             if len(tokens) == 0:
                 raise CorpusError(f"{file}: book has no tokens")
@@ -226,7 +207,7 @@ def load_paragraphs(path: Path | str) -> dict[str, list[Paragraph]]:
             raise CorpusError(f"{path}: line {lineno}: para_index must be >= 0")
         text = require_field(obj, "text", path, lineno, str, CorpusError)
         tokens = LazyTokenSeq(text)
-        if not tokens:
+        if not tokens:  # truth, not length: a lazy sequence answers it untokenized
             raise CorpusError(f"{path}: line {lineno}: paragraph has no tokens")
         grouped.setdefault(book_id, []).append(Paragraph(book_id, para_index, tokens))
     if not grouped:

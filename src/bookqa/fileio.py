@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import IO, Any, Callable, Hashable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from . import __version__
-from .errors import BookQaError, FormatError, WorkerError
+from .errors import BookQaError, ConfigError, FormatError, WorkerError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -29,7 +29,11 @@ def iter_jsonl(
     path = Path(path)
     if not path.exists():
         raise error(f"{path}: file not found")
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:  # a directory, say
+        raise error(f"{path}: cannot read ({exc.strerror})") from exc
+    with fh:
         try:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
@@ -125,15 +129,18 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
     """Open a temporary file beside ``path`` that replaces it on success.
 
     On any failure the temporary file is removed and ``path`` keeps its old
-    bytes, so a crash never leaves a truncated artifact behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    bytes.  An ``OSError`` on the way (``path`` is a directory, say) becomes a ``ConfigError``."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"  # not ``with_name``: "." has none
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        if tmp.parent.is_dir():  # not when ``path``'s parent is a file
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"{path}: cannot write ({exc.strerror})") from exc
         raise
 
 

@@ -362,14 +362,6 @@ class MetricReport:
     f1: float
     n_questions: int
 
-    def __post_init__(self) -> None:
-        for name in ("bleu1", "bleu4", "meteor", "rouge_l", "em", "f1"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of range: {value}")
-        if self.em > self.f1:
-            raise ValueError("em cannot exceed f1")
-
     def to_percent_dict(self) -> dict:
         out = {
             name: round(100.0 * getattr(self, name), 2)

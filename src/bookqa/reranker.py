@@ -47,13 +47,6 @@ class RerankRequest:
     question: str
     candidates: tuple[RerankCandidate, ...]
 
-    def __post_init__(self) -> None:
-        if not self.candidates:
-            raise ValueError("rerank request needs at least one candidate")
-        indexes = [c.para_index for c in self.candidates]
-        if len(set(indexes)) != len(indexes):
-            raise ValueError("candidate para_index values must be distinct")
-
     def to_json_line(self) -> str:
         return json.dumps(
             {
@@ -101,17 +94,14 @@ def apply_scores(
 ) -> list[RerankCandidate]:
     """Order candidates by descending score; ties keep the incoming order.
 
-    Every scorer's scores are checked here: one finite score per candidate."""
+    Every scorer's count is checked here: one score per candidate.  Each
+    score is finite: ``response_from_record`` refuses any other from an
+    ``exec:`` or ``file:`` scorer, and ``none`` and ``lexical`` make none."""
     if len(scores) != len(request.candidates):
         raise ProtocolError(
             f"question {request.question_id!r}: got {len(scores)} scores "
             f"for {len(request.candidates)} candidates"
         )
-    for value in scores:
-        if not math.isfinite(value):
-            raise ProtocolError(
-                f"question {request.question_id!r}: non-finite score {value!r}"
-            )
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return [request.candidates[i] for i in order]
 

@@ -41,15 +41,6 @@ def test_postings_sorted_by_para_index_even_from_shuffled_input():
     assert [p for p, _ in index.postings["shared"]] == [0, 1, 2, 3]
 
 
-def test_build_index_rejects_bad_input():
-    with pytest.raises(CorpusError):
-        build_index([])
-    with pytest.raises(CorpusError):
-        build_index([make_paragraph("a", 0, ["x"]), make_paragraph("b", 1, ["y"])])
-    with pytest.raises(CorpusError):
-        build_index([make_paragraph("a", 0, ["x"]), make_paragraph("a", 0, ["y"])])
-
-
 def test_score_hand_value_two_docs():
     # One term, present once in one of two equal-length docs: idf = ln 2 and
     # the tf part is exactly 1, so the score is ln 2.

@@ -1167,3 +1167,230 @@ def test_lone_surrogate_fails_with_corpus_error(tmp_path, capsys, stage):
     assert err == f"error[corpus]: {bad}: line 1: field '{field}' holds a lone surrogate\n"
     assert not out.exists()
     assert not (tmp_path / "requests.jsonl").exists()
+
+
+def refusal(capsys, *argv):
+    """The exit code and stderr of a run that must write nothing to stdout;
+    a usage error's code comes from argparse's ``SystemExit``."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize(
+    "bad, argv, code, message",
+    [
+        (
+            [{"book_id": "", "title": "", "text": "stone wall"}],
+            ["chunk", "--books", "{bad}"],
+            1, "error[corpus]: {bad}: line 1: field 'book_id' is empty",
+        ),
+        (
+            [{"book_id": "b", "title": "", "text": " \t "}],
+            ["chunk", "--books", "{bad}"],
+            1, "error[corpus]: {bad}: line 1: book 'b' has no tokens",
+        ),
+        (
+            {"empty.txt": ""},
+            ["chunk", "--books", "{bad}"],
+            1, "error[corpus]: {bad}/empty.txt: book has no tokens",
+        ),
+        (
+            [{"question_id": "", "book_id": "b", "question": "what is red", "answers": ["door"]}],
+            ["retrieve", "--index", "{index}", "--qa", "{bad}"],
+            1, "error[corpus]: {bad}: line 1: field 'question_id' is empty",
+        ),
+        (
+            [{"question_id": "q1", "book_id": "b", "question": "what is red", "answers": []}],
+            ["retrieve", "--index", "{index}", "--qa", "{bad}"],
+            1, "error[corpus]: {bad}: line 1: field 'answers' must be a list of strings",
+        ),
+        (
+            [{"book_id": "b", "para_index": 0, "text": "  "}],
+            ["index", "--paragraphs", "{bad}"],
+            1, "error[corpus]: {bad}: line 1: paragraph has no tokens",
+        ),
+        (None, ["chunk", "--books", "{books}", "--width", 0], 2,
+         "bookqa chunk: error: argument --width: must be >= 1"),
+        (None, ["retrieve", "--index", "{index}", "--qa", "{qa}", "--k", 0], 2,
+         "bookqa retrieve: error: argument --k: must be >= 1"),
+        (None, ["supervise", "--index", "{index}", "--paragraphs", "{paras}", "--qa", "{qa}",
+                "--k", 0], 2, "bookqa supervise: error: argument --k: must be >= 1"),
+        (None, ["eval-ir", "--index", "{index}", "--paragraphs", "{paras}", "--qa", "{qa}",
+                "--candidates", 0], 2, "bookqa eval-ir: error: argument --candidates: must be >= 1"),
+        (None, ["eval-ir", "--index", "{index}", "--paragraphs", "{paras}", "--qa", "{qa}",
+                "--top", 0], 2, "bookqa eval-ir: error: argument --top: must be >= 1"),
+        (
+            None,
+            ["eval-ir", "--index", "{index}", "--paragraphs", "{paras}", "--qa", "{qa}",
+             "--reranker", broken_scorer_spec("nan")],
+            1, "error[protocol]: reranker failed on question 'q1': "
+            "bad rerank response record: non-finite score nan",
+        ),
+        (
+            [{"question_id": "q1", "scores": [float("nan")]}],
+            ["eval-ir", "--index", "{index}", "--paragraphs", "{paras}", "--qa", "{qa}",
+             "--reranker", "file:{bad}"],
+            1, "error[protocol]: bad rerank response record: non-finite score nan",
+        ),
+    ],
+    ids=[
+        "books-empty-book-id", "books-blank-text", "books-empty-txt", "qa-empty-question-id",
+        "qa-no-answers", "paragraphs-blank-text", "chunk-width-0", "retrieve-k-0",
+        "supervise-k-0", "eval-ir-candidates-0", "eval-ir-top-0", "exec-scorer-nan",
+        "file-scores-nan",
+    ],
+)
+def test_each_input_rule_is_refused_where_the_input_enters(
+    tmp_path, capsys, bad, argv, code, message
+):
+    """Records and the helpers on the stage path do not check their data
+    again, so the loader or the parser that admits an input is where each
+    rule holds: a books, qa or paragraphs record, a count option, a score."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    path = tmp_path / "bad"
+    if isinstance(bad, dict):  # a books directory
+        path.mkdir()
+        for name, text in bad.items():
+            (path / name).write_text(text, encoding="utf-8")
+    elif bad is not None:
+        write_jsonl(path, bad)
+    names = dict(bad=path, books=tmp_path / "books.jsonl", index=index, paras=paras, qa=qa)
+    out = tmp_path / "out"
+    got, err = refusal(capsys, *[str(a).format(**names) for a in argv], "--out", out)
+    assert (got, err.splitlines()[-1]) == (code, message.format(**names))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["retrieve", "--index", "{dir}", "--qa", "{qa}"], "error[format]: {dir}: cannot read"),
+        (["eval-qa", "--predictions", "{dir}", "--qa", "{qa}"], "error[eval]: {dir}: cannot read"),
+        (["span-oracle", "--paragraphs", "{paras}", "--qa", "{dir}", "--selections", "{qa}"],
+         "error[corpus]: {dir}: cannot read"),
+        (["eval-ir", "--index", "{index}", "--paragraphs", "{paras}", "--qa", "{qa}",
+          "--reranker", "file:{dir}"], "error[protocol]: {dir}: cannot read"),
+    ],
+    ids=["retrieve-index", "eval-qa-predictions", "span-oracle-qa", "eval-ir-scores"],
+)
+def test_a_directory_given_as_an_input_file_fails_with_its_loaders_error(
+    tmp_path, capsys, argv, message
+):
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    names = dict(dir=tmp_path / "dir", index=index, paras=paras, qa=qa)
+    names["dir"].mkdir()
+    out = tmp_path / "out.jsonl"
+    err = run_fail(capsys, *[str(a).format(**names) for a in argv], "--out", out)
+    assert err == message.format(**names) + " (Is a directory)\n"
+    assert not out.exists()
+
+
+def test_a_directory_named_like_a_txt_book_fails_with_corpus_error(tmp_path, capsys):
+    books = tmp_path / "books"
+    books.mkdir()
+    (books / "a.txt").write_text("stone wall", encoding="utf-8")
+    (books / "x.txt").mkdir()
+    out = tmp_path / "paras.jsonl"
+    err = run_fail(capsys, "chunk", "--books", books, "--out", out)
+    assert err == f"error[corpus]: {books / 'x.txt'}: cannot read (Is a directory)\n"
+    assert not out.exists()
+
+
+def listing(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+@pytest.mark.parametrize("out, reason", [("dir", "Is a directory"), (".", None)])
+def test_out_that_is_a_directory_fails_with_config_error(
+    tmp_path, capsys, monkeypatch, out, reason
+):
+    """The directory keeps what it holds, and no temporary file is left."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "kept.txt").write_text("kept", encoding="utf-8")
+    before = listing(tmp_path)
+    err = run_fail(capsys, "retrieve", "--index", index, "--qa", qa, "--out", out)
+    # Renaming over the working directory fails for a reason that depends
+    # on the system ("Device or resource busy" on Linux).
+    assert err.startswith(f"error[config]: {out}: cannot write ({reason or ''}")
+    assert listing(tmp_path) == before
+    assert (tmp_path / "dir" / "kept.txt").read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize(
+    "under, reason", [("r.jsonl", "File exists"), ("sub/r.jsonl", "Not a directory")]
+)
+def test_out_under_a_file_fails_with_config_error(tmp_path, capsys, under, reason):
+    """The file keeps its bytes, and no temporary file is left."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    before, qa_bytes = listing(tmp_path), qa.read_bytes()
+    out = qa / under
+    err = run_fail(capsys, "retrieve", "--index", index, "--qa", qa, "--out", out)
+    assert err == f"error[config]: {out}: cannot write ({reason})\n"
+    assert listing(tmp_path) == before
+    assert qa.read_bytes() == qa_bytes
+
+
+def question_stage_outputs(capsys, work, jobs):
+    """Run every stage from ``work``'s books and qa files; the question
+    stages' outputs, as sorted lines, and the lexical eval-ir table."""
+    books, qa = work / "books.jsonl", work / "qa.jsonl"
+    paras, index = work / "paras.jsonl", work / "index.jsonl"
+    run_ok(capsys, "chunk", "--books", books, "--width", 30, "--out", paras, "--jobs", jobs)
+    run_ok(capsys, "index", "--paragraphs", paras, "--out", index, "--jobs", jobs)
+    for mode in ("q", "qa"):
+        run_ok(capsys, "retrieve", "--index", index, "--qa", qa, "--mode", mode,
+               "--out", work / f"retrieved_{mode}.jsonl", "--jobs", jobs)
+    for pool in ("union_minus_intersection", "whole_book"):
+        run_ok(capsys, "supervise", "--index", index, "--paragraphs", paras, "--qa", qa,
+               "--negative-pool", pool, "--out", work / f"pairs_{pool}.jsonl", "--jobs", jobs)
+    run_ok(capsys, "span-oracle", "--paragraphs", paras, "--qa", qa,
+           "--selections", work / "retrieved_q.jsonl", "--out", work / "spans.jsonl", "--jobs", jobs)
+    table = run_ok(capsys, "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
+                   "--reranker", "lexical", "--out", work / "ablation.json", "--jobs", jobs).out
+    outputs = {
+        name: sorted((work / name).read_text(encoding="utf-8").splitlines())
+        for name in ("retrieved_q.jsonl", "retrieved_qa.jsonl", "spans.jsonl",
+                     "pairs_union_minus_intersection.jsonl", "pairs_whole_book.jsonl")
+    }
+    return outputs, table, (work / "ablation.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_books_without_questions_and_input_order_change_no_question_stage_output(
+    tmp_path, capsys, monkeypatch, jobs
+):
+    """Two metamorphic relations, with every map at --jobs 2 forking before
+    its first item: a book that no question asks about changes nothing, and
+    reversing the books and shuffling the questions changes only line order."""
+    import random
+
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+    run_ok(capsys, "synth", "--seed", 11, "--books", 5, "--paras-per-book", 80,
+           "--questions-per-book", 6, "--width", 30, "--out-dir", tmp_path / "corpus")
+    books = (tmp_path / "corpus" / "books.jsonl").read_text(encoding="utf-8").splitlines()
+    qa = (tmp_path / "corpus" / "qa.jsonl").read_text(encoding="utf-8").splitlines()
+    # The new book reuses a book's words, so it would change any statistic
+    # that leaked across books.
+    words = json.loads(books[0])["text"].split()
+    extra = json.dumps({"book_id": "zz_unasked", "title": "", "text": " ".join(words[::-1])})
+    shuffled = qa[:]
+    random.Random(0).shuffle(shuffled)
+    runs = {}
+    for name, book_lines, qa_lines in [
+        ("base", books, qa), ("extra", books + [extra], qa), ("reordered", books[::-1], shuffled)
+    ]:
+        work = tmp_path / name
+        work.mkdir()
+        (work / "books.jsonl").write_text("\n".join(book_lines) + "\n", encoding="utf-8")
+        (work / "qa.jsonl").write_text("\n".join(qa_lines) + "\n", encoding="utf-8")
+        runs[name] = question_stage_outputs(capsys, work, jobs)
+    assert shuffled != qa and any(runs["base"][0].values())
+    assert runs["extra"] == runs["base"]
+    assert runs["reordered"] == runs["base"]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bookqa.corpus import QaExample
 from bookqa.errors import EvalError
 from bookqa.metrics import (
-    MetricReport,
     _best_meteor,
     _bleu_counts,
     _bleu_from_counts,
@@ -402,10 +401,3 @@ def test_evaluate_qa_reports_missing_and_extra_ids():
         evaluate_qa({"q1": "x", "q9": "y"}, examples)
     message = str(err.value)
     assert "q2" in message and "q3" in message and "q9" in message
-
-
-def test_metric_report_validates_ranges():
-    with pytest.raises(ValueError):
-        MetricReport(1.5, 0, 0, 0, 0, 0, 1)
-    with pytest.raises(ValueError):
-        MetricReport(0, 0, 0, 0, 0.5, 0.2, 1)

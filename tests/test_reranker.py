@@ -50,15 +50,6 @@ def request_record(request):
     }
 
 
-def test_request_validation():
-    with pytest.raises(ValueError):
-        RerankRequest("q", "x", ())
-    with pytest.raises(ValueError):
-        RerankRequest(
-            "q", "x", (RerankCandidate(1, "a"), RerankCandidate(1, "b"))
-        )
-
-
 def test_apply_scores_tie_preserves_order_and_reversal():
     request = make_request(["one", "two", "three"])
     assert apply_scores(request, [1.0, 1.0, 1.0]) == list(request.candidates)
@@ -70,10 +61,6 @@ def test_apply_scores_validation():
     request = make_request(["one", "two"])
     with pytest.raises(ProtocolError):
         apply_scores(request, [1.0])
-    with pytest.raises(ProtocolError):
-        apply_scores(request, [1.0, float("inf")])
-    with pytest.raises(ProtocolError):
-        apply_scores(request, [1.0, float("nan")])
 
 
 def test_identity_reranker_is_identity():
