@@ -31,7 +31,7 @@ from .corpus import (
     require_book_coverage,
 )
 from .errors import CorpusError, FormatError
-from .fileio import iter_jsonl, json_line, map_grouped, parallel_map, write_lines, write_sidecar
+from .fileio import iter_jsonl, json_line, map_grouped, parallel_map, stage_output, write_lines
 from .records import record
 from .text import TokenSeq, normalize_eval_tokens, tokenize
 
@@ -366,14 +366,8 @@ def _cmd_index(args) -> int:
     lines = parallel_map(
         _index_worker, [(grouped[b], args.k1, args.b) for b in books], args.jobs
     )
-    write_lines(args.out, lines)
-    config = {
-        "paragraphs": str(args.paragraphs),
-        "k1": args.k1,
-        "b": args.b,
-        "out": str(args.out),
-    }
-    write_sidecar(args.out, "index", config, [args.paragraphs])
+    with stage_output(args, args.out, [args.paragraphs]):
+        write_lines(args.out, lines)
     print(f"indexed {len(books)} books", file=sys.stderr)
     return 0
 
@@ -389,14 +383,8 @@ def _cmd_retrieve(args) -> int:
         result = retrieve(indexes[q.book_id], query(q), args.k, q.question_id, mode)
         return result.to_json_line()
 
-    write_lines(args.out, map_grouped(line, qa, [q.book_id for q in qa], args.jobs))
-    config = {
-        "index": str(args.index),
-        "qa": str(args.qa),
-        "k": args.k,
-        "mode": args.mode,
-        "out": str(args.out),
-    }
-    write_sidecar(args.out, "retrieve", config, [args.index, args.qa])
+    lines = map_grouped(line, qa, [q.book_id for q in qa], args.jobs)
+    with stage_output(args, args.out, [args.index, args.qa]):
+        write_lines(args.out, lines)
     print(f"retrieved for {len(qa)} questions", file=sys.stderr)
     return 0

@@ -4,6 +4,12 @@ Stages exchange newline-delimited JSON files; every artifact is written with
 a ``.meta.json`` sidecar echoing the run configuration and input digests, so
 a rerun with identical config, inputs, and seed is byte-identical (the
 ``--jobs`` knob only bounds parallelism and never changes output bytes).
+Each handler writes every output through ``fileio.stage_output``, whose
+sidecar ``config`` is the parsed options but ``--jobs``, so an option's
+``dest`` is its name in the sidecar.  It digests the inputs and refuses a
+destination that is a directory before it replaces the artifact, and then
+the sidecar; the handler prints its report only once every output is in
+place.
 
 Every stage runs as its own process, and without a bytecode cache that
 process compiles each module it imports from source, so a stage loads only
@@ -162,8 +168,9 @@ def _supervise_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qa", required=True, help="QA JSONL file")
     p.add_argument("--pos-threshold", type=_unit_float, default=DEFAULT_POS_THRESHOLD, help="positives need span Rouge-L above this")
     p.add_argument("--neg-threshold", type=_unit_float, default=DEFAULT_NEG_THRESHOLD, help="negatives need span Rouge-L below this")
-    p.add_argument("--k", type=_positive_int, default=DEFAULT_K_RETRIEVE, help="retrieval depth for both weak retrievers")
-    p.add_argument("--seed", type=int, default=DEFAULT_NEGATIVE_SEED, help="negative-sampling seed")
+    # Named as ``SupervisionConfig`` names them, which the sidecar records.
+    p.add_argument("--k", dest="k_retrieve", metavar="K", type=_positive_int, default=DEFAULT_K_RETRIEVE, help="retrieval depth for both weak retrievers")
+    p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int, default=DEFAULT_NEGATIVE_SEED, help="negative-sampling seed")
     p.add_argument(
         "--negatives-per-positive",
         type=_nonnegative_int,

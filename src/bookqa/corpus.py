@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusError
-from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
+from .fileio import iter_jsonl, require_field, stage_output, write_lines
 from .records import record
 from .text import LazyTokenSeq, TokenSeq, tokenize
 
@@ -253,10 +253,9 @@ def _cmd_chunk(args) -> int:
     # pickling of every book and paragraph.
     books = load_books(args.books)
     paragraphs = [p for b in books for p in chunk_book(b, args.width)]
-    write_paragraphs(args.out, paragraphs)
-    config = {"books": str(args.books), "width": args.width, "out": str(args.out)}
     books_path = Path(args.books)
     inputs = sorted(books_path.glob("*.txt")) if books_path.is_dir() else [books_path]
-    write_sidecar(args.out, "chunk", config, inputs)
+    with stage_output(args, args.out, inputs):
+        write_paragraphs(args.out, paragraphs)
     print(f"wrote {len(paragraphs)} paragraphs", file=sys.stderr)
     return 0

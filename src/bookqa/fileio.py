@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -9,7 +10,9 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Hashable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import (
+    IO, Any, Callable, ContextManager, Hashable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+)
 
 from . import __version__
 from .errors import BookQaError, ConfigError, FormatError, WorkerError
@@ -27,11 +30,11 @@ def iter_jsonl(
 ) -> Iterator[tuple[int, Any]]:
     """Yield ``(line_number, parsed_object)``; blank lines are skipped."""
     path = Path(path)
-    if not path.exists():
-        raise error(f"{path}: file not found")
     try:
         fh = open(path, encoding="utf-8")
-    except OSError as exc:  # a directory, say
+    except FileNotFoundError as exc:
+        raise error(f"{path}: file not found") from exc
+    except OSError as exc:  # a directory, or a path under a file
         raise error(f"{path}: cannot read ({exc.strerror})") from exc
     with fh:
         try:
@@ -160,14 +163,22 @@ def sha256_file(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+@contextmanager
 def write_sidecar(
     artifact: Path | str,
     subcommand: str,
     config: dict[str, Any],
     inputs: Sequence[Path | str],
-) -> Path:
-    """Write ``<artifact>.meta.json`` echoing the run configuration and input
-    digests.  Deliberately excludes wall-clock data so reruns are byte-identical."""
+) -> Iterator[None]:
+    """Replace ``artifact`` in the body, then ``<artifact>.meta.json``, which
+    echoes the run configuration and input digests.  Deliberately excludes
+    wall-clock data so reruns are byte-identical.
+
+    Before the body runs, the inputs are digested as they are (an output may
+    overwrite an input), a destination that is a directory is refused, and
+    the sidecar is written to its temporary file, so a failure leaves both
+    files as they were.  The sidecar is renamed into place only once the
+    body has replaced the artifact."""
     artifact = Path(artifact)
     meta = {
         "tool": {"name": "bookqa", "version": __version__},
@@ -175,11 +186,37 @@ def write_sidecar(
         "config": config,
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
-    sidecar = artifact.with_name(artifact.name + ".meta.json")
+    text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    sidecar = artifact.parent / f"{artifact.name}.meta.json"  # not ``with_name``: "." has none
+    for path in (artifact, sidecar):
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot write ({exc.strerror})") from exc
     with _replacing(sidecar) as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return sidecar
+        fh.write(text)
+        yield
+
+
+def stage_output(
+    args: Any,
+    artifact: Path | str,
+    inputs: Sequence[Path | str],
+    subcommand: str | None = None,
+    omit: Iterable[str] = (),
+    **config: Any,
+) -> ContextManager[None]:
+    """``write_sidecar`` for the stage output ``artifact``: its ``config`` is
+    the stage's parsed ``args`` but ``--jobs`` and ``omit``, updated by
+    ``config``.  A stage writes each output in its body and reports only once
+    every output is in place."""
+    skip = {"subcommand", "jobs", *omit}
+    options = {key: value for key, value in vars(args).items() if key not in skip}
+    return write_sidecar(
+        artifact, subcommand or args.subcommand, {**options, **config}, inputs
+    )
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:

@@ -33,7 +33,7 @@ from .corpus import (
     require_book_coverage,
 )
 from .errors import ConfigError, EvalError, ProtocolError
-from .fileio import map_grouped, write_lines, write_sidecar
+from .fileio import map_grouped, stage_output, write_lines
 from .records import record
 from .reranker import (
     FileReranker,
@@ -221,23 +221,18 @@ def _cmd_eval_ir(args) -> int:
             args.top,
             jobs=args.jobs,
         )
-    config = {
-        "index": str(args.index),
-        "paragraphs": str(args.paragraphs),
-        "qa": str(args.qa),
-        "candidates": args.candidates,
-    }
     if args.emit_rerank_requests:
+        # Its sidecar keeps only the options that shape the requests, so it
+        # is the same whichever reranker scored them.
         out = args.emit_rerank_requests
-        write_requests_file(out, result.requests)
-        write_sidecar(out, "eval-ir-requests", {**config, "out": str(out)}, inputs)
+        unused = ("top", "reranker", "emit_rerank_requests")
+        with stage_output(args, out, inputs, "eval-ir-requests", unused, out=out):
+            write_requests_file(out, result.requests)
     if isinstance(scorer, FileReranker):
         inputs.append(scorer.scores_path)
-
-    print(result.format_table())
     if args.out:
         payload = json.dumps(result.to_dict(), sort_keys=True, indent=2)
-        write_lines(args.out, [payload])
-        config.update(top=args.top, reranker=args.reranker, out=str(args.out))
-        write_sidecar(args.out, "eval-ir", config, inputs)
+        with stage_output(args, args.out, inputs, omit=("emit_rerank_requests",)):
+            write_lines(args.out, [payload])
+    print(result.format_table())
     return 0

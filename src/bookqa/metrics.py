@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .corpus import QaExample, load_qa
 from .errors import EvalError
-from .fileio import iter_jsonl, require_field, write_lines, write_sidecar
+from .fileio import iter_jsonl, require_field, stage_output, write_lines
 from .records import record
 from .spans import position_masks, rouge_from_lcs
 from .text import normalize_eval, normalize_squad
@@ -445,13 +445,8 @@ def _cmd_eval_qa(args) -> int:
     qa = load_qa(args.qa)
     report = evaluate_qa(predictions, qa)
     payload = json.dumps(report.to_percent_dict(), sort_keys=True, indent=2)
-    print(payload)
     if args.out:
-        write_lines(args.out, [payload])
-        config = {
-            "predictions": str(args.predictions),
-            "qa": str(args.qa),
-            "out": str(args.out),
-        }
-        write_sidecar(args.out, "eval-qa", config, [args.predictions, args.qa])
+        with stage_output(args, args.out, [args.predictions, args.qa]):
+            write_lines(args.out, [payload])
+    print(payload)
     return 0

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .corpus import Paragraph, load_paragraphs, load_qa, require_book_coverage
 from .errors import CorpusError, EvalError, FormatError
-from .fileio import iter_jsonl, json_line, map_grouped, write_lines, write_sidecar
+from .fileio import iter_jsonl, json_line, map_grouped, stage_output, write_lines
 from .records import record
 from .text import normalize_eval, normalize_eval_tokens
 
@@ -249,14 +249,7 @@ def _cmd_span_oracle(args) -> int:
     chosen = list(selections.values())
     done = map_grouped(labels, chosen, [q.book_id for q, _ in chosen], args.jobs)
     ordered = [line for lines in done for line in lines]
-    write_lines(args.out, ordered)
-    config = {
-        "paragraphs": str(args.paragraphs),
-        "qa": str(args.qa),
-        "selections": str(args.selections),
-        "top": args.top,
-        "out": str(args.out),
-    }
-    write_sidecar(args.out, "span-oracle", config, [args.paragraphs, args.qa, args.selections])
+    with stage_output(args, args.out, [args.paragraphs, args.qa, args.selections]):
+        write_lines(args.out, ordered)
     print(f"wrote {len(ordered)} weak labels", file=sys.stderr)
     return 0

@@ -31,7 +31,7 @@ from .corpus import (
     require_book_coverage,
 )
 from .errors import ConfigError
-from .fileio import json_line, map_grouped, write_lines, write_sidecar
+from .fileio import json_line, map_grouped, stage_output, write_lines
 from .records import record
 from .spans import AnswerCoverage
 
@@ -61,16 +61,6 @@ class SupervisionConfig:
             raise ConfigError("negatives_per_positive must be >= 0")
         if self.negative_pool not in (POOL_UNION_MINUS_INTERSECTION, POOL_WHOLE_BOOK):
             raise ConfigError(f"unknown negative_pool {self.negative_pool!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "k_retrieve": self.k_retrieve,
-            "pos_threshold": self.pos_threshold,
-            "neg_threshold": self.neg_threshold,
-            "negatives_per_positive": self.negatives_per_positive,
-            "negative_pool": self.negative_pool,
-            "rng_seed": self.rng_seed,
-        }
 
 
 @record
@@ -204,12 +194,12 @@ def supervision_stats(
 def _cmd_supervise(args) -> int:
     # Config is validated before any file work starts.
     cfg = SupervisionConfig(
-        k_retrieve=args.k,
+        k_retrieve=args.k_retrieve,
         pos_threshold=args.pos_threshold,
         neg_threshold=args.neg_threshold,
         negatives_per_positive=args.negatives_per_positive,
         negative_pool=args.negative_pool,
-        rng_seed=args.seed,
+        rng_seed=args.rng_seed,
     )
     indexes = load_indexes(args.index)
     grouped_paras = load_paragraphs(args.paragraphs)
@@ -222,15 +212,8 @@ def _cmd_supervise(args) -> int:
 
     per_question = map_grouped(pairs, qa, [q.book_id for q in qa], args.jobs)
     all_pairs = [p for question_pairs in per_question for p in question_pairs]
-    write_lines(args.out, (p.to_json_line() for p in all_pairs))
-    config = {
-        "index": str(args.index),
-        "paragraphs": str(args.paragraphs),
-        "qa": str(args.qa),
-        "out": str(args.out),
-        **cfg.to_dict(),
-    }
-    write_sidecar(args.out, "supervise", config, [args.index, args.paragraphs, args.qa])
+    with stage_output(args, args.out, [args.index, args.paragraphs, args.qa]):
+        write_lines(args.out, (p.to_json_line() for p in all_pairs))
     stats = supervision_stats(all_pairs, cfg.pos_threshold, cfg.neg_threshold)
     print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
     return 0

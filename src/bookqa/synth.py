@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .corpus import Book, QaExample, write_books, write_qa
 from .errors import ConfigError
-from .fileio import write_lines, write_sidecar
+from .fileio import stage_output, write_lines
 from .records import record
 from .text import tokenize
 
@@ -200,39 +200,18 @@ def _cmd_synth(args) -> int:
         paraphrase=args.paraphrase,
         width=args.width,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = {
-        "seed": args.seed,
-        "books": args.books,
-        "paras_per_book": args.paras_per_book,
-        "questions_per_book": args.questions_per_book,
-        "paraphrase": args.paraphrase,
-        "width": args.width,
-        "out_dir": str(out_dir),
-    }
-    books_path = out_dir / "books.jsonl"
-    qa_path = out_dir / "qa.jsonl"
-    truth_path = out_dir / "truth.jsonl"
-    write_books(books_path, books)
-    write_qa(qa_path, qa)
-    write_lines(
-        truth_path,
-        (
-            json.dumps(
-                {
-                    "question_id": t.question_id,
-                    "book_id": t.book_id,
-                    "para_index": t.para_index,
-                    "topic": t.topic,
-                    "hard": t.hard,
-                }
-            )
-            for t in truths
-        ),
+    truth_lines = (
+        json.dumps({"question_id": t.question_id, "book_id": t.book_id,
+                    "para_index": t.para_index, "topic": t.topic, "hard": t.hard})
+        for t in truths
     )
-    for path in (books_path, qa_path, truth_path):
-        write_sidecar(path, "synth", config, [])
+    out_dir = Path(args.out_dir)  # recorded as a path: ``--out-dir c/`` is ``c``
+    for name, write, items in [
+        ("books.jsonl", write_books, books), ("qa.jsonl", write_qa, qa),
+        ("truth.jsonl", write_lines, truth_lines),
+    ]:
+        with stage_output(args, out_dir / name, [], out_dir=str(out_dir)):
+            write(out_dir / name, items)
     print(
         f"wrote {len(books)} books, {len(qa)} questions to {out_dir}", file=sys.stderr
     )

@@ -1305,20 +1305,19 @@ def listing(directory):
     return sorted(p.name for p in directory.iterdir())
 
 
-@pytest.mark.parametrize("out, reason", [("dir", "Is a directory"), (".", None)])
+@pytest.mark.parametrize("out, reason", [("dir", "Is a directory"), (".", "Is a directory")])
 def test_out_that_is_a_directory_fails_with_config_error(
     tmp_path, capsys, monkeypatch, out, reason
 ):
-    """The directory keeps what it holds, and no temporary file is left."""
+    """The directory keeps what it holds, and no sidecar or temporary file is
+    left: a directory is refused before anything is written."""
     paras, index, qa = tiny_corpus(tmp_path, capsys)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
     (tmp_path / "dir" / "kept.txt").write_text("kept", encoding="utf-8")
     before = listing(tmp_path)
     err = run_fail(capsys, "retrieve", "--index", index, "--qa", qa, "--out", out)
-    # Renaming over the working directory fails for a reason that depends
-    # on the system ("Device or resource busy" on Linux).
-    assert err.startswith(f"error[config]: {out}: cannot write ({reason or ''}")
+    assert err == f"error[config]: {out}: cannot write ({reason})\n"
     assert listing(tmp_path) == before
     assert (tmp_path / "dir" / "kept.txt").read_text(encoding="utf-8") == "kept"
 
@@ -1394,3 +1393,145 @@ def test_books_without_questions_and_input_order_change_no_question_stage_output
     assert shuffled != qa and any(runs["base"][0].values())
     assert runs["extra"] == runs["base"]
     assert runs["reordered"] == runs["base"]
+
+
+# ---------------------------------------------------------------------------
+# stage outputs and their sidecars
+
+
+def sidecar_of(path):
+    meta = json.loads(Path(f"{path}.meta.json").read_text(encoding="utf-8"))
+    return meta["subcommand"], meta["config"]
+
+
+def test_each_sidecar_config_is_the_stages_options_without_jobs(tmp_path, capsys, monkeypatch):
+    """Each sidecar's ``config`` is its stage's parsed options but ``--jobs``.
+    The exceptions: ``synth`` records ``--out-dir`` as a path, without a
+    trailing slash; the ``eval-ir`` table has no ``emit_rerank_requests``; and
+    the requests file records only the options that shape the requests."""
+    monkeypatch.chdir(tmp_path)
+    run_ok(capsys, *synth_args("c/"))
+    Path("txt").mkdir()
+    Path("txt", "a.txt").write_text("stone wall red door", encoding="utf-8")
+    answers = [json.loads(line) for line in Path("c", "qa.jsonl").read_text().splitlines()]
+    write_jsonl(Path("preds.jsonl"), [
+        {"question_id": r["question_id"], "answer": r["answers"][0]} for r in answers
+    ])
+    for argv in [
+        ["chunk", "--books", "c/books.jsonl", "--width", 30, "--out", "p.jsonl"],
+        ["chunk", "--books", "txt", "--width", 2, "--out", "t.jsonl"],
+        ["index", "--paragraphs", "p.jsonl", "--k1", 1.5, "--out", "i.jsonl"],
+        ["retrieve", "--index", "i.jsonl", "--qa", "c/qa.jsonl", "--k", 5, "--mode", "qa",
+         "--out", "r.jsonl"],
+        ["supervise", "--index", "i.jsonl", "--paragraphs", "p.jsonl", "--qa", "c/qa.jsonl",
+         "--k", 8, "--seed", 3, "--negative-pool", "whole_book", "--out", "s.jsonl"],
+        ["span-oracle", "--paragraphs", "p.jsonl", "--qa", "c/qa.jsonl",
+         "--selections", "r.jsonl", "--out", "l.jsonl"],
+        ["span-oracle", "--paragraphs", "p.jsonl", "--qa", "c/qa.jsonl",
+         "--selections", "r.jsonl", "--top", 2, "--out", "l2.jsonl"],
+        ["eval-ir", "--index", "i.jsonl", "--paragraphs", "p.jsonl", "--qa", "c/qa.jsonl",
+         "--reranker", "lexical", "--emit-rerank-requests", "req.jsonl", "--out", "t.json"],
+        ["eval-qa", "--predictions", "preds.jsonl", "--qa", "c/qa.jsonl", "--out", "e.json"],
+    ]:
+        run_ok(capsys, *argv, *([] if argv[0] == "eval-qa" else ["--jobs", 2]))
+    synth = {
+        "seed": 7, "books": 2, "paras_per_book": 8, "questions_per_book": 3,
+        "paraphrase": False, "width": 30, "out_dir": "c",
+    }
+    assert {name: sidecar_of(name) for name in (
+        "c/books.jsonl", "c/qa.jsonl", "c/truth.jsonl", "p.jsonl", "t.jsonl", "i.jsonl",
+        "r.jsonl", "s.jsonl", "l.jsonl", "l2.jsonl", "req.jsonl", "t.json", "e.json",
+    )} == {
+        "c/books.jsonl": ("synth", synth),
+        "c/qa.jsonl": ("synth", synth),
+        "c/truth.jsonl": ("synth", synth),
+        "p.jsonl": ("chunk", {"books": "c/books.jsonl", "width": 30, "out": "p.jsonl"}),
+        "t.jsonl": ("chunk", {"books": "txt", "width": 2, "out": "t.jsonl"}),
+        "i.jsonl": ("index", {"paragraphs": "p.jsonl", "k1": 1.5, "b": 0.75, "out": "i.jsonl"}),
+        "r.jsonl": ("retrieve", {
+            "index": "i.jsonl", "qa": "c/qa.jsonl", "k": 5, "mode": "qa", "out": "r.jsonl",
+        }),
+        "s.jsonl": ("supervise", {
+            "index": "i.jsonl", "paragraphs": "p.jsonl", "qa": "c/qa.jsonl", "out": "s.jsonl",
+            "k_retrieve": 8, "pos_threshold": 0.7, "neg_threshold": 0.4,
+            "negatives_per_positive": 1, "negative_pool": "whole_book", "rng_seed": 3,
+        }),
+        "l.jsonl": ("span-oracle", {
+            "paragraphs": "p.jsonl", "qa": "c/qa.jsonl", "selections": "r.jsonl",
+            "top": None, "out": "l.jsonl",
+        }),
+        "l2.jsonl": ("span-oracle", {
+            "paragraphs": "p.jsonl", "qa": "c/qa.jsonl", "selections": "r.jsonl",
+            "top": 2, "out": "l2.jsonl",
+        }),
+        "req.jsonl": ("eval-ir-requests", {
+            "index": "i.jsonl", "paragraphs": "p.jsonl", "qa": "c/qa.jsonl",
+            "candidates": 32, "out": "req.jsonl",
+        }),
+        "t.json": ("eval-ir", {
+            "index": "i.jsonl", "paragraphs": "p.jsonl", "qa": "c/qa.jsonl", "candidates": 32,
+            "top": 5, "reranker": "lexical", "out": "t.json",
+        }),
+        "e.json": ("eval-qa", {"predictions": "preds.jsonl", "qa": "c/qa.jsonl", "out": "e.json"}),
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sidecar_that_is_a_directory_fails_before_the_artifact_is_replaced(
+    tmp_path, capsys, jobs
+):
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    out = tmp_path / "r.jsonl"
+    run_ok(capsys, "retrieve", "--index", index, "--qa", qa, "--k", 3, "--out", out)
+    (tmp_path / "r.jsonl.meta.json").unlink()
+    (tmp_path / "r.jsonl.meta.json").mkdir()
+    out.write_text("previous\n", encoding="utf-8")
+    before = listing(tmp_path)
+    err = run_fail(
+        capsys, "retrieve", "--index", index, "--qa", qa, "--k", 3, "--out", out, "--jobs", jobs
+    )
+    assert err == f"error[config]: {out}.meta.json: cannot write (Is a directory)\n"
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert listing(tmp_path) == before
+    assert listing(tmp_path / "r.jsonl.meta.json") == []
+
+
+@pytest.mark.parametrize("stage", ["eval-ir", "eval-qa"])
+def test_report_is_not_printed_when_its_out_cannot_be_written(tmp_path, capsys, stage):
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    preds = write_jsonl(tmp_path / "preds.jsonl", [{"question_id": "q1", "answer": "door"}])
+    out = tmp_path / "dir"
+    out.mkdir()
+    if stage == "eval-ir":
+        argv = ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa, "--top", 2]
+    else:
+        argv = ["eval-qa", "--predictions", preds, "--qa", qa]
+    err = run_fail(capsys, *argv, "--out", out)  # nothing on stdout
+    assert err == f"error[config]: {out}: cannot write (Is a directory)\n"
+    assert not (tmp_path / "dir.meta.json").exists()
+
+
+def test_output_that_overwrites_its_input_records_the_inputs_digest_as_read(tmp_path, capsys):
+    books = write_jsonl(tmp_path / "b.jsonl", [{"book_id": "b", "title": "", "text": "red door"}])
+    digest = bookqa.fileio.sha256_file(books)
+    run_ok(capsys, "chunk", "--books", books, "--width", 1, "--out", books)
+    assert bookqa.fileio.sha256_file(books) != digest  # now the paragraphs
+    meta = json.loads((tmp_path / "b.jsonl.meta.json").read_text(encoding="utf-8"))
+    assert meta["inputs"] == {str(books): digest}
+
+
+def test_input_under_a_file_fails_as_unreadable_not_missing(tmp_path, capsys):
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    out = tmp_path / "r.jsonl"
+    err = run_fail(capsys, "retrieve", "--index", index, "--qa", qa / "x", "--out", out)
+    assert err == f"error[corpus]: {qa / 'x'}: cannot read (Not a directory)\n"
+    err = run_fail(capsys, "retrieve", "--index", index, "--qa", tmp_path / "none", "--out", out)
+    assert err == f"error[corpus]: {tmp_path / 'none'}: file not found\n"
+    assert not out.exists()
+
+
+def test_synth_out_dir_that_is_a_file_fails_with_config_error(tmp_path, capsys):
+    out_dir = write_jsonl(tmp_path / "f", [])
+    err = run_fail(capsys, "synth", "--seed", 1, "--books", 1, "--out-dir", out_dir)
+    assert err == f"error[config]: {out_dir / 'books.jsonl'}: cannot write (File exists)\n"
+    assert listing(tmp_path) == ["f"]

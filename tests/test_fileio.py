@@ -5,13 +5,14 @@ import signal
 import subprocess
 import sys
 import time
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
 from bookqa.errors import CorpusError, WorkerError
 import bookqa.fileio
-from bookqa.fileio import iter_jsonl, map_grouped, parallel_map, write_lines, write_sidecar
+from bookqa.fileio import iter_jsonl, map_grouped, parallel_map, stage_output, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,12 +71,15 @@ def test_artifact_lines_are_pinned_with_every_score_at_six_decimals():
 
 def test_write_sidecar_failure_keeps_previous_sidecar(tmp_path):
     artifact = tmp_path / "out.jsonl"
-    write_lines(artifact, ["x"])
-    sidecar = write_sidecar(artifact, "test", {"k": 1}, [artifact])
-    before = sidecar.read_bytes()
-    with pytest.raises(TypeError):  # json.dump fails part-way through
-        write_sidecar(artifact, "test", {"k": 2, "z": object()}, [artifact])
+    sidecar = tmp_path / "out.jsonl.meta.json"
+    with stage_output(Namespace(subcommand="test", k=1, jobs=2), artifact, []):
+        write_lines(artifact, ["x"])
+    before, artifact_before = sidecar.read_bytes(), artifact.read_bytes()
+    with pytest.raises(TypeError):  # the sidecar cannot be encoded
+        with stage_output(Namespace(subcommand="test", k=2, z=object()), artifact, [artifact]):
+            write_lines(artifact, ["y"])
     assert sidecar.read_bytes() == before
+    assert artifact.read_bytes() == artifact_before
     assert json.loads(before)["config"] == {"k": 1}
     assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "out.jsonl.meta.json"]
 

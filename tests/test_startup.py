@@ -495,8 +495,8 @@ def test_supervise_parser_defaults_equal_supervision_config():
     args = parse(*required)
     config = supervision.SupervisionConfig()
     assert (
-        args.k, args.pos_threshold, args.neg_threshold,
-        args.negatives_per_positive, args.negative_pool, args.seed,
+        args.k_retrieve, args.pos_threshold, args.neg_threshold,
+        args.negatives_per_positive, args.negative_pool, args.rng_seed,
     ) == (
         config.k_retrieve, config.pos_threshold, config.neg_threshold,
         config.negatives_per_positive, config.negative_pool, config.rng_seed,
