@@ -1,9 +1,11 @@
-"""Strict JSONL I/O, artifact sidecars, and bounded fork-based maps."""
+"""Strict JSONL I/O, artifact sidecars, and bounded fork-based maps.
+
+``hashlib`` loads on the first digest, so a stage that digests no input
+(``synth``) does not load it or OpenSSL."""
 
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import sys
@@ -156,6 +158,8 @@ def write_lines(path: Path | str, lines: Iterable[str]) -> None:
 
 
 def sha256_file(path: Path | str) -> str:
+    import hashlib  # see the module docstring
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

@@ -24,13 +24,14 @@ from __future__ import annotations
 import json
 import random
 import sys
+from itertools import islice, repeat
 from pathlib import Path
 
 from .corpus import Book, QaExample, write_books, write_qa
 from .errors import ConfigError
 from .fileio import stage_output, write_lines
 from .records import record
-from .text import tokenize
+from .text import TokenSeq
 
 QUESTION_TEMPLATE = "what is hidden near the {topic} by the {ctx}"
 
@@ -94,6 +95,19 @@ MAX_QUESTIONS_PER_BOOK = 12
 MIN_WIDTH = 8
 
 
+def repeated_choice(rng: random.Random, pool: tuple[str, ...], count: int) -> list[str]:
+    """``[rng.choice(pool) for _ in range(count)]``, drawn in one pass of C
+    iterators, leaving ``rng`` in the same state.
+
+    ``choice(pool)`` is ``pool[r]`` for the first ``r = getrandbits(k)``
+    below ``len(pool)``, where ``k = len(pool).bit_length()`` (Python
+    3.10-3.13).  ``islice`` stops at the last accepted draw, so no draw is
+    taken past it."""
+    n = len(pool)
+    below = filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+    return list(map(pool.__getitem__, islice(below, count)))
+
+
 @record
 class SynthTruth:
     """Hidden ground truth for one planted question."""
@@ -134,7 +148,7 @@ def synth_corpus(
 
     for b in range(n_books):
         book_id = f"book{b:03d}"
-        tokens = [rng.choice(DISTRACTORS) for _ in range(width * paras_per_book)]
+        tokens = repeated_choice(rng, DISTRACTORS, width * paras_per_book)
         topics = rng.sample(TOPICS, questions_per_book)
         contexts = rng.sample(CONTEXTS, questions_per_book)
         planted = rng.sample(range(paras_per_book), questions_per_book)
@@ -181,8 +195,8 @@ def synth_corpus(
                     tokens[p * width + rng.randrange(width)] = ctx
             truths.append(SynthTruth(question_id, book_id, para, topic, hard))
 
-        text = " ".join(tokens)
-        books.append(Book(book_id, f"Synthetic Book {b:03d}", tokenize(text)))
+        # Every pool word is alphanumeric, which ``tokenize`` returns whole.
+        books.append(Book(book_id, f"Synthetic Book {b:03d}", TokenSeq(tuple(tokens))))
 
     return books, qa, truths
 

@@ -262,6 +262,16 @@ def test_each_stage_loads_only_its_own_layers(small_run, tmp_path, stage):
     assert loaded == SHARED | STAGE_LAYERS[stage]
 
 
+@pytest.mark.parametrize("stage", ["synth", "eval-qa", "retrieve"])
+def test_only_stages_that_digest_inputs_load_hashlib(small_run, tmp_path, stage):
+    """``hashlib`` (and OpenSSL with it) loads on the first digest:
+    ``synth`` reads no input, so it has none to digest, while ``eval-qa``
+    and ``retrieve`` digest theirs into their sidecars."""
+    result = fresh_run(stage_argv(small_run, tmp_path, stage, 1))
+    assert result["code"] == 0
+    assert ("hashlib" in result["loaded"]) == (stage != "synth")
+
+
 @pytest.mark.parametrize("stage", STAGES)
 def test_no_stage_imports_the_cli_module_again(small_run, tmp_path, stage):
     """A stage process runs ``bookqa.cli`` as ``__main__``, so a layer that

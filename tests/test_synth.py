@@ -1,6 +1,12 @@
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from bookqa.bm25 import build_index, oracle_query, question_query, retrieve
+from bookqa.cli import main
 from bookqa.corpus import chunk_book
 from bookqa.errors import ConfigError
 from bookqa.spans import best_span_tokens, contains_answer
@@ -11,9 +17,12 @@ from bookqa.synth import (
     QUESTION_TEMPLATE,
     SYNONYMS,
     TOPICS,
+    repeated_choice,
     synth_corpus,
 )
-from bookqa.text import normalize_eval, normalize_eval_tokens
+from bookqa.text import normalize_eval, normalize_eval_tokens, tokenize
+
+SYNTH_DIGESTS = Path(__file__).parent / "data" / "synth_digests.json"
 
 
 def test_word_pools_are_pairwise_disjoint():
@@ -134,3 +143,51 @@ def test_synth_paraphrase_builds_at_eight_questions_per_book():
             seed=seed, n_books=1, paras_per_book=8, questions_per_book=8, paraphrase=True, width=30
         )
         assert sorted(q.answers[0].split()[0] for q in qa) == sorted(SYNONYMS)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, len(DISTRACTORS), 128, 129])
+def test_repeated_choice_draws_what_choice_draws(size):
+    """The same words as ``rng.choice`` in a loop, and the generator left
+    where the loop leaves it, at pool sizes around powers of two, where the
+    rejection rate of a draw jumps."""
+    pool = DISTRACTORS if size == len(DISTRACTORS) else tuple(f"w{i}" for i in range(size))
+    for seed in range(3):
+        for count in (0, 1, 2, 3, 17, 1000, 10_000):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert repeated_choice(fast, pool, count) == [slow.choice(pool) for _ in range(count)]
+            assert fast.random() == slow.random()
+
+
+def test_every_pool_word_is_alphanumeric():
+    """``synth`` hands its words to the books untokenized, which is exact
+    only because ``tokenize`` returns an alphanumeric word whole."""
+    pools = (TOPICS, CONTEXTS, ENTITIES, tuple(SYNONYMS.values()), DISTRACTORS)
+    bad = [word for pool in pools for word in pool if not word.isalnum()]
+    assert bad == []
+
+
+@pytest.mark.parametrize("paraphrase", [False, True])
+def test_book_tokens_equal_their_text_tokenized(paraphrase):
+    books, _, _ = synth_corpus(
+        seed=4, n_books=2, paras_per_book=10, questions_per_book=5, paraphrase=paraphrase, width=30
+    )
+    for book in books:
+        assert book.tokens == tokenize(book.tokens.text())
+
+
+def synth_corpora():
+    return json.loads(SYNTH_DIGESTS.read_text(encoding="utf-8"))["corpora"]
+
+
+@pytest.mark.parametrize("name", sorted(synth_corpora()))
+def test_synth_files_keep_their_digests(tmp_path, name):
+    """``books.jsonl``, ``qa.jsonl`` and ``truth.jsonl`` byte for byte as
+    the generator wrote them before its draws and book tokens took their
+    fast paths."""
+    corpus = synth_corpora()[name]
+    assert main(["synth", *corpus["argv"].split(), "--out-dir", str(tmp_path)]) == 0
+    got = {
+        file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+        for file in corpus["sha256"]
+    }
+    assert got == corpus["sha256"]
