@@ -72,6 +72,15 @@ def json_line(obj: dict) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
+def rounded(report: dict, places: int, scale: float = 1.0) -> dict:
+    """``report`` as a stage writes it: each float value times ``scale`` and
+    rounded to ``places``, every other value as it is."""
+    return {
+        key: round(scale * value, places) if type(value) is float else value
+        for key, value in report.items()
+    }
+
+
 def json_failure_reason(exc: ValueError | RecursionError) -> str:
     """Why ``json.loads`` raised ``exc``.
 

@@ -33,8 +33,7 @@ from .corpus import (
     require_book_coverage,
 )
 from .errors import ConfigError, EvalError, ProtocolError
-from .fileio import map_grouped, stage_output, write_lines
-from .records import record
+from .fileio import map_grouped, rounded, stage_output, write_lines
 from .reranker import (
     FileReranker,
     IdentityReranker,
@@ -49,35 +48,21 @@ from .reranker import (
 from .spans import AnswerCoverage
 
 
-@record
-class CoverageReport:
-    selection: str
-    em_coverage: float
-    rouge_coverage: float
-    n_questions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "selection": self.selection,
-            "em_coverage": round(self.em_coverage, 6),
-            "rouge_coverage": round(self.rouge_coverage, 6),
-            "model_selection_score": round(model_selection_score(self), 6),
-            "n_questions": self.n_questions,
-        }
-
-
-def model_selection_score(report: CoverageReport) -> float:
-    """Average of EM and Rouge-L coverage, the ranker model-selection signal."""
-    return (report.em_coverage + report.rouge_coverage) / 2.0
-
-
-def coverage_report(label: str, rouges: Sequence[float]) -> CoverageReport:
-    """One row's report from each question's best-span Rouge-L: EM is the
-    share of questions at exactly 1.0."""
+def coverage_report(label: str, rouges: Sequence[float]) -> dict:
+    """One row of the table from each question's best-span Rouge-L: EM is
+    the share of questions at exactly 1.0, and the mean of EM and Rouge-L
+    is the ranker model-selection signal."""
     if not rouges:
         raise EvalError("no questions to evaluate")
     n = len(rouges)
-    return CoverageReport(label, sum(r == 1.0 for r in rouges) / n, sum(rouges) / n, n)
+    em, rouge = sum(r == 1.0 for r in rouges) / n, sum(rouges) / n
+    return {
+        "selection": label,
+        "em_coverage": em,
+        "rouge_coverage": rouge,
+        "model_selection_score": (em + rouge) / 2.0,
+        "n_questions": n,
+    }
 
 
 def row_labels(k_base: int, k_top: int) -> tuple[str, str, str, str]:
@@ -142,34 +127,28 @@ def ablation_for_question(
     return rows, request
 
 
-@record
-class AblationResult:
-    rows: tuple[CoverageReport, ...]
-    requests: tuple[RerankRequest, ...] = ()  # in question order
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows]}
-
-    def format_table(self) -> str:
-        width = max(len(r.selection) for r in self.rows) + 2
-        lines = [f"{'Selection':<{width}}{'EM':>8}{'Rouge-L':>10}"]
-        for r in self.rows:
-            lines.append(
-                f"{r.selection:<{width}}"
-                f"{100.0 * r.em_coverage:>8.2f}{100.0 * r.rouge_coverage:>10.2f}"
-            )
-        return "\n".join(lines)
-
-
 def aggregate_ablation(
     items: Sequence[tuple[tuple[float, ...], RerankRequest]], k_base: int, k_top: int
-) -> AblationResult:
-    """The four row reports from ``ablation_for_question`` results."""
-    reports = tuple(
-        coverage_report(label, [rows[i] for rows, _ in items])
+) -> tuple[list[dict], list[RerankRequest]]:
+    """The four rows from ``ablation_for_question`` results, and the
+    requests in question order."""
+    rows = [
+        coverage_report(label, [rouges[i] for rouges, _ in items])
         for i, label in enumerate(row_labels(k_base, k_top))
-    )
-    return AblationResult(reports, tuple(request for _, request in items))
+    ]
+    return rows, [request for _, request in items]
+
+
+def format_table(rows: Sequence[dict]) -> str:
+    """The table ``eval-ir`` prints: each row's EM and Rouge-L in percent."""
+    width = max(len(r["selection"]) for r in rows) + 2
+    lines = [f"{'Selection':<{width}}{'EM':>8}{'Rouge-L':>10}"]
+    for r in rows:
+        lines.append(
+            f"{r['selection']:<{width}}"
+            f"{100.0 * r['em_coverage']:>8.2f}{100.0 * r['rouge_coverage']:>10.2f}"
+        )
+    return "\n".join(lines)
 
 
 def run_ablation(
@@ -180,7 +159,7 @@ def run_ablation(
     k_base: int = DEFAULT_K_BASE,
     k_top: int = DEFAULT_K_TOP,
     jobs: int = 1,
-) -> AblationResult:
+) -> tuple[list[dict], list[RerankRequest]]:
     # The built-in scorers are mapped per book over forked workers.  Any
     # other scorer stays in this process and sees the questions one at a
     # time, in order: an external scorer is one process with one request in
@@ -212,14 +191,8 @@ def _cmd_eval_ir(args) -> int:
 
     inputs = [args.index, args.paragraphs, args.qa]
     with open_scorer(args.reranker) as scorer:
-        result = run_ablation(
-            indexes,
-            grouped_paras,
-            qa,
-            scorer,
-            args.candidates,
-            args.top,
-            jobs=args.jobs,
+        rows, requests = run_ablation(
+            indexes, grouped_paras, qa, scorer, args.candidates, args.top, jobs=args.jobs
         )
     if args.emit_rerank_requests:
         # Its sidecar keeps only the options that shape the requests, so it
@@ -227,12 +200,14 @@ def _cmd_eval_ir(args) -> int:
         out = args.emit_rerank_requests
         unused = ("top", "reranker", "emit_rerank_requests")
         with stage_output(args, out, inputs, "eval-ir-requests", unused, out=out):
-            write_requests_file(out, result.requests)
+            write_requests_file(out, requests)
     if isinstance(scorer, FileReranker):
         inputs.append(scorer.scores_path)
     if args.out:
-        payload = json.dumps(result.to_dict(), sort_keys=True, indent=2)
+        payload = json.dumps(
+            {"rows": [rounded(row, 6) for row in rows]}, sort_keys=True, indent=2
+        )
         with stage_output(args, args.out, inputs, omit=("emit_rerank_requests",)):
             write_lines(args.out, [payload])
-    print(result.format_table())
+    print(format_table(rows))
     return 0

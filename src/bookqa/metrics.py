@@ -17,8 +17,7 @@ from typing import Mapping, Sequence
 
 from .corpus import QaExample, load_qa
 from .errors import EvalError
-from .fileio import iter_jsonl, require_field, stage_output, write_lines
-from .records import record
+from .fileio import iter_jsonl, require_field, rounded, stage_output, write_lines
 from .spans import position_masks, rouge_from_lcs
 from .text import normalize_eval, normalize_squad
 
@@ -352,29 +351,11 @@ def token_f1(prediction: str, references: Sequence[str]) -> float:
     return max(_f1_single(pred, normalize_squad(ref).tokens) for ref in references)
 
 
-@record
-class MetricReport:
-    bleu1: float
-    bleu4: float
-    meteor: float
-    rouge_l: float
-    em: float
-    f1: float
-    n_questions: int
-
-    def to_percent_dict(self) -> dict:
-        out = {
-            name: round(100.0 * getattr(self, name), 2)
-            for name in ("bleu1", "bleu4", "meteor", "rouge_l", "em", "f1")
-        }
-        out["n_questions"] = self.n_questions
-        return out
-
-
 def evaluate_qa(
     predictions: Mapping[str, str], examples: Sequence[QaExample]
-) -> MetricReport:
-    """Score a predictions map against gold examples.
+) -> dict:
+    """Score a predictions map against gold examples: each metric's mean
+    over the questions, keyed as ``eval-qa`` reports it, and ``n_questions``.
 
     Every gold question must have exactly one prediction; missing or extra
     ids abort with the offenders listed.
@@ -412,15 +393,15 @@ def evaluate_qa(
     n = len(examples)
     # Bleu-1's counts are the n = 1 entries of Bleu-4's.
     bleu_counts = _bleu_counts(pred_tokens, ref_tokens, 4)
-    return MetricReport(
-        bleu1=_bleu_from_counts(bleu_counts, 1),
-        bleu4=_bleu_from_counts(bleu_counts, 4),
-        meteor=meteor_sum / n,
-        rouge_l=rouge_sum / n,
-        em=em_sum / n,
-        f1=f1_sum / n,
-        n_questions=n,
-    )
+    return {
+        "bleu1": _bleu_from_counts(bleu_counts, 1),
+        "bleu4": _bleu_from_counts(bleu_counts, 4),
+        "meteor": meteor_sum / n,
+        "rouge_l": rouge_sum / n,
+        "em": em_sum / n,
+        "f1": f1_sum / n,
+        "n_questions": n,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +424,8 @@ def _load_predictions(path) -> dict[str, str]:
 def _cmd_eval_qa(args) -> int:
     predictions = _load_predictions(args.predictions)
     qa = load_qa(args.qa)
-    report = evaluate_qa(predictions, qa)
-    payload = json.dumps(report.to_percent_dict(), sort_keys=True, indent=2)
+    report = rounded(evaluate_qa(predictions, qa), 2, scale=100.0)  # in percent
+    payload = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
         with stage_output(args, args.out, [args.predictions, args.qa]):
             write_lines(args.out, [payload])

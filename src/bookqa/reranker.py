@@ -250,12 +250,14 @@ class FileReranker:
     def __init__(self, scores_path):
         self.scores_path = scores_path
         self.scores: dict[str, list[float]] = {}
-        for _, obj in iter_jsonl(scores_path, ProtocolError):
-            question_id, scores = response_from_record(obj)
+        for lineno, obj in iter_jsonl(scores_path, ProtocolError):
+            where = f"{scores_path}: line {lineno}"
+            try:
+                question_id, scores = response_from_record(obj)
+            except ProtocolError as exc:
+                raise ProtocolError(f"{where}: {exc}") from exc
             if question_id in self.scores:
-                raise ProtocolError(
-                    f"{scores_path}: duplicate response for {question_id!r}"
-                )
+                raise ProtocolError(f"{where}: duplicate response for {question_id!r}")
             self.scores[question_id] = scores
 
     def score(self, request: RerankRequest) -> list[float]:

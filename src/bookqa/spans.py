@@ -235,6 +235,8 @@ def _cmd_span_oracle(args) -> int:
                     f"in book {q.book_id!r}"
                 )
         selections[qid] = q, top
+    if not selections:
+        raise FormatError(f"{args.selections}: no selection records")
 
     def labels(selection):
         q, top = selection

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections import Counter
 from typing import Sequence
 
 from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
@@ -141,50 +142,26 @@ def generate_pairs(
     return pairs
 
 
-@record
-class SupervisionStats:
-    n_pairs: int
-    n_positive: int
-    n_negative: int
-    n_questions: int
-    balance: float  # positive fraction of emitted pairs
-    dead_zone_rate: float  # integrity check; must be 0 for valid output
-    positives_per_book: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-            "n_questions": self.n_questions,
-            "balance": round(self.balance, 6),
-            "dead_zone_rate": round(self.dead_zone_rate, 6),
-            "positives_per_book": dict(sorted(self.positives_per_book.items())),
-        }
-
-
 def supervision_stats(
     pairs: Sequence[SupervisionPair],
     pos_threshold: float = DEFAULT_POS_THRESHOLD,
     neg_threshold: float = DEFAULT_NEG_THRESHOLD,
-) -> SupervisionStats:
-    if not pairs:
-        return SupervisionStats(0, 0, 0, 0, 0.0, 0.0, {})
-    n_pos = sum(1 for p in pairs if p.label == LABEL_POSITIVE)
+) -> dict:
+    """``supervise``'s report of its pairs, as it prints it on stderr."""
+    n = len(pairs)
+    positives = [p for p in pairs if p.label == LABEL_POSITIVE]
     dead = sum(1 for p in pairs if neg_threshold <= p.filter_score <= pos_threshold)
-    per_book: dict[str, int] = {}
-    for p in pairs:
-        if p.label == LABEL_POSITIVE:
-            per_book[p.book_id] = per_book.get(p.book_id, 0) + 1
-    return SupervisionStats(
-        n_pairs=len(pairs),
-        n_positive=n_pos,
-        n_negative=len(pairs) - n_pos,
-        n_questions=len({p.question_id for p in pairs}),
-        balance=n_pos / len(pairs),
-        dead_zone_rate=dead / len(pairs),
-        positives_per_book=per_book,
-    )
+    return {
+        "n_pairs": n,
+        "n_positive": len(positives),
+        "n_negative": n - len(positives),
+        "n_questions": len({p.question_id for p in pairs}),
+        # Shares of the emitted pairs, 0.0 when there are none.  The dead
+        # zone's is an integrity check: it must be 0 for valid output.
+        "balance": round(len(positives) / n, 6) if n else 0.0,
+        "dead_zone_rate": round(dead / n, 6) if n else 0.0,
+        "positives_per_book": dict(sorted(Counter(p.book_id for p in positives).items())),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -215,5 +192,5 @@ def _cmd_supervise(args) -> int:
     with stage_output(args, args.out, [args.index, args.paragraphs, args.qa]):
         write_lines(args.out, (p.to_json_line() for p in all_pairs))
     stats = supervision_stats(all_pairs, cfg.pos_threshold, cfg.neg_threshold)
-    print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
+    print(json.dumps(stats, sort_keys=True), file=sys.stderr)
     return 0

@@ -27,7 +27,7 @@ import sys
 from itertools import islice, repeat
 from pathlib import Path
 
-from .corpus import Book, QaExample, write_books, write_qa
+from .corpus import DEFAULT_CHUNK_WIDTH, Book, QaExample, write_books, write_qa
 from .errors import ConfigError
 from .fileio import stage_output, write_lines
 from .records import record
@@ -125,7 +125,7 @@ def synth_corpus(
     paras_per_book: int = 12,
     questions_per_book: int = 4,
     paraphrase: bool = False,
-    width: int = 200,
+    width: int = DEFAULT_CHUNK_WIDTH,
 ) -> tuple[list[Book], list[QaExample], list[SynthTruth]]:
     if min(n_books, paras_per_book, questions_per_book) < 1:
         raise ConfigError("all synth counts must be >= 1")

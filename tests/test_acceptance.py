@@ -20,6 +20,7 @@ import bookqa.fileio
 from bookqa.bm25 import build_index, oracle_query, question_query, retrieve
 from bookqa.cli import main as cli_main
 from bookqa.corpus import chunk_book, load_books, load_qa
+from bookqa.fileio import rounded
 from bookqa.ir_eval import run_ablation
 from bookqa.metrics import bleu_corpus, meteor_exact, rouge_l, token_f1
 from bookqa.reranker import IdentityReranker
@@ -119,14 +120,15 @@ def test_criterion_3_pipeline_invariants_seed_sweep():
                         assert pair.label == LABEL_NEGATIVE
                         assert pair.filter_score < cfg.neg_threshold
 
-        result = run_ablation(indexes, paragraphs, qa, IdentityReranker())
-        base, reranked, upper, oracle = result.rows
-        assert reranked.em_coverage == base.em_coverage
-        assert reranked.rouge_coverage == base.rouge_coverage
-        assert base.em_coverage <= upper.em_coverage + 1e-12
-        assert base.rouge_coverage <= upper.rouge_coverage + 1e-12
-        assert oracle.em_coverage >= base.em_coverage - 1e-12
-        assert oracle.rouge_coverage >= base.rouge_coverage - 1e-12
+        (base, reranked, upper, oracle), _ = run_ablation(
+            indexes, paragraphs, qa, IdentityReranker()
+        )
+        assert reranked["em_coverage"] == base["em_coverage"]
+        assert reranked["rouge_coverage"] == base["rouge_coverage"]
+        assert base["em_coverage"] <= upper["em_coverage"] + 1e-12
+        assert base["rouge_coverage"] <= upper["rouge_coverage"] + 1e-12
+        assert oracle["em_coverage"] >= base["em_coverage"] - 1e-12
+        assert oracle["rouge_coverage"] >= base["rouge_coverage"] - 1e-12
 
     elapsed = time.perf_counter() - started
     _report(3, elapsed < 120.0, f"{len(seeds)} seeds in {elapsed:.1f}s")
@@ -200,8 +202,8 @@ def test_criterion_4_stages_equal_the_in_memory_ablation(tmp_path, monkeypatch, 
 
     paragraphs = {b.book_id: chunk_book(b, width=200) for b in load_books(books)}
     indexes = {book: build_index(paras) for book, paras in paragraphs.items()}
-    result = run_ablation(indexes, paragraphs, load_qa(qa), IdentityReranker())
-    assert rows == [r.to_dict() for r in result.rows]
+    in_memory, _ = run_ablation(indexes, paragraphs, load_qa(qa), IdentityReranker())
+    assert rows == [rounded(row, 6) for row in in_memory]
 
 
 def _run_pipeline(work: Path, jobs: int) -> dict[str, bytes]:

@@ -364,7 +364,7 @@ def test_eval_ir_file_scores_unconverted_fail_with_protocol_error(
     )
     out = tmp_path / "table.json"
     err = run_fail(capsys, *eval_ir_args(work, f"file:{scores_path}", "--out", out))
-    assert err == f"error[protocol]: bad rerank response record: {problem}\n"
+    assert err == f"error[protocol]: {scores_path}: line 1: bad rerank response record: {problem}\n"
     assert not out.exists()
 
 
@@ -779,7 +779,8 @@ def test_rerank_score_too_large_for_a_float_fails_with_protocol_error(tmp_path, 
     )
     assert "Traceback" not in err
     assert err == (
-        "error[protocol]: bad rerank response record: score is an int too large for a float\n"
+        f"error[protocol]: {scores}: line 1: bad rerank response record: "
+        "score is an int too large for a float\n"
     )
     assert not out.exists()
 
@@ -871,6 +872,25 @@ def test_span_oracle_refuses_a_question_selected_twice(tmp_path, capsys):
     )
     assert err == f"error[eval]: {selections}: line 2: question 'q1' is selected twice\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_span_oracle_refuses_an_empty_selections_file(tmp_path, capsys, jobs):
+    """``retrieve`` refuses an empty qa file, so it never writes an empty
+    selections file: one is a truncated artifact, refused before the
+    labels it would replace are touched."""
+    paras, _, qa = tiny_corpus(tmp_path, capsys)
+    selections = tmp_path / "selections.jsonl"
+    selections.write_text("\n", encoding="utf-8")
+    out = tmp_path / "spans.jsonl"
+    out.write_text("earlier labels\n", encoding="utf-8")
+    err = run_fail(
+        capsys, "span-oracle", "--paragraphs", paras, "--qa", qa, "--selections", selections,
+        "--out", out, "--jobs", jobs,
+    )
+    assert err == f"error[format]: {selections}: no selection records\n"
+    assert out.read_text(encoding="utf-8") == "earlier labels\n"
+    assert not (tmp_path / "spans.jsonl.meta.json").exists()
 
 
 def test_retrieve_refuses_a_negative_doc_len_key(tmp_path, capsys):
@@ -1235,14 +1255,20 @@ def refusal(capsys, *argv):
             [{"question_id": "q1", "scores": [float("nan")]}],
             ["eval-ir", "--index", "{index}", "--paragraphs", "{paras}", "--qa", "{qa}",
              "--reranker", "file:{bad}"],
-            1, "error[protocol]: bad rerank response record: non-finite score nan",
+            1, "error[protocol]: {bad}: line 1: bad rerank response record: non-finite score nan",
+        ),
+        (
+            [{"question_id": "q1", "scores": [1.0]}, {"question_id": "q1", "scores": [2.0]}],
+            ["eval-ir", "--index", "{index}", "--paragraphs", "{paras}", "--qa", "{qa}",
+             "--reranker", "file:{bad}"],
+            1, "error[protocol]: {bad}: line 2: duplicate response for 'q1'",
         ),
     ],
     ids=[
         "books-empty-book-id", "books-blank-text", "books-empty-txt", "qa-empty-question-id",
         "qa-no-answers", "paragraphs-blank-text", "chunk-width-0", "retrieve-k-0",
         "supervise-k-0", "eval-ir-candidates-0", "eval-ir-top-0", "exec-scorer-nan",
-        "file-scores-nan",
+        "file-scores-nan", "file-scores-duplicate",
     ],
 )
 def test_each_input_rule_is_refused_where_the_input_enters(

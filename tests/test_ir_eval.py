@@ -4,12 +4,12 @@ from bookqa.bm25 import build_index, oracle_query, question_query, retrieve
 from bookqa.corpus import QaExample, chunk_book
 from bookqa.errors import EvalError
 from bookqa.oracles import brute_best_span
+from bookqa.fileio import rounded
 from bookqa.ir_eval import (
-    CoverageReport,
     ablation_for_question,
     aggregate_ablation,
     coverage_report,
-    model_selection_score,
+    format_table,
     row_labels,
     run_ablation,
 )
@@ -55,69 +55,70 @@ def test_coverage_report_trivial_cases():
     p_miss = make_paragraph("b", 1, ["stone", "wall"])
     answers = ["falcon"]
     report = coverage_report("test_sel", [coverage_rouge([p_hit, p_miss], answers)])
-    assert report.em_coverage == 1.0
-    assert report.rouge_coverage == 1.0
-    assert report.n_questions == 1
-    assert report.selection == "test_sel"
+    assert report["em_coverage"] == 1.0
+    assert report["rouge_coverage"] == 1.0
+    assert report["n_questions"] == 1
+    assert report["selection"] == "test_sel"
 
     report = coverage_report("test_sel", [coverage_rouge([p_miss], answers)])
-    assert report.em_coverage == 0.0
-    assert report.rouge_coverage == 0.0
+    assert report["em_coverage"] == 0.0
+    assert report["rouge_coverage"] == 0.0
 
 
 def test_coverage_report_single_question_equals_raw_values():
     p = make_paragraph("b", 0, ["gold", "grey", "stone"])
     rouge = coverage_rouge([p], ["gold stone"])
     report = coverage_report("one", [rouge])
-    assert report.rouge_coverage == rouge
-    assert report.em_coverage == 0.0
+    assert report["rouge_coverage"] == rouge
+    assert report["em_coverage"] == 0.0
 
 
 def test_model_selection_score():
-    assert model_selection_score(CoverageReport("s", 1.0, 1.0, 1)) == 1.0
-    assert model_selection_score(CoverageReport("s", 0.0, 0.5, 1)) == 0.25
-    assert model_selection_score(CoverageReport("s", 0.1899, 0.4748, 1)) == pytest.approx(
-        0.33235
-    )
+    """A row's model-selection score is the mean of its EM and Rouge-L."""
+    assert coverage_report("s", [1.0])["model_selection_score"] == 1.0
+    assert coverage_report("s", [0.5])["model_selection_score"] == 0.25
+    # 1,899 questions at 1.0, 5,698 at 0.5 and 2,403 at 0.0: EM 0.1899, Rouge-L 0.4748.
+    row = coverage_report("s", [1.0] * 1899 + [0.5] * 5698 + [0.0] * 2403)
+    assert (row["em_coverage"], row["rouge_coverage"]) == pytest.approx((0.1899, 0.4748))
+    assert row["model_selection_score"] == pytest.approx(0.33235)
 
 
 def test_identity_reranker_reproduces_baseline_row_exactly():
     paragraphs, indexes, qa, _ = _setup(seed=10)
-    result = run_ablation(indexes, paragraphs, qa, IdentityReranker())
+    rows, _ = run_ablation(indexes, paragraphs, qa, IdentityReranker())
     labels = row_labels(32, 5)
-    baseline = result.rows[0]
-    reranked = result.rows[1]
-    assert baseline.selection == labels[0]
-    assert reranked.selection == labels[1]
-    assert reranked.em_coverage == baseline.em_coverage
-    assert reranked.rouge_coverage == baseline.rouge_coverage
+    baseline = rows[0]
+    reranked = rows[1]
+    assert baseline["selection"] == labels[0]
+    assert reranked["selection"] == labels[1]
+    assert reranked["em_coverage"] == baseline["em_coverage"]
+    assert reranked["rouge_coverage"] == baseline["rouge_coverage"]
 
 
 def test_top5_never_beats_top32_and_oracle_dominates_baseline():
     for seed in (1, 6, 9):
         paragraphs, indexes, qa, _ = _setup(seed=seed)
-        result = run_ablation(indexes, paragraphs, qa, IdentityReranker())
-        base, _, upper, oracle = result.rows
-        assert base.em_coverage <= upper.em_coverage + 1e-12
-        assert base.rouge_coverage <= upper.rouge_coverage + 1e-12
-        assert oracle.em_coverage >= base.em_coverage - 1e-12
-        assert oracle.rouge_coverage >= base.rouge_coverage - 1e-12
+        (base, _, upper, oracle), _ = run_ablation(indexes, paragraphs, qa, IdentityReranker())
+        assert base["em_coverage"] <= upper["em_coverage"] + 1e-12
+        assert base["rouge_coverage"] <= upper["rouge_coverage"] + 1e-12
+        assert oracle["em_coverage"] >= base["em_coverage"] - 1e-12
+        assert oracle["rouge_coverage"] >= base["rouge_coverage"] - 1e-12
 
 
 def test_oracle_score_reranker_matches_upperbound_and_dominates_others():
     paragraphs, indexes, qa, _ = _setup(seed=12)
-    oracle_result = run_ablation(indexes, paragraphs, qa, OracleScorer(qa))
-    upper = oracle_result.rows[2]
-    reranked = oracle_result.rows[1]
+    oracle_rows, _ = run_ablation(indexes, paragraphs, qa, OracleScorer(qa))
+    upper = oracle_rows[2]
+    reranked = oracle_rows[1]
     # Picking the best-covering candidates from the pool achieves the pool's
     # own coverage.
-    assert reranked.em_coverage == pytest.approx(upper.em_coverage)
-    assert reranked.rouge_coverage == pytest.approx(upper.rouge_coverage)
+    assert reranked["em_coverage"] == pytest.approx(upper["em_coverage"])
+    assert reranked["rouge_coverage"] == pytest.approx(upper["rouge_coverage"])
 
     for scorer in (IdentityReranker(), LexicalReranker()):
-        other = run_ablation(indexes, paragraphs, qa, scorer).rows[1]
-        assert reranked.em_coverage >= other.em_coverage - 1e-12
-        assert reranked.rouge_coverage >= other.rouge_coverage - 1e-12
+        other = run_ablation(indexes, paragraphs, qa, scorer)[0][1]
+        assert reranked["em_coverage"] >= other["em_coverage"] - 1e-12
+        assert reranked["rouge_coverage"] >= other["rouge_coverage"] - 1e-12
 
 
 def test_reranker_failure_aborts_with_question_named():
@@ -146,24 +147,24 @@ def test_fewer_candidates_than_k_base_is_fine():
     ]
     indexes = {"b": build_index(paras)}
     qa = [QaExample("q1", "b", "falcon", ("falcon",))]
-    result = run_ablation(indexes, {"b": paras}, qa, IdentityReranker(), k_base=32, k_top=5)
-    assert result.rows[0].em_coverage == 1.0
-    assert result.rows[2].n_questions == 1
+    rows, _ = run_ablation(indexes, {"b": paras}, qa, IdentityReranker(), k_base=32, k_top=5)
+    assert rows[0]["em_coverage"] == 1.0
+    assert rows[2]["n_questions"] == 1
 
 
 def test_format_table_shape():
     paragraphs, indexes, qa, _ = _setup(seed=3, n_books=1)
-    result = run_ablation(indexes, paragraphs, qa, IdentityReranker())
-    table = result.format_table()
+    rows, _ = run_ablation(indexes, paragraphs, qa, IdentityReranker())
+    table = format_table(rows)
     lines = table.splitlines()
     assert len(lines) == 5
     assert "EM" in lines[0] and "Rouge-L" in lines[0]
     for label, line in zip(row_labels(32, 5), lines[1:]):
         assert line.startswith(label)
 
-    payload = result.to_dict()
-    assert [r["selection"] for r in payload["rows"]] == list(row_labels(32, 5))
-    for row in payload["rows"]:
+    payload = [rounded(row, 6) for row in rows]
+    assert [r["selection"] for r in payload] == list(row_labels(32, 5))
+    for row in payload:
         assert 0.0 <= row["em_coverage"] <= 1.0
         assert row["model_selection_score"] == pytest.approx(
             (row["em_coverage"] + row["rouge_coverage"]) / 2, abs=1e-6
@@ -184,7 +185,7 @@ def test_baseline_row_equals_direct_retrieval_coverage():
     corpus has partial coverage, and a top-1 that is below the pool's."""
     for seed, paraphrase, k_top in ((15, False, 5), (5, True, 1)):
         paragraphs, indexes, qa, _ = _setup(seed=seed, paraphrase=paraphrase)
-        result = run_ablation(indexes, paragraphs, qa, IdentityReranker(), k_top=k_top)
+        rows, _ = run_ablation(indexes, paragraphs, qa, IdentityReranker(), k_top=k_top)
         per_row = [[], [], [], []]
         for q in qa:
             book = paragraphs[q.book_id]
@@ -199,11 +200,11 @@ def test_baseline_row_equals_direct_retrieval_coverage():
                     for answer in answers
                     if answer
                 ))
-        for row, rouges, label in zip(result.rows, per_row, row_labels(32, k_top)):
-            assert row.selection == label
-            assert row.n_questions == len(qa)
-            assert row.em_coverage == sum(r == 1.0 for r in rouges) / len(qa)
-            assert row.rouge_coverage == pytest.approx(sum(rouges) / len(qa), abs=1e-12, rel=0)
+        for row, rouges, label in zip(rows, per_row, row_labels(32, k_top)):
+            assert row["selection"] == label
+            assert row["n_questions"] == len(qa)
+            assert row["em_coverage"] == sum(r == 1.0 for r in rouges) / len(qa)
+            assert row["rouge_coverage"] == pytest.approx(sum(rouges) / len(qa), abs=1e-12, rel=0)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bookqa.corpus import QaExample
 from bookqa.errors import EvalError
+from bookqa.fileio import rounded
 from bookqa.metrics import (
     _best_meteor,
     _bleu_counts,
@@ -341,9 +342,9 @@ def test_evaluate_qa_golden_fixture():
     predictions, examples = _golden_fixture()
     report = evaluate_qa(predictions, examples)
     for name in ("bleu1", "bleu4", "meteor", "rouge_l", "em", "f1"):
-        assert getattr(report, name) == pytest.approx(GOLDEN[name], abs=1e-9), name
-    assert report.n_questions == 3
-    assert report.to_percent_dict() == GOLDEN["percent"]
+        assert report[name] == pytest.approx(GOLDEN[name], abs=1e-9), name
+    assert report["n_questions"] == 3
+    assert rounded(report, 2, scale=100.0) == GOLDEN["percent"]
 
 
 def test_evaluate_qa_perfect_predictions():
@@ -353,19 +354,19 @@ def test_evaluate_qa_perfect_predictions():
     ]
     predictions = {"q1": "the cat sat", "q2": "france"}
     report = evaluate_qa(predictions, examples)
-    assert report.em == 1.0
-    assert report.f1 == 1.0
-    assert report.rouge_l == 1.0
-    assert report.bleu1 == pytest.approx(1.0)
+    assert report["em"] == 1.0
+    assert report["f1"] == 1.0
+    assert report["rouge_l"] == 1.0
+    assert report["bleu1"] == pytest.approx(1.0)
 
 
 def test_evaluate_qa_empty_predictions_score_zero():
     examples = [QaExample("q1", "b", "x", ("france",))]
     report = evaluate_qa({"q1": ""}, examples)
-    assert report.em == 0.0
-    assert report.f1 == 0.0
-    assert report.rouge_l == 0.0
-    assert report.bleu1 == 0.0
+    assert report["em"] == 0.0
+    assert report["f1"] == 0.0
+    assert report["rouge_l"] == 0.0
+    assert report["bleu1"] == 0.0
 
 
 _ANSWER_TEXT = st.lists(
@@ -391,8 +392,8 @@ def test_evaluate_qa_equals_the_per_question_metrics(cases):
         em += float(exact_match(predictions[q.question_id], q.answers))
         f1 += token_f1(predictions[q.question_id], q.answers)
     n = len(examples)
-    assert (report.meteor, report.rouge_l, report.em, report.f1) == (meteor / n, rouge / n, em / n, f1 / n)
-    assert (report.bleu1, report.bleu4) == (bleu_corpus(preds, refs, 1), bleu_corpus(preds, refs, 4))
+    assert (report["meteor"], report["rouge_l"], report["em"], report["f1"]) == (meteor / n, rouge / n, em / n, f1 / n)
+    assert (report["bleu1"], report["bleu4"]) == (bleu_corpus(preds, refs, 1), bleu_corpus(preds, refs, 4))
 
 
 def test_evaluate_qa_reports_missing_and_extra_ids():

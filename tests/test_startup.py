@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from bookqa import bm25, corpus, ir_eval, reranker, supervision
+from bookqa import bm25, corpus, ir_eval, reranker, supervision, synth
 from bookqa.cli import MODES, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -527,6 +527,7 @@ def test_parser_defaults_equal_library_constants():
     for sub in (["synth", "--seed", 1, "--out-dir", "o"], ["chunk", "--books", "b", "--out", "o"]):
         args = parse(*sub)
         assert args.width == corpus.DEFAULT_CHUNK_WIDTH == default_of(corpus.chunk_book, "width")
+    assert default_of(synth.synth_corpus, "width") == corpus.DEFAULT_CHUNK_WIDTH
 
     args = parse("index", "--paragraphs", "p", "--out", "o")
     assert args.k1 == bm25.DEFAULT_K1 == default_of(bm25.build_index, "k1")

@@ -103,7 +103,7 @@ def test_positive_yield_equals_planted_question_count():
         for p in generate_pairs(indexes[q.book_id], paragraphs[q.book_id], q, cfg)
     ]
     stats = supervision_stats(pairs)
-    assert stats.n_positive == len(qa)
+    assert stats["n_positive"] == len(qa)
     truth_by_id = {t.question_id: t.para_index for t in truths}
     for p in pairs:
         if p.label == LABEL_POSITIVE:
@@ -195,19 +195,19 @@ def test_pair_serialization():
 
 
 def test_stats():
-    assert supervision_stats([]).to_dict()["n_pairs"] == 0
+    assert supervision_stats([])["n_pairs"] == 0
     pairs = [
         SupervisionPair("q1", "b", 0, LABEL_POSITIVE, 0.9, PROVENANCE_INTERSECTION),
         SupervisionPair("q1", "b", 1, LABEL_NEGATIVE, 0.1, "complement"),
         SupervisionPair("q2", "b2", 2, LABEL_POSITIVE, 0.8, PROVENANCE_INTERSECTION),
     ]
     stats = supervision_stats(pairs)
-    assert stats.n_pairs == 3
-    assert stats.n_positive == 2
-    assert stats.balance == pytest.approx(2 / 3)
-    assert stats.dead_zone_rate == 0.0
-    assert stats.positives_per_book == {"b": 1, "b2": 1}
-    assert stats.n_questions == 2
+    assert stats["n_pairs"] == 3
+    assert stats["n_positive"] == 2
+    assert stats["balance"] == pytest.approx(2 / 3)
+    assert stats["dead_zone_rate"] == 0.0
+    assert stats["positives_per_book"] == {"b": 1, "b2": 1}
+    assert stats["n_questions"] == 2
 
     all_pos = [pairs[0], pairs[2]]
-    assert supervision_stats(all_pos).balance == 1.0
+    assert supervision_stats(all_pos)["balance"] == 1.0
