@@ -28,6 +28,7 @@ from .corpus import (
     QaExample,
     load_paragraphs,
     load_qa,
+    release_tokens,
     require_book_coverage,
 )
 from .errors import CorpusError, FormatError
@@ -353,8 +354,7 @@ def _index_worker(task):
     record = index_to_record(build_index(paragraphs, k1=k1, b=b))
     # Only this book's index needs its tokens.  A map that runs in the
     # stage process would otherwise hold every book's tokens at its end.
-    for para in paragraphs:
-        para.tokens.release()
+    release_tokens(paragraphs)
     # The finished line, not the record: a string is far cheaper to send
     # back from a worker than the nested dict it encodes.
     return json.dumps(record, sort_keys=True)

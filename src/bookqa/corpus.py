@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CorpusError
 from .fileio import iter_jsonl, require_field, stage_output, write_lines
@@ -82,44 +82,59 @@ def chunk_book(book: Book, width: int = DEFAULT_CHUNK_WIDTH) -> list[Paragraph]:
     ]
 
 
-def load_books(path: Path | str) -> list[Book]:
+def iter_books(path: Path | str) -> Iterator[Book]:
+    """The books of ``path`` in file order.  Each is read, checked and
+    tokenized only when the caller asks for it, so a caller that drops each
+    book before asking for the next holds one book's tokens at a time.  The
+    errors come in file order, each once its book is reached."""
     path = Path(path)
-    books: list[Book] = []
-    seen: set[str] = set()
     if path.is_dir():
         files = sorted(path.glob("*.txt"))
         if not files:
             raise CorpusError(f"{path}: directory contains no .txt files")
         for file in files:
-            try:
-                text = file.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"{file}: not valid UTF-8 ({exc.reason})") from exc
-            except OSError as exc:  # a directory named like a book, say
-                raise CorpusError(f"{file}: cannot read ({exc.strerror})") from exc
-            tokens = tokenize(text)
-            if len(tokens) == 0:
-                raise CorpusError(f"{file}: book has no tokens")
-            books.append(Book(file.stem, file.stem, tokens))
-        return books
+            yield _txt_book(file)
+        return
+    seen: set[str] = set()
     for lineno, obj in iter_jsonl(path, CorpusError):
-        book_id = require_field(obj, "book_id", path, lineno, str, CorpusError)
-        text = require_field(obj, "text", path, lineno, str, CorpusError)
-        title = obj.get("title", "")
-        if not isinstance(title, str):
-            raise CorpusError(f"{path}: line {lineno}: field 'title' has wrong type")
-        if not book_id:
-            raise CorpusError(f"{path}: line {lineno}: field 'book_id' is empty")
-        if book_id in seen:
-            raise CorpusError(f"{path}: line {lineno}: duplicate book_id {book_id!r}")
-        seen.add(book_id)
-        tokens = tokenize(text)
-        if len(tokens) == 0:
-            raise CorpusError(f"{path}: line {lineno}: book {book_id!r} has no tokens")
-        books.append(Book(book_id, title, tokens))
-    if not books:
+        yield _jsonl_book(path, lineno, obj, seen)
+    if not seen:
         raise CorpusError(f"{path}: no book records")
-    return books
+
+
+def _txt_book(file: Path) -> Book:
+    try:
+        text = file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{file}: not valid UTF-8 ({exc.reason})") from exc
+    except OSError as exc:  # a directory named like a book, say
+        raise CorpusError(f"{file}: cannot read ({exc.strerror})") from exc
+    tokens = tokenize(text)
+    if len(tokens) == 0:
+        raise CorpusError(f"{file}: book has no tokens")
+    return Book(file.stem, file.stem, tokens)
+
+
+def _jsonl_book(path: Path, lineno: int, obj, seen: set[str]) -> Book:
+    """The book of one record; ``seen`` holds the ids of the ones before it."""
+    book_id = require_field(obj, "book_id", path, lineno, str, CorpusError)
+    text = require_field(obj, "text", path, lineno, str, CorpusError)
+    title = obj.get("title", "")
+    if not isinstance(title, str):
+        raise CorpusError(f"{path}: line {lineno}: field 'title' has wrong type")
+    if not book_id:
+        raise CorpusError(f"{path}: line {lineno}: field 'book_id' is empty")
+    if book_id in seen:
+        raise CorpusError(f"{path}: line {lineno}: duplicate book_id {book_id!r}")
+    seen.add(book_id)
+    tokens = tokenize(text)
+    if len(tokens) == 0:
+        raise CorpusError(f"{path}: line {lineno}: book {book_id!r} has no tokens")
+    return Book(book_id, title, tokens)
+
+
+def load_books(path: Path | str) -> list[Book]:
+    return list(iter_books(path))
 
 
 def load_qa(path: Path | str) -> list[QaExample]:
@@ -179,17 +194,16 @@ def write_qa(path: Path | str, examples: Iterable[QaExample]) -> None:
     )
 
 
-def write_paragraphs(path: Path | str, paragraphs: Iterable[Paragraph]) -> None:
-    write_lines(
-        path,
-        (
-            json.dumps(
-                {"book_id": p.book_id, "para_index": p.para_index, "text": p.text()},
-                ensure_ascii=False,
-            )
-            for p in paragraphs
-        ),
+def paragraph_line(p: Paragraph) -> str:
+    """``p`` as one line of a paragraphs file."""
+    return json.dumps(
+        {"book_id": p.book_id, "para_index": p.para_index, "text": p.text()},
+        ensure_ascii=False,
     )
+
+
+def write_paragraphs(path: Path | str, paragraphs: Iterable[Paragraph]) -> None:
+    write_lines(path, map(paragraph_line, paragraphs))
 
 
 def load_paragraphs(path: Path | str) -> dict[str, list[Paragraph]]:
@@ -222,6 +236,16 @@ def load_paragraphs(path: Path | str) -> dict[str, list[Paragraph]]:
     return grouped
 
 
+def release_tokens(paragraphs: Iterable[Paragraph]) -> None:
+    """Drop the tokens that lazily loaded ``paragraphs`` hold (see
+    ``load_paragraphs``); each tokenizes its text again if it is read again.
+    A stage calls it on a book once that book's work is done.  Eagerly built
+    tokens are the paragraph's own and stay."""
+    for p in paragraphs:
+        if isinstance(p.tokens, LazyTokenSeq):
+            p.tokens.release()
+
+
 # ---------------------------------------------------------------------------
 # the chunk subcommand (dispatched by ``cli.main``), and the book check of
 # the stages after it
@@ -249,13 +273,18 @@ def require_book_coverage(indexes, qa, grouped_paras=None) -> None:
 
 
 def _cmd_chunk(args) -> int:
+    # One book at a time: each is read, checked, tokenized, cut and written
+    # out as lines before the next is read, so only the lines outlive their
+    # book, and every input error is raised before the output is touched.
     # Chunking only slices token tuples; a pool would add nothing but the
     # pickling of every book and paragraph.
-    books = load_books(args.books)
-    paragraphs = [p for b in books for p in chunk_book(b, args.width)]
+    lines: list[str] = []
+    for book in iter_books(args.books):
+        lines.extend(map(paragraph_line, chunk_book(book, args.width)))
+        del book  # not held while the next book is tokenized
     books_path = Path(args.books)
     inputs = sorted(books_path.glob("*.txt")) if books_path.is_dir() else [books_path]
     with stage_output(args, args.out, inputs):
-        write_paragraphs(args.out, paragraphs)
-    print(f"wrote {len(paragraphs)} paragraphs", file=sys.stderr)
+        write_lines(args.out, lines)
+    print(f"wrote {len(lines)} paragraphs", file=sys.stderr)
     return 0

@@ -312,7 +312,12 @@ def _forked_map(fn: Callable[[T], R], items: Sequence[T], start: int, n: int) ->
 
 
 def map_grouped(
-    fn: Callable[[T], R], items: Sequence[T], keys: Sequence[Hashable], jobs: int
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    keys: Sequence[Hashable],
+    jobs: int,
+    release: Callable[[Hashable], None] | None = None,
+    in_order: bool = False,
 ) -> list[R]:
     """``[fn(item) for item in items]``, in ``items`` order.
 
@@ -320,12 +325,34 @@ def map_grouped(
     ``parallel_map`` task, and the tasks run in the order their keys are
     first seen.  A task is a list of positions, so the workers inherit ``fn``
     and ``items`` and nothing new is pickled.  If several tasks fail, the
-    error of the first one in that order is raised, as in one process."""
+    error of the first one in that order is raised, as in one process.
+
+    ``release(key)``, if given, runs in the process that ran a key's last
+    item, right after it, so that what only that key's items need (a book's
+    tokens) is dropped before the next key's items run.  With ``in_order``,
+    the items run one at a time in ``items`` order in this process, for a
+    callee that must see them so (one external scorer), and ``release``
+    follows the same rule: it runs after the last item of its key."""
+    if in_order:
+        last = {key: i for i, key in enumerate(keys)}
+        results = []
+        for i, item in enumerate(items):
+            results.append(fn(item))
+            if release is not None and last[keys[i]] == i:
+                release(keys[i])
+        return results
     groups: dict[Hashable, list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     tasks = list(groups.values())
-    done = parallel_map(lambda task: [fn(items[i]) for i in task], tasks, jobs)
+
+    def task_results(task: list[int]) -> list[R]:
+        values = [fn(items[i]) for i in task]
+        if release is not None:
+            release(keys[task[0]])
+        return values
+
+    done = parallel_map(task_results, tasks, jobs)
     results: list[Any] = [None] * len(items)
     for task, values in zip(tasks, done):
         for i, value in zip(task, values):

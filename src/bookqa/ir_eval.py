@@ -30,6 +30,7 @@ from .corpus import (
     QaExample,
     load_paragraphs,
     load_qa,
+    release_tokens,
     require_book_coverage,
 )
 from .errors import ConfigError, EvalError, ProtocolError
@@ -128,15 +129,13 @@ def ablation_for_question(
 
 
 def aggregate_ablation(
-    items: Sequence[tuple[tuple[float, ...], RerankRequest]], k_base: int, k_top: int
-) -> tuple[list[dict], list[RerankRequest]]:
-    """The four rows from ``ablation_for_question`` results, and the
-    requests in question order."""
-    rows = [
-        coverage_report(label, [rouges[i] for rouges, _ in items])
+    rouges: Sequence[tuple[float, float, float, float]], k_base: int, k_top: int
+) -> list[dict]:
+    """The four rows from each question's ``ablation_for_question`` values."""
+    return [
+        coverage_report(label, [question[i] for question in rouges])
         for i, label in enumerate(row_labels(k_base, k_top))
     ]
-    return rows, [request for _, request in items]
 
 
 def format_table(rows: Sequence[dict]) -> str:
@@ -159,22 +158,33 @@ def run_ablation(
     k_base: int = DEFAULT_K_BASE,
     k_top: int = DEFAULT_K_TOP,
     jobs: int = 1,
-) -> tuple[list[dict], list[RerankRequest]]:
-    # The built-in scorers are mapped per book over forked workers.  Any
-    # other scorer stays in this process and sees the questions one at a
-    # time, in order: an external scorer is one process with one request in
-    # flight, which forked workers must not share.
+    keep_requests: bool = False,
+) -> tuple[list[dict], list[RerankRequest] | None]:
+    """The four rows, and with ``keep_requests`` the rerank requests in
+    question order (None without it: a request holds the text of every
+    candidate, which only a requests file needs once it is scored).
+
+    The built-in scorers are mapped per book over forked workers.  Any other
+    scorer stays in this process and sees the questions one at a time, in
+    order: an external scorer is one process with one request in flight,
+    which forked workers must not share.  Either way a book's lazily loaded
+    tokens are released once its last question is done."""
+
     def ablation(q: QaExample):
         book = q.book_id
-        return ablation_for_question(
+        rouges, request = ablation_for_question(
             indexes[book], paragraphs_by_book[book], q, scorer, k_base, k_top
         )
+        return rouges, request if keep_requests else None
 
-    if isinstance(scorer, (IdentityReranker, LexicalReranker)):
-        items = map_grouped(ablation, examples, [q.book_id for q in examples], jobs)
-    else:
-        items = [ablation(q) for q in examples]
-    return aggregate_ablation(items, k_base, k_top)
+    def release(book):
+        release_tokens(paragraphs_by_book[book])
+
+    in_order = not isinstance(scorer, (IdentityReranker, LexicalReranker))
+    keys = [q.book_id for q in examples]
+    items = map_grouped(ablation, examples, keys, jobs, release, in_order)
+    rows = aggregate_ablation([rouges for rouges, _ in items], k_base, k_top)
+    return rows, [request for _, request in items] if keep_requests else None
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +202,16 @@ def _cmd_eval_ir(args) -> int:
     inputs = [args.index, args.paragraphs, args.qa]
     with open_scorer(args.reranker) as scorer:
         rows, requests = run_ablation(
-            indexes, grouped_paras, qa, scorer, args.candidates, args.top, jobs=args.jobs
+            indexes,
+            grouped_paras,
+            qa,
+            scorer,
+            args.candidates,
+            args.top,
+            jobs=args.jobs,
+            keep_requests=bool(args.emit_rerank_requests),
         )
-    if args.emit_rerank_requests:
+    if requests is not None:
         # Its sidecar keeps only the options that shape the requests, so it
         # is the same whichever reranker scored them.
         out = args.emit_rerank_requests

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shlex
 import sys
 from contextlib import contextmanager
@@ -33,6 +34,8 @@ from .records import record
 from .text import normalize_eval, tokenize
 
 PROTOCOL_VERSION = 1
+# How long ``ExternalProcessReranker.close`` waits for the scorer to exit.
+CLOSE_TIMEOUT_S = 10
 
 
 @record
@@ -224,18 +227,41 @@ class ExternalProcessReranker:
         return scores
 
     def close(self) -> None:
-        import subprocess
-
+        """Close the scorer's stdin and reap it once it exits; a scorer still
+        running ``CLOSE_TIMEOUT_S`` later is killed."""
         try:
             self.process.stdin.close()
         except OSError:
             pass
-        try:
-            self.process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
+        if not self._exits_within(CLOSE_TIMEOUT_S):
             self.process.kill()
-            self.process.wait()
+        self.process.wait()
         self.process.stdout.close()
+
+    def _exits_within(self, timeout: float) -> bool:
+        """Whether the scorer exits within ``timeout`` seconds.
+
+        ``select`` on a pidfd (Linux) wakes this process at the exit.
+        ``Popen.wait`` with a timeout polls instead, sleeping 1, 2, 4, ...
+        ms between checks, idle after the scorer has gone; it serves where
+        there are no pidfds.  Waiting for end of file on the scorer's stdout
+        would not do: the pipe closes a moment before the scorer can be
+        reaped, and a process the scorer started may hold it open."""
+        import select
+        import subprocess
+
+        try:
+            pidfd = os.pidfd_open(self.process.pid)
+        except (AttributeError, OSError):
+            try:
+                self.process.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                return False
+            return True
+        try:
+            return bool(select.select([pidfd], [], [], timeout)[0])
+        finally:
+            os.close(pidfd)
 
     def __enter__(self) -> "ExternalProcessReranker":
         return self
@@ -259,10 +285,14 @@ class FileReranker:
             if question_id in self.scores:
                 raise ProtocolError(f"{where}: duplicate response for {question_id!r}")
             self.scores[question_id] = scores
+        if not self.scores:
+            raise ProtocolError(f"{scores_path}: no rerank response records")
 
     def score(self, request: RerankRequest) -> list[float]:
         if request.question_id not in self.scores:
-            raise ProtocolError(f"no scores for question {request.question_id!r}")
+            raise ProtocolError(
+                f"{self.scores_path}: no scores for question {request.question_id!r}"
+            )
         return self.scores[request.question_id]
 
 

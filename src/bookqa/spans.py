@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Sequence
 
-from .corpus import Paragraph, load_paragraphs, load_qa, require_book_coverage
+from .corpus import Paragraph, load_paragraphs, load_qa, release_tokens, require_book_coverage
 from .errors import CorpusError, EvalError, FormatError
 from .fileio import iter_jsonl, json_line, map_grouped, stage_output, write_lines
 from .records import record
@@ -248,8 +248,11 @@ def _cmd_span_oracle(args) -> int:
                 lines.append(label.to_json_line())
         return lines
 
+    def release(book):
+        release_tokens(grouped_paras[book])
+
     chosen = list(selections.values())
-    done = map_grouped(labels, chosen, [q.book_id for q, _ in chosen], args.jobs)
+    done = map_grouped(labels, chosen, [q.book_id for q, _ in chosen], args.jobs, release)
     ordered = [line for lines in done for line in lines]
     with stage_output(args, args.out, [args.paragraphs, args.qa, args.selections]):
         write_lines(args.out, ordered)

@@ -29,6 +29,7 @@ from .corpus import (
     QaExample,
     load_paragraphs,
     load_qa,
+    release_tokens,
     require_book_coverage,
 )
 from .errors import ConfigError
@@ -187,7 +188,10 @@ def _cmd_supervise(args) -> int:
         book = q.book_id
         return generate_pairs(indexes[book], grouped_paras[book], q, cfg)
 
-    per_question = map_grouped(pairs, qa, [q.book_id for q in qa], args.jobs)
+    def release(book):
+        release_tokens(grouped_paras[book])
+
+    per_question = map_grouped(pairs, qa, [q.book_id for q in qa], args.jobs, release)
     all_pairs = [p for question_pairs in per_question for p in question_pairs]
     with stage_output(args, args.out, [args.index, args.paragraphs, args.qa]):
         write_lines(args.out, (p.to_json_line() for p in all_pairs))

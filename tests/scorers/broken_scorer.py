@@ -6,6 +6,8 @@ Modes (argv[1]):
               PIDFILE, sends protocol_version 2, then sleeps 8 s)
   responses:  wrong_id | short | nan | string_scores | die | not_utf8 |
               nested | long_int
+  exit:       linger (answers like a good scorer, then sleeps 8 s after
+              its stdin closes)
 """
 import json
 import os
@@ -51,5 +53,9 @@ for line in sys.stdin:
     elif mode == "long_int":
         scores = ", ".join(["1" + "0" * 5000] * n)
         print(f'{{"question_id": {json.dumps(request["question_id"])}, "scores": [{scores}]}}', flush=True)
+    elif mode == "linger":
+        print(json.dumps({"question_id": request["question_id"], "scores": [0.0] * n}), flush=True)
     else:  # die
         sys.exit(3)
+if mode == "linger":
+    time.sleep(8)

@@ -368,6 +368,44 @@ def test_eval_ir_file_scores_unconverted_fail_with_protocol_error(
     assert not out.exists()
 
 
+def test_eval_ir_empty_file_scores_fail_where_they_load(tmp_path, capsys):
+    """An empty scores file is refused as it loads, like every JSONL input,
+    and an earlier table keeps its bytes."""
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    scores_path = tmp_path / "scores.jsonl"
+    scores_path.write_text("\n", encoding="utf-8")
+    out = tmp_path / "table.json"
+    out.write_text("earlier table\n", encoding="utf-8")
+    code = main([str(a) for a in eval_ir_args(work, f"file:{scores_path}", "--out", out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error[protocol]: {scores_path}: no rerank response records\n"
+    assert out.read_text(encoding="utf-8") == "earlier table\n"
+
+
+def test_eval_ir_file_scores_missing_a_question_name_the_file(tmp_path, capsys):
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    requests_path = tmp_path / "requests.jsonl"
+    run_ok(capsys, *eval_ir_args(work, "none", "--emit-rerank-requests", requests_path))
+    requests = [json.loads(line) for line in requests_path.read_text().splitlines()]
+    scores_path = write_jsonl(
+        tmp_path / "scores.jsonl",
+        [{"question_id": r["question_id"], "scores": [0.0] * len(r["candidates"])} for r in requests[:-1]],
+    )
+    out = tmp_path / "table.json"
+    code = main([str(a) for a in eval_ir_args(work, f"file:{scores_path}", "--out", out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    missing = requests[-1]["question_id"]
+    assert captured.err == (
+        f"error[protocol]: reranker failed on question {missing!r}: "
+        f"{scores_path}: no scores for question {missing!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_inconsistent_index_fails_with_format_error(tmp_path, capsys):
     """An index record whose ``n_docs`` disagrees with its ``doc_len`` is
     refused when loaded, before any retrieval runs."""
@@ -700,6 +738,243 @@ def test_index_releases_each_books_tokens(tmp_path, capsys):
     line = bookqa.bm25._index_worker((book, 1.2, 0.75))
     assert [p.tokens.__dict__.get("_tokens") for p in book] == [None] * len(book)
     assert line == (tmp_path / "index.jsonl").read_text(encoding="utf-8").rstrip("\n")
+
+
+def interleaved_corpus(tmp_path, capsys):
+    """Three books, chunked, indexed and retrieved for, and their nine
+    questions in an order that interleaves the books (a a' b c ...), so that
+    each book's last question comes at its own point of the qa file."""
+    corpus = tmp_path / "corpus"
+    run_ok(
+        capsys, "synth", "--seed", 3, "--books", 3, "--paras-per-book", 8,
+        "--questions-per-book", 3, "--width", 30, "--out-dir", corpus,
+    )
+    by_book = {}
+    for line in (corpus / "qa.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        by_book.setdefault(record["book_id"], []).append(record)
+    a, b, c = (by_book[book] for book in sorted(by_book))
+    qa = write_jsonl(tmp_path / "qa.jsonl", [a[0], b[0], a[1], a[2], c[0], b[1], c[1], b[2], c[2]])
+    paras, index = tmp_path / "paras.jsonl", tmp_path / "index.jsonl"
+    selections = tmp_path / "selections.jsonl"
+    run_ok(capsys, "chunk", "--books", corpus / "books.jsonl", "--width", 30, "--out", paras)
+    run_ok(capsys, "index", "--paragraphs", paras, "--out", index)
+    run_ok(capsys, "retrieve", "--index", index, "--qa", qa, "--out", selections)
+    return paras, index, qa, selections
+
+
+class TokenProbe:
+    """Records, as each question starts, the question's book and the books
+    whose loaded paragraphs hold cached tokens."""
+
+    def __init__(self, monkeypatch):
+        import bookqa.corpus
+        import bookqa.ir_eval
+        import bookqa.spans
+        import bookqa.supervision
+
+        self.grouped = None
+        self.starts = []
+        load = bookqa.corpus.load_paragraphs
+
+        def loading(path):
+            self.grouped = load(path)
+            return self.grouped
+
+        for module in (bookqa.supervision, bookqa.spans, bookqa.ir_eval):
+            monkeypatch.setattr(module, "load_paragraphs", loading)
+
+    def holding(self):
+        return {
+            book
+            for book, paras in self.grouped.items()
+            if any(p.tokens.__dict__.get("_tokens") is not None for p in paras)
+        }
+
+    def start(self, book):
+        self.starts.append((book, self.holding()))
+
+
+@pytest.mark.parametrize(
+    "stage, reranker",
+    [
+        ("supervise", None),
+        ("span-oracle", None),
+        ("eval-ir", "none"),
+        ("eval-ir", "lexical"),
+        ("eval-ir", "exec"),
+        ("eval-ir", "file"),
+    ],
+)
+def test_question_stages_release_each_books_tokens_after_its_last_question(
+    tmp_path, capsys, monkeypatch, stage, reranker
+):
+    """As ``index`` does per book, each question stage drops a book's
+    cached tokens once the book's last question is done: when a question
+    starts, no book whose questions are all done holds tokens, and none
+    does at the end.  ``exec:`` and ``file:`` scorers see the questions in
+    qa order, so there a book is done at its last question in the qa file."""
+    import bookqa.ir_eval
+    import bookqa.spans
+    import bookqa.supervision
+
+    paras, index, qa, selections = interleaved_corpus(tmp_path, capsys)
+    out = tmp_path / "out.jsonl"
+    if stage == "span-oracle":
+        argv = [stage, "--paragraphs", paras, "--qa", qa, "--selections", selections, "--out", out]
+    else:
+        argv = stage_argv(stage, paras, index, qa, out)
+    if reranker == "exec":
+        reranker = f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}"
+    elif reranker == "file":
+        requests = tmp_path / "requests.jsonl"
+        run_ok(capsys, *argv, "--reranker", "none", "--emit-rerank-requests", requests)
+        scores = write_jsonl(
+            tmp_path / "scores.jsonl",
+            [
+                {"question_id": r["question_id"], "scores": [len(c["text"]) for c in r["candidates"]]}
+                for r in map(json.loads, requests.read_text(encoding="utf-8").splitlines())
+            ],
+        )
+        reranker = f"file:{scores}"
+    if reranker is not None:
+        argv += ["--reranker", reranker]
+
+    probe = TokenProbe(monkeypatch)
+    if stage == "supervise":
+        generate_pairs = bookqa.supervision.generate_pairs
+
+        def starting(index, paragraphs, example, cfg):
+            probe.start(example.book_id)
+            return generate_pairs(index, paragraphs, example, cfg)
+
+        monkeypatch.setattr(bookqa.supervision, "generate_pairs", starting)
+    elif stage == "span-oracle":
+        coverage = bookqa.spans.AnswerCoverage
+
+        def starting(paragraphs, answers):
+            probe.start(paragraphs[0].book_id)
+            return coverage(paragraphs, answers)
+
+        monkeypatch.setattr(bookqa.spans, "AnswerCoverage", starting)
+    else:
+        ablation = bookqa.ir_eval.ablation_for_question
+
+        def starting(index, paragraphs, example, *rest):
+            probe.start(example.book_id)
+            return ablation(index, paragraphs, example, *rest)
+
+        monkeypatch.setattr(bookqa.ir_eval, "ablation_for_question", starting)
+    run_ok(capsys, *argv, "--jobs", 1)
+
+    books = [book for book, _ in probe.starts]
+    qa_order = [json.loads(line)["book_id"] for line in qa.read_text(encoding="utf-8").splitlines()]
+    in_order = reranker is not None and reranker.startswith(("exec:", "file:"))
+    assert books == (qa_order if in_order else sorted(qa_order, key=qa_order.index))
+    checked = 0
+    for i, (book, holding) in enumerate(probe.starts):
+        done = set(books[:i]) - set(books[i:])
+        assert not holding & done, (i, book)
+        checked += bool(done)
+    assert checked >= 2  # books were done while later ones ran
+    assert any(book in holding for book, holding in probe.starts)  # tokens were cached
+    assert probe.holding() == set()
+
+
+def write_books_dir(directory, texts):
+    directory.mkdir()
+    for name, text in texts.items():
+        (directory / f"{name}.txt").write_bytes(text if isinstance(text, bytes) else text.encode())
+    return directory
+
+
+BOOK_TEXTS = {
+    "a": "\"Don't,\" she said -- the tower's falcon (grey) flew; it's late.",
+    "b": "Stone walls, red doors... and the sky's edge? Yes!",
+    "c": "One two three four five six seven eight nine ten eleven.",
+}
+
+
+@pytest.mark.parametrize("form", ["jsonl", "txt"])
+def test_chunk_writes_the_paragraphs_of_all_books_chunked_together(tmp_path, capsys, form):
+    """Chunking book by book writes the bytes that loading every book first
+    and chunking them all together writes."""
+    from bookqa.corpus import chunk_book, load_books, write_paragraphs
+
+    if form == "jsonl":
+        books = write_jsonl(
+            tmp_path / "books.jsonl",
+            [{"book_id": k, "title": k.upper(), "text": t} for k, t in BOOK_TEXTS.items()],
+        )
+    else:
+        books = write_books_dir(tmp_path / "books", BOOK_TEXTS)
+    out, expected = tmp_path / "paras.jsonl", tmp_path / "expected.jsonl"
+    captured = run_ok(capsys, "chunk", "--books", books, "--width", 4, "--out", out)
+    paragraphs = [p for book in load_books(books) for p in chunk_book(book, 4)]
+    write_paragraphs(expected, paragraphs)
+    assert out.read_bytes() == expected.read_bytes()
+    assert captured.err == f"wrote {len(paragraphs)} paragraphs\n"
+    assert len({p.book_id for p in paragraphs}) == 3
+
+
+def test_chunk_holds_one_book_at_a_time(tmp_path, capsys, monkeypatch):
+    """Each book is chunked before the next is tokenized, and by then every
+    earlier book and its paragraphs are gone: only the output lines outlive
+    their book."""
+    import weakref
+
+    import bookqa.corpus
+
+    books = write_jsonl(
+        tmp_path / "books.jsonl",
+        [{"book_id": k, "title": "", "text": t} for k, t in BOOK_TEXTS.items()],
+    )
+    chunked = []  # a weak reference to each book and paragraph chunked
+    tokenized = []  # per book tokenized: (books chunked so far, of those alive)
+    chunk_book, tokenize = bookqa.corpus.chunk_book, bookqa.corpus.tokenize
+
+    def chunking(book, width):
+        paragraphs = chunk_book(book, width)
+        chunked.append([weakref.ref(x) for x in [book, *paragraphs]])
+        return paragraphs
+
+    def tokenizing(text):
+        alive = [ref for refs in chunked for ref in refs if ref() is not None]
+        tokenized.append((len(chunked), alive))
+        return tokenize(text)
+
+    monkeypatch.setattr(bookqa.corpus, "chunk_book", chunking)
+    monkeypatch.setattr(bookqa.corpus, "tokenize", tokenizing)
+    run_ok(capsys, "chunk", "--books", books, "--width", 4, "--out", tmp_path / "paras.jsonl")
+    assert tokenized == [(0, []), (1, []), (2, [])]
+
+
+@pytest.mark.parametrize("form", ["jsonl", "txt"])
+def test_chunk_bad_third_book_fails_and_keeps_the_output(tmp_path, capsys, form):
+    """The third book fails after two were chunked, with the message the
+    loader gave when it read every book first, and the output keeps its
+    bytes: nothing is written until every book is read."""
+    if form == "jsonl":
+        books = write_jsonl(
+            tmp_path / "books.jsonl",
+            [
+                {"book_id": "a", "text": BOOK_TEXTS["a"]},
+                {"book_id": "b", "text": BOOK_TEXTS["b"]},
+                {"book_id": "c", "text": " \n\t "},
+            ],
+        )
+        message = f"error[corpus]: {books}: line 3: book 'c' has no tokens\n"
+    else:
+        books = write_books_dir(
+            tmp_path / "books", {"a": BOOK_TEXTS["a"], "b": BOOK_TEXTS["b"], "c": b"falcon \xff"}
+        )
+        message = f"error[corpus]: {books / 'c.txt'}: not valid UTF-8 (invalid start byte)\n"
+    out = tmp_path / "paras.jsonl"
+    out.write_text("earlier output\n", encoding="utf-8")
+    err = run_fail(capsys, "chunk", "--books", books, "--width", 4, "--out", out)
+    assert err == message
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == sorted([books.name, "paras.jsonl"])
 
 
 HUGE_INT = 10**400  # a JSON integer beyond the largest float

@@ -429,3 +429,58 @@ def test_map_grouped_raises_first_failing_group(jobs):
     keys = ["x", "y", "y", "z", "x", "y"]
     with pytest.raises(CorpusError, match="^item 4 failed$"):
         map_grouped(_fail_at_3_and_4, list(range(6)), keys, jobs)
+
+
+@pytest.mark.usefixtures("fork_at_once")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_grouped_releases_each_key_after_its_last_item_where_it_ran(jobs, tmp_path):
+    """``release(key)`` runs once per key, in the process that ran the key's
+    items (a worker's when the map forks), after the last of them.  Each
+    process appends to one log, so its lines keep that process's order."""
+    log = tmp_path / "log"
+
+    def note(*words):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(" ".join(map(str, (*words, os.getpid()))) + "\n")
+
+    def run(i):
+        note("run", INTERLEAVED_KEYS[i])
+        return 2 * i
+
+    items = list(range(len(INTERLEAVED_KEYS)))
+    results = map_grouped(run, items, INTERLEAVED_KEYS, jobs, lambda key: note("release", key))
+    assert results == [2 * i for i in items]
+    events = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    released = [(key, pid) for what, key, pid in events if what == "release"]
+    assert sorted(key for key, _ in released) == ["a", "b", "c"]
+    for key, pid in released:
+        runs = [i for i, (what, k, _) in enumerate(events) if what == "run" and k == key]
+        assert len(runs) == INTERLEAVED_KEYS.count(key)
+        assert {events[i][2] for i in runs} == {pid}
+        assert events.index(["release", key, pid]) > max(runs)
+    assert ({pid for _, pid in released} == {str(os.getpid())}) == (jobs == 1)
+
+
+@pytest.mark.usefixtures("fork_at_once")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_grouped_in_order_runs_items_in_order_and_releases_after_each_last(jobs):
+    """With ``in_order`` the items run in ``items`` order in this process, at
+    any ``jobs``, and each key is released right after its last item."""
+    events = []
+
+    def run(i):
+        events.append(("run", i, os.getpid()))
+        return 2 * i
+
+    items = list(range(len(INTERLEAVED_KEYS)))  # keys a b a c b a c
+    results = map_grouped(
+        run, items, INTERLEAVED_KEYS, jobs,
+        lambda key: events.append(("release", key, os.getpid())), in_order=True,
+    )
+    assert results == [2 * i for i in items]
+    pid = os.getpid()
+    assert events == [
+        ("run", 0, pid), ("run", 1, pid), ("run", 2, pid), ("run", 3, pid), ("run", 4, pid),
+        ("release", "b", pid), ("run", 5, pid), ("release", "a", pid),
+        ("run", 6, pid), ("release", "c", pid),
+    ]

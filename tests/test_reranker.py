@@ -307,3 +307,38 @@ def test_file_exchange_roundtrip(tmp_path):
     assert scorer.score(requests[0]) == [0.0, 1.0]
     with pytest.raises(ProtocolError, match="no scores"):
         scorer.score(make_request(["x"], qid="q-unknown"))
+
+
+def test_closing_a_scorer_that_exits_on_eof_does_not_sleep(monkeypatch):
+    """``close`` is woken by the scorer's exit; ``Popen.wait`` with a timeout
+    would poll, sleeping between checks."""
+    import time
+
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    scorer = ExternalProcessReranker(scorer_cmd("length_scorer.py"))
+    assert scorer.score(make_request(["aa"])) == [2.0]
+    scorer.close()
+    assert scorer.process.returncode == 0
+    assert slept == []
+
+
+@pytest.mark.parametrize("pidfds", [True, False], ids=["pidfd", "polling"])
+def test_closing_a_scorer_that_outlives_its_stdin_kills_it(monkeypatch, pidfds):
+    """A scorer still running ``CLOSE_TIMEOUT_S`` after its stdin closed is
+    killed and reaped, with pidfds and without them."""
+    import signal
+    import time
+
+    import bookqa.reranker
+
+    monkeypatch.setattr(bookqa.reranker, "CLOSE_TIMEOUT_S", 0.3)
+    if not pidfds:
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    scorer = ExternalProcessReranker(scorer_cmd("broken_scorer.py", "linger"))
+    assert scorer.score(make_request(["a", "b"])) == [0.0, 0.0]
+    started = time.monotonic()
+    scorer.close()
+    assert 0.3 <= time.monotonic() - started < 5
+    assert scorer.process.returncode == -signal.SIGKILL
+    assert scorer.process.stdout.closed
