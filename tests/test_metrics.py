@@ -280,6 +280,23 @@ def test_align_exact_equals_exhaustive_on_skewed_vocabulary_pairs():
     assert min(longer.values()) >= 50
 
 
+# Pairs of 15-30 tokens over 3-5 words, beyond the exhaustive oracle's reach
+# (about 12 tokens), with the (matches, chunks) ``align_exact`` gave when the
+# table was drawn.  Regenerate only for a deliberate change of the results:
+# ``PYTHONPATH=src python tests/test_metrics.py``.
+PINNED_PAIRS_PATH = Path(__file__).parent / "data" / "meteor_pairs.json"
+
+
+def test_align_exact_keeps_the_pinned_results_beyond_the_oracle():
+    pairs = json.loads(PINNED_PAIRS_PATH.read_text(encoding="utf-8"))
+    assert len(pairs) == 40
+    for pair in pairs:
+        cand, ref = pair["candidate"].split(), pair["reference"].split()
+        want = (pair["matches"], pair["chunks"])
+        assert align_exact(cand, ref) == want, pair
+        assert align_exact(ref, cand) == want, pair
+
+
 @settings(max_examples=300)
 @given(token_lists, st.lists(token_lists, min_size=1, max_size=4))
 def test_best_meteor_equals_max_over_references(cand, refs):
@@ -402,3 +419,42 @@ def test_evaluate_qa_reports_missing_and_extra_ids():
         evaluate_qa({"q1": "x", "q9": "y"}, examples)
     message = str(err.value)
     assert "q2" in message and "q3" in message and "q9" in message
+
+
+def draw_pinned_pairs(seed: int = 26, count: int = 40, limit_s: float = 0.05) -> list[dict]:
+    """Seeded pairs for ``PINNED_PAIRS_PATH``; a pair ``align_exact`` does not
+    resolve within ``limit_s`` is redrawn, so the test stays fast."""
+    import signal
+
+    class Slow(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Slow
+
+    rng = random.Random(seed)
+    pairs = []
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        while len(pairs) < count:
+            words = ["a", "b", "c", "d", "e"][: rng.randint(3, 5)]
+            cand = rng.choices(words, k=rng.randint(15, 30))
+            ref = rng.choices(words, k=rng.randint(15, 30))
+            signal.setitimer(signal.ITIMER_REAL, limit_s)
+            try:
+                matches, chunks = align_exact(cand, ref)
+            except Slow:
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            pairs.append(
+                {"candidate": " ".join(cand), "reference": " ".join(ref), "matches": matches, "chunks": chunks}
+            )
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    return pairs
+
+
+if __name__ == "__main__":
+    lines = ",\n".join(json.dumps(pair) for pair in draw_pinned_pairs())
+    PINNED_PAIRS_PATH.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
