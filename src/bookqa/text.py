@@ -116,34 +116,43 @@ class LazyTokenSeq(TokenSeq):
 
 
 def _split_chunk(chunk: str, tokens: list) -> None:
-    """Append the tokens of one whitespace-delimited chunk to ``tokens``."""
-    # A bare clitic ("'s") comes from re-tokenizing our own output and
-    # must stay whole, or idempotence breaks.
-    if chunk.lower() in _CLITIC_SET:
-        tokens.append(chunk)
-        return
-    lo, hi = 0, len(chunk)
-    while lo < hi and is_punct_char(chunk[lo]):
-        tokens.append(chunk[lo])
-        lo += 1
-    while hi > lo and is_punct_char(chunk[hi - 1]):
-        hi -= 1
-    if hi > lo:
-        _split_clitics(chunk[lo:hi], tokens)
-    tokens.extend(chunk[hi:])
+    """Append the tokens of one whitespace-delimited chunk to ``tokens``.
 
-
-def _split_clitics(core: str, tokens: list) -> None:
-    low = core.lower()
-    for clitic in _CLITICS:
-        if low.endswith(clitic) and len(core) > len(clitic):
-            cut = len(core) - len(clitic)
-            # The head may end in punctuation ("x.'s"), so run it through
-            # the full chunk pipeline again.
-            _split_chunk(core[:cut], tokens)
-            tokens.append(core[cut:])
-            return
-    tokens.append(core)
+    Leading punctuation is emitted as it is peeled.  Trailing punctuation and
+    clitics are peeled from the right, as often as they are stacked, and
+    emitted after the core in the reverse order of peeling.
+    """
+    peeled: list[str] = []
+    rest = chunk
+    while True:
+        # A bare clitic ("'s") comes from re-tokenizing our own output and
+        # must stay whole, or idempotence breaks.
+        if rest.lower() in _CLITIC_SET:
+            tokens.append(rest)
+            break
+        lo, hi = 0, len(rest)
+        while lo < hi and is_punct_char(rest[lo]):
+            tokens.append(rest[lo])
+            lo += 1
+        while hi > lo and is_punct_char(rest[hi - 1]):
+            hi -= 1
+            peeled.append(rest[hi])
+        if hi == lo:
+            break
+        core = rest[lo:hi]
+        low = core.lower()
+        for clitic in _CLITICS:
+            if low.endswith(clitic) and len(core) > len(clitic):
+                cut = len(core) - len(clitic)
+                peeled.append(core[cut:])
+                # The head may end in punctuation ("x.'s"), so it goes
+                # round again as a chunk of its own.
+                rest = core[:cut]
+                break
+        else:
+            tokens.append(core)
+            break
+    tokens.extend(reversed(peeled))
 
 
 def tokenize(text: str) -> TokenSeq:

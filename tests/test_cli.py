@@ -279,6 +279,24 @@ def test_eval_qa_perfect_predictions(tmp_path, capsys):
     assert report["meteor"] < 100.0  # fragmentation penalty on exact matches
 
 
+@pytest.mark.parametrize("filler", [0, 1000])
+def test_eval_qa_aligns_a_long_prediction_as_its_tail(tmp_path, capsys, filler):
+    qa_path = tmp_path / "qa.jsonl"
+    qa_path.write_text(
+        json.dumps({"question_id": "q1", "book_id": "b", "question": "q", "answers": ["a c a d"]}) + "\n",
+        encoding="utf-8",
+    )
+    answer = " ".join([*(f"w{i}" for i in range(filler)), "d d b a d a d d a d"])
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"question_id": "q1", "answer": answer}) + "\n", encoding="utf-8")
+    report = json.loads(run_ok(capsys, "eval-qa", "--predictions", preds, "--qa", qa_path).out)
+    # Words the reference lacks change only the length: the tail aligns with
+    # "a c a d" in 3 matches and 2 chunks ("a d", "a").
+    precision, recall = 3 / (filler + 10), 3 / 4
+    fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    assert report["meteor"] == round(100.0 * fmean * (1.0 - 0.5 * (2 / 3) ** 3), 2)
+
+
 def test_eval_ir_with_external_scorer(tmp_path, capsys):
     work = tmp_path / "run"
     pipeline(capsys, work)
@@ -521,6 +539,16 @@ def test_chunk_accepts_directory_of_txt_books(tmp_path, capsys):
     assert [p["book_id"] for p in paras] == ["alpha", "alpha", "alpha", "beta", "beta"]
     sidecar = json.loads((tmp_path / "paras.jsonl.meta.json").read_text())
     assert len(sidecar["inputs"]) == 2  # one digest per .txt file
+
+
+def test_chunk_splits_600_stacked_clitics(tmp_path, capsys):
+    books = tmp_path / "books.jsonl"
+    text = "The cat" + "'s" * 600 + " sat."
+    books.write_text(json.dumps({"book_id": "b", "title": "", "text": text}) + "\n", encoding="utf-8")
+    out = tmp_path / "paras.jsonl"
+    run_ok(capsys, "chunk", "--books", books, "--width", 1000, "--out", out)
+    [para] = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert para["text"] == " ".join(["The", "cat", *["'s"] * 600, "sat", "."])
 
 
 def test_retrieve_surfaces_empty_answer_corpus_error(tmp_path, capsys):

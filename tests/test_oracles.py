@@ -38,6 +38,10 @@ _BM25_VOCAB = ("ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew")
 # may visit on one drawn instance: it bounds the paragraph's windows, so
 # that 20,000 instances take about a minute.
 _SWEEP_CELLS = 20_000
+# Tokens outside ``_ALPHABET``, each run longer than Python's default
+# recursion limit of 1,000 frames.
+_FILLER_BEFORE = [f"f{i}" for i in range(1100)]
+_FILLER_AFTER = [f"g{i}" for i in range(1100)]
 
 
 def _rand_tokens(rng, max_len):
@@ -119,6 +123,17 @@ def check_meteor(rng, cases):
         ref = _rand_tokens(rng, 8)
         got, want = metrics.align_exact(cand, ref), exhaustive_meteor_alignment(cand, ref)
         assert got == want, f"align_exact(cand={cand}, ref={ref}) = {got}, want {want}"
+
+
+def check_meteor_filler(rng, cases):
+    """``metrics.align_exact`` keeps its result when tokens the reference
+    lacks come before and after the candidate: they change no adjacency."""
+    for _ in range(cases):
+        cand = _rand_tokens(rng, 8)
+        ref = _rand_tokens(rng, 8)
+        got = metrics.align_exact(_FILLER_BEFORE + cand + _FILLER_AFTER, ref)
+        want = metrics.align_exact(cand, ref)
+        assert got == want, f"align_exact(filler + cand={cand} + filler, ref={ref}) = {got}, want {want}"
 
 
 def run_oracle_checks(seed, lcs_cases, span_cases, bm25_cases, meteor_cases):
@@ -203,6 +218,10 @@ def test_best_span_passes_every_field_width_at_reduced_size():
         pytest.param(
             metrics, "align_exact", lambda cand, ref: (0, 0), check_meteor,
             id="align_exact",
+        ),
+        pytest.param(
+            metrics, "align_exact", lambda cand, ref: (0, len(cand)), check_meteor_filler,
+            id="align_exact-filler",
         ),
     ],
 )

@@ -1,5 +1,6 @@
 import pickle
 import pickletools
+import random
 import re
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from bookqa.text import (
     _ARTICLE_RE,
+    _CLITIC_SET,
+    _CLITICS,
     LazyTokenSeq,
     TokenSeq,
     _split_chunk,
@@ -44,6 +47,57 @@ def test_tokenize_mixed_punct_and_clitic():
     assert toks("(Wyatt's)") == ["(", "Wyatt", "'s", ")"]
     assert toks("dogs'") == ["dogs", "'"]
     assert toks("...") == [".", ".", "."]
+
+
+@pytest.mark.parametrize("clitic", ["'s", "’s", "n't", "N’T"])
+def test_tokenize_peels_600_stacked_clitics(clitic):
+    tokens = tokenize(f"a{clitic * 600}.").tokens
+    assert tokens == ("a", *[clitic] * 600, ".")
+    assert tokenize(" ".join(tokens)).tokens == tokens
+
+
+def _split_chunk_recursive(chunk, tokens):
+    """The recursive pair ``_split_chunk`` replaced, kept as its reference:
+    one call of each per stacked clitic."""
+    if chunk.lower() in _CLITIC_SET:
+        tokens.append(chunk)
+        return
+    lo, hi = 0, len(chunk)
+    while lo < hi and is_punct_char(chunk[lo]):
+        tokens.append(chunk[lo])
+        lo += 1
+    while hi > lo and is_punct_char(chunk[hi - 1]):
+        hi -= 1
+    if hi > lo:
+        _split_clitics_recursive(chunk[lo:hi], tokens)
+    tokens.extend(chunk[hi:])
+
+
+def _split_clitics_recursive(core, tokens):
+    low = core.lower()
+    for clitic in _CLITICS:
+        if low.endswith(clitic) and len(core) > len(clitic):
+            cut = len(core) - len(clitic)
+            _split_chunk_recursive(core[:cut], tokens)
+            tokens.append(core[cut:])
+            return
+    tokens.append(core)
+
+
+_CHUNK_PIECES = (
+    "a", "Z", "do", "n", "t", "s", "'", "’", "'s", "’S", "n't", "N’t", "'ll",
+    "’ve", "'D", "’m", "'re", ".", ",", "(", ")", "-", "…", "«",
+)
+
+
+def test_split_chunk_equals_the_recursive_pair_on_seeded_chunks():
+    rng = random.Random(26)
+    for _ in range(5000):
+        chunk = "".join(rng.choices(_CHUNK_PIECES, k=rng.randint(1, 12)))
+        got, want = [], []
+        _split_chunk(chunk, got)
+        _split_chunk_recursive(chunk, want)
+        assert got == want, chunk
 
 
 def test_tokenize_keeps_interior_punctuation():
