@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from array import array
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .corpus import (
     DEFAULT_B,
@@ -39,6 +40,41 @@ from .text import TokenSeq, normalize_eval_tokens, tokenize
 # JSON puts no bound on integers, and float arithmetic on an int larger than
 # this raises ``OverflowError``; a float outside it is infinite or NaN.
 _FLOAT_MAX = sys.float_info.max
+# The unsigned C int of the packed postings, and the largest value it holds.
+_PACKED = "I"
+_PACKED_MAX = (1 << 8 * array(_PACKED).itemsize) - 1
+
+
+class Postings:
+    """One term's postings, packed: the paragraphs that hold the term, in
+    ascending order, and its frequency in each, as two parallel arrays of
+    unsigned C ints (a few bytes a posting, against about 64 for a tuple of
+    two ints in a tuple).  Its length is the term's df, and it iterates
+    ``(para_index, tf)`` pairs in paragraph order."""
+
+    __slots__ = ("ids", "tfs")
+
+    def __init__(self, pairs: Sequence[tuple[int, int]]) -> None:
+        """The postings of ``pairs``, a sequence of ``(para_index, tf)``
+        pairs of ints in the order to keep.  ``OverflowError`` if a value is
+        negative or above ``_PACKED_MAX``."""
+        ids, tfs = zip(*pairs) if pairs else ((), ())
+        self.ids = array(_PACKED, ids)
+        self.tfs = array(_PACKED, tfs)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.ids, self.tfs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Postings:
+            return NotImplemented
+        return self.ids == other.ids and self.tfs == other.tfs
+
+    def __repr__(self) -> str:
+        return f"Postings({list(self)!r})"
 
 
 @record
@@ -46,7 +82,7 @@ class Bm25Index:
     """Immutable inverted index over one book's paragraphs."""
 
     book_id: str
-    postings: dict[str, tuple[tuple[int, int], ...]]  # term -> ((para_index, tf), ...)
+    postings: dict[str, Postings]  # term -> its (para_index, tf) pairs, packed
     doc_len: dict[int, int]
     avg_doc_len: float
     n_docs: int
@@ -105,26 +141,41 @@ def retrieval_from_record(obj: dict) -> RetrievalResult:
 
 
 def build_index(
-    paragraphs: Sequence[Paragraph], k1: float = DEFAULT_K1, b: float = DEFAULT_B
+    paragraphs: Sequence[Paragraph],
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
+    terms: Collection[str] | None = None,
 ) -> Bm25Index:
-    """The index of one book's paragraphs, given at least one and each once."""
+    """The index of one book's paragraphs, given at least one and each once.
+
+    With ``terms``, only those terms get postings; ``doc_len`` still counts
+    every term, so a query of only those terms scores as in the full index.
+    A lazily loaded paragraph's tokens are dropped once counted (see
+    ``corpus.release_tokens``), so building holds one paragraph's tokens at
+    a time."""
     ordered = sorted(paragraphs, key=lambda p: p.para_index)
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict[str, Postings] = {}
     doc_len: dict[int, int] = {}
     for para in ordered:
-        terms = normalize_eval_tokens(para.tokens.tokens)
-        doc_len[para.para_index] = len(terms)
+        normalized = normalize_eval_tokens(para.tokens.tokens)
+        release_tokens((para,))
+        p = para.para_index
+        doc_len[p] = len(normalized)
         counts: dict[str, int] = {}
-        for term in terms:
+        for term in normalized if terms is None else filter(terms.__contains__, normalized):
             counts[term] = counts.get(term, 0) + 1
         for term, tf in counts.items():
-            postings.setdefault(term, []).append((para.para_index, tf))
+            row = postings.get(term)
+            if row is None:
+                postings[term] = row = Postings(())
+            row.ids.append(p)
+            row.tfs.append(tf)
 
     n_docs = len(ordered)
     avg = sum(doc_len.values()) / n_docs
     return Bm25Index(
         book_id=ordered[0].book_id,
-        postings={t: tuple(v) for t, v in postings.items()},
+        postings=postings,
         doc_len=doc_len,
         avg_doc_len=avg,
         n_docs=n_docs,
@@ -215,37 +266,44 @@ def index_to_record(index: Bm25Index) -> dict:
         "n_docs": index.n_docs,
         "avg_doc_len": index.avg_doc_len,
         "doc_len": {str(p): n for p, n in sorted(index.doc_len.items())},
-        # The tuples as they are: ``json.dumps`` writes a tuple as a list.
-        "postings": dict(sorted(index.postings.items())),
+        # Each term's (para_index, tf) tuples, which ``json.dumps`` writes as
+        # the lists ``index_from_record`` reads.
+        "postings": {t: list(p) for t, p in sorted(index.postings.items())},
     }
 
 
-def _posting_pairs(postings: dict, doc_len: dict) -> dict:
-    """The postings as tuples of ``(para_index, tf)`` tuples, each a pair of
-    ints with ``para_index`` in ``doc_len`` and ``tf >= 1``, and each term's
-    ``para_index`` strictly ascending, as ``build_index`` makes them: a
-    paragraph named twice would count twice in the term's df.
+def _packed_postings(postings: dict, doc_len: dict) -> dict[str, Postings]:
+    """The postings packed, each a list (or tuple) of ``(para_index, tf)``
+    pairs of ints with ``para_index`` in ``doc_len`` and ``tf >= 1``, and
+    each term's ``para_index`` strictly ascending, as ``build_index`` makes
+    them: a paragraph named twice would count twice in the term's df.
 
-    Tuples, not the decoded lists: smaller, and not shared with the record.
-    Of the values JSON decodes to, only a list of two ints converts to a pair
-    of ints; the tuples of ``index_to_record`` are taken as they are.  The
-    terms are converted and checked in record order, and the first list that
-    fails is walked again to raise ``ValueError`` naming its first bad
-    posting, the first bad one in the record."""
-    pairs = {}
+    Packed, not the decoded lists: a fraction of the memory, and not shared
+    with the record.  Of the values JSON decodes to, only a list of two ints
+    is a pair of ints; the tuples of ``index_to_record`` are taken as they
+    are.  The terms are checked in record order, each posting once, and the
+    first list that fails is walked again to raise ``ValueError`` naming its
+    first bad posting, the first bad one in the record."""
+    packed = {}
+    # The keys are distinct ints >= 0, so if the largest is n - 1 they are
+    # 0..n-1, as ``index`` writes them, and ascending ids are keys iff the
+    # last one is.
+    dense = max(doc_len, default=-1) == len(doc_len) - 1
     for term, plist in postings.items():
         try:
             if type(plist) is not list and type(plist) is not tuple:
                 raise TypeError
+            last = -1
             # TypeError: a posting that is not iterable; ValueError: not a pair.
-            pairs[term] = row = tuple(map(tuple, plist))
-            last = -1  # every key of doc_len is >= 0
-            for p, f in row:
+            for p, f in plist:
                 # ``type``, not ``isinstance``: a bool is an int, but no paragraph or count.
-                if type(p) is not int or type(f) is not int or p not in doc_len or f < 1 or p <= last:
+                if type(p) is not int or type(f) is not int or f < 1 or p <= last:
                     raise TypeError
                 last = p
-        except (TypeError, ValueError):
+            packed[term] = row = Postings(plist)  # OverflowError: a value the arrays cannot hold
+            if not (last < len(doc_len) if dense else all(map(doc_len.__contains__, row.ids))):
+                raise TypeError
+        except (TypeError, ValueError, OverflowError):
             last = -1
             for entry in plist if type(plist) in (list, tuple) else [plist]:
                 if type(entry) not in (list, tuple) or len(entry) != 2 or set(map(type, entry)) != {int}:
@@ -259,8 +317,13 @@ def _posting_pairs(postings: dict, doc_len: dict) -> dict:
                     raise ValueError(f"term {term!r} names paragraph {p} twice")
                 if p < last:
                     raise ValueError(f"term {term!r} names paragraph {p} after paragraph {last}")
+                if p > _PACKED_MAX or f > _PACKED_MAX:
+                    raise ValueError(
+                        f"term {term!r} has posting {entry!r}, a value above {_PACKED_MAX}, "
+                        "the largest the index holds"
+                    )
                 last = p
-    return pairs
+    return packed
 
 
 def index_from_record(obj: dict) -> Bm25Index:
@@ -277,7 +340,8 @@ def index_from_record(obj: dict) -> Bm25Index:
     term frequency of at least 1, each term's postings name their paragraphs
     once each in ascending order, ``k1`` is finite and ``>= 0``, and
     ``0 <= b <= 1``.  A record that is not fails with
-    ``FormatError`` instead of scoring wrong."""
+    ``FormatError`` instead of scoring wrong; so does a posting with a value
+    the packed postings cannot hold (above ``_PACKED_MAX``, 2**32 - 1)."""
     try:
         book_id, n_docs, avg_doc_len = obj["book_id"], obj["n_docs"], obj["avg_doc_len"]
         k1, b = obj["k1"], obj["b"]
@@ -309,7 +373,7 @@ def index_from_record(obj: dict) -> Bm25Index:
                 raise bad(f"paragraph {p} has a doc_len too large for a float")
             raise bad(f"paragraph {p} has doc_len {n!r}, not a length")
     try:
-        pairs = _posting_pairs(postings, doc_len)
+        packed = _packed_postings(postings, doc_len)
     except ValueError as exc:
         raise bad(str(exc)) from None
     if n_docs != len(doc_len):
@@ -320,7 +384,7 @@ def index_from_record(obj: dict) -> Bm25Index:
         raise bad(f"k1 {k1} must be >= 0 and finite and b {b} in [0, 1]")
     return Bm25Index(
         book_id=book_id,
-        postings=pairs,
+        postings=packed,
         doc_len=doc_len,
         avg_doc_len=avg_doc_len,
         n_docs=n_docs,
@@ -341,6 +405,8 @@ def load_indexes(path) -> dict[str, Bm25Index]:
             index = index_from_record(obj)
         except FormatError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        # Packed, the record is garbage: not held while the next is decoded.
+        del obj
         if index.book_id in indexes:
             raise CorpusError(f"{path}: line {lineno}: duplicate book {index.book_id!r}")
         indexes[index.book_id] = index
@@ -351,10 +417,9 @@ def load_indexes(path) -> dict[str, Bm25Index]:
 
 def _index_worker(task):
     paragraphs, k1, b = task
+    # ``build_index`` drops each paragraph's tokens once counted, so a map
+    # that runs in the stage process holds one paragraph's at a time.
     record = index_to_record(build_index(paragraphs, k1=k1, b=b))
-    # Only this book's index needs its tokens.  A map that runs in the
-    # stage process would otherwise hold every book's tokens at its end.
-    release_tokens(paragraphs)
     # The finished line, not the record: a string is far cheaper to send
     # back from a worker than the nested dict it encodes.
     return json.dumps(record, sort_keys=True)

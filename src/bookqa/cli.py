@@ -32,19 +32,20 @@ they have taken ``fileio.FORK_AFTER_S``, and forks workers for the rest
 only then, so a map too short to pay for a fork forks nothing.  Workers are
 forked from the stage process and inherit the mapped function, its items
 and the loaded modules, so no worker imports a layer again.  ``index``
-drops each book's paragraph tokens once that book's line is made, and
-``supervise``, ``span-oracle`` and ``eval-ir`` once the book's last
-question is done (``map_grouped``'s ``release``), wherever the book ran,
-so each holds one book's tokens at a time; in QA order, that is every
-book until its last question.  ``chunk`` tokenizes, cuts and serializes
-one book before it reads the next.  No layer imports ``dataclasses``:
-records are made by ``records.record``.
+drops each paragraph's tokens once it has counted them, so it holds one
+paragraph's tokens at a time.  ``supervise``, ``span-oracle`` and
+``eval-ir`` drop a book's tokens once the book's last question is done
+(``map_grouped``'s ``release``), wherever the book ran, so each holds one
+book's tokens at a time; in QA order, that is every book until its last
+question.  ``chunk`` tokenizes, cuts and serializes one book before it
+reads the next.  No layer imports ``dataclasses``: records are made by
+``records.record``.
 
 ``main`` pauses the cyclic garbage collector for the whole stage, and its
 forked workers inherit the pause.  Stage data are acyclic (records of
-strings, numbers, tuples and dicts, with no back references), so reference
-counting frees them; a collector pass would only traverse the loaded
-artifacts.  ``main`` gives the caller back its collector state on every exit.
+strings, numbers, tuples, arrays and dicts, with no back references), so
+reference counting frees them; a collector pass would only traverse the
+loaded artifacts.  ``main`` gives the caller back its collector state on every exit.
 
 ``run`` is the entry point of a stage process, for ``python -m bookqa.cli``
 and the ``bookqa`` script alike.  It calls ``main``, flushes stdout and

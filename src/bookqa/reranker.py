@@ -139,10 +139,12 @@ class LexicalReranker:
         ]
         if not paragraphs:
             return [0.0] * len(request.candidates)
-        index = build_index(paragraphs, k1=self.k1, b=self.b)
-        # One pass over the query's postings, summed in the order ``score``
-        # uses, so each value equals ``score(index, query, position)``.
-        scores = accumulate_scores(index, normalize_eval(request.question).tokens)
+        query = normalize_eval(request.question).tokens
+        # Postings for the query's terms only: no other term is read.  One
+        # pass over them, summed in the order ``score`` uses, so each value
+        # equals ``score(index, query, position)`` over the full micro-index.
+        index = build_index(paragraphs, k1=self.k1, b=self.b, terms=frozenset(query))
+        scores = accumulate_scores(index, query)
         return [scores.get(position, 0.0) for position in range(len(request.candidates))]
 
 

@@ -36,9 +36,9 @@ def test_postings_sorted_by_para_index_even_from_shuffled_input():
     paras = [make_paragraph("b", i, ["shared", f"own{i}"]) for i in (3, 0, 2, 1)]
     index = build_index(paras)
     for plist in index.postings.values():
-        order = [p for p, _ in plist]
+        order = list(plist.ids)
         assert order == sorted(order)
-    assert [p for p, _ in index.postings["shared"]] == [0, 1, 2, 3]
+    assert list(index.postings["shared"].ids) == [0, 1, 2, 3]
 
 
 def test_score_hand_value_two_docs():
@@ -299,8 +299,9 @@ def test_record_postings_load_exactly_when_no_posting_is_named_bad(postings):
     record["postings"] = postings
     problem = _first_bad_posting(postings, {0: 3, 1: 2})
     if problem is None:
-        assert index_from_record(record).postings == {
-            t: tuple(map(tuple, v)) for t, v in postings.items()
+        packed = index_from_record(record).postings
+        assert {t: (list(p.ids), list(p.tfs)) for t, p in packed.items()} == {
+            t: ([p for p, _ in v], [f for _, f in v]) for t, v in postings.items()
         }
     else:
         with pytest.raises(FormatError, match=re.escape(problem)):
@@ -310,10 +311,63 @@ def test_record_postings_load_exactly_when_no_posting_is_named_bad(postings):
 def test_loaded_index_does_not_share_the_record_postings():
     record = _record_with()
     index = index_from_record(record)
-    assert index.postings["apple"] == ((0, 2),)
+    assert (list(index.postings["apple"].ids), list(index.postings["apple"].tfs)) == ([0], [2])
     record["postings"]["apple"][0][1] = 5
-    assert index.postings["apple"] == ((0, 2),)
+    assert (list(index.postings["apple"].ids), list(index.postings["apple"].tfs)) == ([0], [2])
     assert index_from_record(index_to_record(index)) == index
+
+
+@pytest.mark.parametrize(
+    "posting, problem",
+    [
+        ([True, 1], "has posting [True, 1], not a pair of ints"),
+        ([1, False], "has posting [1, False], not a pair of ints"),
+        ([1, 1.0], "has posting [1, 1.0], not a pair of ints"),
+        ([-1, 1], "has a posting for unknown paragraph -1"),
+        ([2, 1], "has a posting for unknown paragraph 2"),
+        ([1, -1], "has term frequency -1 in paragraph 1"),
+        ([1, 2**32], "has posting [1, 4294967296], a value above 4294967295, the largest the index holds"),
+        ([2**32, 1], "has posting [4294967296, 1], a value above 4294967295, the largest the index holds"),
+    ],
+)
+def test_index_from_record_refuses_what_the_packed_postings_cannot_hold(posting, problem):
+    """Bools, floats and negatives are refused as before packing; a value
+    above the packed arrays' largest (2**32 - 1) is refused by name.  The
+    paragraphs here are not numbered 0..n-1, so each posting is looked up."""
+    record = _record_with(doc_len={"0": 3, "1": 2, "4294967296": 0}, n_docs=3, avg_doc_len=5 / 3)
+    record["postings"]["wall"] = [[0, 1], posting]
+    with pytest.raises(FormatError, match=re.escape(f"term 'wall' {problem}")):
+        index_from_record(record)
+    record["postings"]["wall"] = [[0, 1], [1, 2**32 - 1]]
+    record["doc_len"] = {"0": 3, "1": 2, "4294967295": 0}
+    packed = index_from_record(record).postings["wall"]
+    assert list(packed) == [(0, 1), (1, 2**32 - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_built_index_and_its_json_round_trip_agree_bit_for_bit(data):
+    """The loaded index writes the same line and scores with the same bits
+    as the index it was written from, paragraph numbers up to the packed
+    arrays' largest included."""
+    vocab = ["ash", "oak", "elm", "fir", "yew", "Oak", ","]
+    numbers = data.draw(
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True), label="para_index"
+    )
+    paras = [
+        make_paragraph("b", i, data.draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=12)))
+        for i in numbers
+    ]
+    index = build_index(paras, k1=data.draw(st.floats(0.0, 3.0)), b=data.draw(st.floats(0.0, 1.0)))
+    line = json.dumps(index_to_record(index), sort_keys=True)
+    back = index_from_record(json.loads(line))
+    assert json.dumps(index_to_record(back), sort_keys=True) == line
+    assert back == index
+    query = data.draw(st.lists(st.sampled_from(vocab + ["pine"]), max_size=8))
+    bits = {p: s.hex() for p, s in accumulate_scores(index, query).items()}
+    assert {p: s.hex() for p, s in accumulate_scores(back, query).items()} == bits
+    for p in numbers:
+        assert score(back, query, p).hex() == score(index, query, p).hex()
 
 
 @pytest.mark.parametrize(
@@ -411,7 +465,8 @@ def test_accumulate_scores_equals_score_exactly(data):
     acc = accumulate_scores(index, query)
     for i in range(n):
         assert acc.get(i, 0.0) == score(index, query, i)
-    assert set(acc) == {p for t in set(q.lower() for q in query) for p, _ in index.postings.get(t, ())}
+    terms = {q.lower() for q in query} & set(index.postings)
+    assert set(acc) == {p for t in terms for p in index.postings[t].ids}
 
 
 @settings(max_examples=80)
