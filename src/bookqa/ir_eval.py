@@ -36,6 +36,7 @@ from .corpus import (
 from .errors import ConfigError, EvalError, ProtocolError
 from .fileio import map_grouped, rounded, stage_output, write_lines
 from .reranker import (
+    ExternalProcessReranker,
     FileReranker,
     IdentityReranker,
     LexicalReranker,
@@ -88,7 +89,9 @@ def ablation_for_question(
 
     ``paragraphs`` is the book's list, dense from 0, which ``index`` covers,
     so a paragraph is found by its index.  Each row is the maximum over its
-    paragraphs of one cached coverage per paragraph.  Every term of the
+    paragraphs of one cached coverage per paragraph.  The three rows the
+    scores do not change are covered while an ``exec:`` scorer scores,
+    between its request and its response.  Every term of the
     question is in the q+a query and weighs more than 0, so a question with
     BM25 candidates has oracle candidates."""
     baseline = retrieve(
@@ -109,23 +112,31 @@ def ablation_for_question(
         question=example.question,
         candidates=tuple(RerankCandidate(p, paragraphs[p].text()) for p in pool),
     )
+    cover = AnswerCoverage(paragraphs, example.answers).best
+    unscored: list[float] = []
+
+    def cover_unscored() -> None:
+        # The rows that do not depend on the scores.
+        unscored.extend((cover(pool[:k_top]), cover(pool), cover(oracle.para_indexes())))
+
     try:
-        reranked = apply_scores(request, scorer.score(request))
+        if isinstance(scorer, ExternalProcessReranker):
+            # Covered while the scorer scores: one request is in flight.
+            scores = scorer.score(request, cover_unscored)
+        else:
+            scores = scorer.score(request)
+        reranked = apply_scores(request, scores)
     except Exception as exc:
         # A scorer that breaks the wire protocol keeps the protocol code.
         error = ProtocolError if isinstance(exc, ProtocolError) else EvalError
         raise error(
             f"reranker failed on question {example.question_id!r}: {exc}"
         ) from exc
-
-    cover = AnswerCoverage(paragraphs, example.answers).best
-    rows = (
-        cover(pool[:k_top]),
-        cover([c.para_index for c in reranked[:k_top]]),
-        cover(pool),
-        cover(oracle.para_indexes()),
-    )
-    return rows, request
+    if not unscored:
+        cover_unscored()
+    top, upper, oracle_row = unscored
+    reranked_row = cover([c.para_index for c in reranked[:k_top]])
+    return (top, reranked_row, upper, oracle_row), request
 
 
 def aggregate_ablation(
@@ -159,10 +170,10 @@ def run_ablation(
     k_top: int = DEFAULT_K_TOP,
     jobs: int = 1,
     keep_requests: bool = False,
-) -> tuple[list[dict], list[RerankRequest] | None]:
-    """The four rows, and with ``keep_requests`` the rerank requests in
-    question order (None without it: a request holds the text of every
-    candidate, which only a requests file needs once it is scored).
+) -> tuple[list[dict], list[str] | None]:
+    """The four rows, and with ``keep_requests`` the rerank requests' lines
+    in question order (None without it).  A request is kept as its line, the
+    one an ``exec:`` scorer was sent: the requests file needs nothing else.
 
     The built-in scorers are mapped per book over forked workers.  Any other
     scorer stays in this process and sees the questions one at a time, in
@@ -175,7 +186,7 @@ def run_ablation(
         rouges, request = ablation_for_question(
             indexes[book], paragraphs_by_book[book], q, scorer, k_base, k_top
         )
-        return rouges, request if keep_requests else None
+        return rouges, request.to_json_line() if keep_requests else None
 
     def release(book):
         release_tokens(paragraphs_by_book[book])
@@ -184,7 +195,7 @@ def run_ablation(
     keys = [q.book_id for q in examples]
     items = map_grouped(ablation, examples, keys, jobs, release, in_order)
     rows = aggregate_ablation([rouges for rouges, _ in items], k_base, k_top)
-    return rows, [request for _, request in items] if keep_requests else None
+    return rows, [line for _, line in items] if keep_requests else None
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +205,16 @@ def run_ablation(
 def _cmd_eval_ir(args) -> int:
     if args.top > args.candidates:  # the bm25 and reranked rows select from the pool
         raise ConfigError(f"--top {args.top} exceeds --candidates {args.candidates}")
-    indexes = load_indexes(args.index)
-    grouped_paras = load_paragraphs(args.paragraphs)
-    qa = load_qa(args.qa)
-    require_book_coverage(indexes, qa, grouped_paras)
-
     inputs = [args.index, args.paragraphs, args.qa]
-    with open_scorer(args.reranker) as scorer:
-        rows, requests = run_ablation(
+    # An exec: scorer starts up while the inputs load; its handshake is read,
+    # and any fault of the spec raised, only once they have loaded.
+    with open_scorer(args.reranker) as ready_scorer:
+        indexes = load_indexes(args.index)
+        grouped_paras = load_paragraphs(args.paragraphs)
+        qa = load_qa(args.qa)
+        require_book_coverage(indexes, qa, grouped_paras)
+        scorer = ready_scorer()
+        rows, lines = run_ablation(
             indexes,
             grouped_paras,
             qa,
@@ -211,20 +224,23 @@ def _cmd_eval_ir(args) -> int:
             jobs=args.jobs,
             keep_requests=bool(args.emit_rerank_requests),
         )
-    if requests is not None:
-        # Its sidecar keeps only the options that shape the requests, so it
-        # is the same whichever reranker scored them.
-        out = args.emit_rerank_requests
-        unused = ("top", "reranker", "emit_rerank_requests")
-        with stage_output(args, out, inputs, "eval-ir-requests", unused, out=out):
-            write_requests_file(out, requests)
-    if isinstance(scorer, FileReranker):
-        inputs.append(scorer.scores_path)
-    if args.out:
-        payload = json.dumps(
-            {"rows": [rounded(row, 6) for row in rows]}, sort_keys=True, indent=2
-        )
-        with stage_output(args, args.out, inputs, omit=("emit_rerank_requests",)):
-            write_lines(args.out, [payload])
+        if isinstance(scorer, ExternalProcessReranker):
+            # It exits while the outputs are written, and is reaped after.
+            scorer.end_requests()
+        if lines is not None:
+            # Its sidecar keeps only the options that shape the requests, so
+            # it is the same whichever reranker scored them.
+            out = args.emit_rerank_requests
+            unused = ("top", "reranker", "emit_rerank_requests")
+            with stage_output(args, out, inputs, "eval-ir-requests", unused, out=out):
+                write_requests_file(out, lines)
+        if isinstance(scorer, FileReranker):
+            inputs.append(scorer.scores_path)
+        if args.out:
+            payload = json.dumps(
+                {"rows": [rounded(row, 6) for row in rows]}, sort_keys=True, indent=2
+            )
+            with stage_output(args, args.out, inputs, omit=("emit_rerank_requests",)):
+                write_lines(args.out, [payload])
     print(format_table(rows))
     return 0

@@ -24,7 +24,7 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from .bm25 import accumulate_scores, build_index
 from .corpus import DEFAULT_B, DEFAULT_K1, Paragraph
@@ -51,17 +51,23 @@ class RerankRequest:
     candidates: tuple[RerankCandidate, ...]
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "question_id": self.question_id,
-                "question": self.question,
-                "candidates": [
-                    {"para_index": c.para_index, "text": c.text}
-                    for c in self.candidates
-                ],
-            },
-            ensure_ascii=False,
-        )
+        """The request's line, encoded once: an ``exec:`` scorer's pipe and
+        the requests file share it."""
+        line = self.__dict__.get("_line")
+        if line is None:
+            line = json.dumps(
+                {
+                    "question_id": self.question_id,
+                    "question": self.question,
+                    "candidates": [
+                        {"para_index": c.para_index, "text": c.text}
+                        for c in self.candidates
+                    ],
+                },
+                ensure_ascii=False,
+            )
+            object.__setattr__(self, "_line", line)
+        return line
 
 
 def response_from_record(obj: Any) -> tuple[str, list[float]]:
@@ -150,9 +156,14 @@ class LexicalReranker:
 
 class ExternalProcessReranker:
     """Spawns a scorer subprocess speaking the line protocol, one request in
-    flight at a time."""
+    flight at a time.
 
-    def __init__(self, command: str):
+    With ``handshake=False`` the scorer is only spawned, so that it starts
+    up while the caller works; ``read_handshake`` must then come before the
+    first request.  A scorer whose handshake was not read and accepted is
+    killed, not asked to exit, by ``close``."""
+
+    def __init__(self, command: str, handshake: bool = True):
         # Imported here: only this scorer starts a process.
         import subprocess
 
@@ -163,6 +174,7 @@ class ExternalProcessReranker:
         if not argv:
             raise ProtocolError("empty scorer command")
         self.command = argv
+        self._ready = False
         try:
             self.process = subprocess.Popen(
                 argv,
@@ -173,6 +185,12 @@ class ExternalProcessReranker:
             )
         except OSError as exc:
             raise ProtocolError(f"cannot start scorer {argv!r}: {exc}") from exc
+        if handshake:
+            self.read_handshake()
+
+    def read_handshake(self) -> None:
+        """Read and check the scorer's handshake line; a scorer it refuses
+        is killed and reaped before the error is raised."""
         try:
             handshake = self._read_json("handshake")
             if type(handshake) is not dict:
@@ -182,10 +200,14 @@ class ExternalProcessReranker:
             if type(version) is not int or version != PROTOCOL_VERSION:
                 raise ProtocolError(f"unsupported protocol_version {version!r}")
         except BaseException:
-            # Nothing will close a scorer that was never handed out.
-            with self.process:  # closes its pipes and reaps it
-                self.process.kill()
+            # A refused scorer may be in any state: it is not asked to exit.
+            self._kill()
             raise
+        self._ready = True
+
+    def _kill(self) -> None:
+        with self.process:  # closes its pipes and reaps it
+            self.process.kill()
 
     def _read_line(self, what: str) -> str:
         try:
@@ -212,12 +234,19 @@ class ExternalProcessReranker:
             reason = json_failure_reason(exc)
             raise ProtocolError(f"scorer {what}: invalid JSON ({reason})") from exc
 
-    def score(self, request: RerankRequest) -> list[float]:
+    def score(
+        self, request: RerankRequest, meanwhile: Callable[[], None] | None = None
+    ) -> list[float]:
+        """The scores of one round trip.  ``meanwhile``, if given, runs after
+        the request is sent and before the response is read, so the caller
+        works while the scorer scores."""
         try:
             self.process.stdin.write(request.to_json_line() + "\n")
             self.process.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ProtocolError(f"scorer pipe closed: {exc}") from exc
+        if meanwhile is not None:
+            meanwhile()
         question_id, scores = response_from_record(
             self._read_json(f"response for {request.question_id!r}")
         )
@@ -228,13 +257,22 @@ class ExternalProcessReranker:
             )
         return scores
 
-    def close(self) -> None:
-        """Close the scorer's stdin and reap it once it exits; a scorer still
-        running ``CLOSE_TIMEOUT_S`` later is killed."""
+    def end_requests(self) -> None:
+        """Close the scorer's stdin: no request follows, so the scorer can
+        exit while the caller finishes; ``close`` reaps it."""
         try:
             self.process.stdin.close()
         except OSError:
             pass
+
+    def close(self) -> None:
+        """Close the scorer's stdin and reap it once it exits; a scorer still
+        running ``CLOSE_TIMEOUT_S`` later is killed, and so at once is one
+        whose handshake was not read and accepted."""
+        if not self._ready:
+            self._kill()
+            return
+        self.end_requests()
         if not self._exits_within(CLOSE_TIMEOUT_S):
             self.process.kill()
         self.process.wait()
@@ -298,25 +336,47 @@ class FileReranker:
         return self.scores[request.question_id]
 
 
-def write_requests_file(path, requests: Iterable[RerankRequest]) -> None:
-    write_lines(path, (r.to_json_line() for r in requests))
+def write_requests_file(path, lines: Iterable[str]) -> None:
+    """Write a requests file of ``RerankRequest.to_json_line`` lines."""
+    write_lines(path, lines)
 
 
 @contextmanager
-def open_scorer(spec: str) -> Iterator[Scorer]:
-    """The scorer a ``--reranker`` spec names; an ``exec:`` scorer's process
-    is closed on exit."""
+def open_scorer(spec: str) -> Iterator[Callable[[], Scorer]]:
+    """A function that returns the scorer a ``--reranker`` spec names.
+
+    An ``exec:`` scorer is spawned on entry, so that it starts up while the
+    caller loads its inputs, and the function reads its handshake.  A spec,
+    command, spawn or handshake at fault raises when the function is called,
+    so a failure of the caller's before then is the one reported.  On exit
+    the scorer's process is closed (``ExternalProcessReranker.close``)."""
     kind, _, arg = spec.partition(":")
-    if spec == "none":
-        yield IdentityReranker()
-    elif spec == "lexical":
-        yield LexicalReranker()
-    elif kind == "exec" and arg:
-        with ExternalProcessReranker(arg) as scorer:
-            yield scorer
-    elif kind == "file" and arg:
-        yield FileReranker(arg)
-    else:
+    started: ExternalProcessReranker | None = None
+    failure: ProtocolError | None = None
+    if kind == "exec" and arg:
+        try:
+            started = ExternalProcessReranker(arg, handshake=False)
+        except ProtocolError as exc:
+            failure = exc
+
+    def scorer() -> Scorer:
+        if failure is not None:
+            raise failure
+        if started is not None:
+            started.read_handshake()
+            return started
+        if spec == "none":
+            return IdentityReranker()
+        if spec == "lexical":
+            return LexicalReranker()
+        if kind == "file" and arg:
+            return FileReranker(arg)
         raise ConfigError(
             f"unknown reranker {spec!r}; expected none, lexical, exec:CMD, or file:PATH"
         )
+
+    try:
+        yield scorer
+    finally:
+        if started is not None:
+            started.close()

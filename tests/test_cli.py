@@ -681,10 +681,10 @@ def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
     pids = tmp_path / "scoring_pids.txt"
     score = bookqa.reranker.ExternalProcessReranker.score
 
-    def recording_score(self, request):
+    def recording_score(self, request, meanwhile=None):
         with open(pids, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return score(self, request)
+        return score(self, request, meanwhile)
 
     monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "score", recording_score)
     captured = run_ok(capsys, *eval_ir_args(work, exec_spec, "--jobs", 2))
@@ -1461,6 +1461,128 @@ def test_misbehaving_exec_scorer_fails_with_protocol_error(tmp_path, capsys, spe
     )
     assert err == error
     assert not out.exists()
+
+
+def length_scorer_spec():
+    return f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}"
+
+
+def record_started_scorers(monkeypatch):
+    """The ``exec:`` scorers started from now on, in a list."""
+    import bookqa.reranker
+
+    started = []
+    init = bookqa.reranker.ExternalProcessReranker.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        started.append(self)
+
+    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "__init__", recording_init)
+    return started
+
+
+def break_eval_ir_input(broken, paras, index, qa):
+    if broken == "coverage":
+        write_jsonl(
+            qa,
+            [{"question_id": "q1", "book_id": "ghost", "question": "what", "answers": ["wall"]}],
+        )
+    else:
+        (index if broken == "index" else paras).write_text('{"book_id": "b"}\n', encoding="utf-8")
+
+
+@pytest.mark.parametrize("broken", ["index", "paragraphs", "coverage"])
+def test_exec_scorer_started_before_a_load_failure_is_killed_and_reaped(
+    tmp_path, capsys, monkeypatch, broken
+):
+    """eval-ir starts an exec: scorer before it loads its inputs.  An input
+    that fails to load, or a book the inputs do not cover, is reported as it
+    is with a scorer that starts nothing, and the scorer is killed and
+    reaped before eval-ir returns."""
+    import signal
+
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    break_eval_ir_input(broken, paras, index, qa)
+    argv = ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa]
+    expected = run_fail(capsys, *argv, "--reranker", "lexical")
+    started = record_started_scorers(monkeypatch)
+    assert run_fail(capsys, *argv, "--reranker", length_scorer_spec()) == expected
+    [scorer] = started
+    assert scorer.process.returncode == -signal.SIGKILL
+    with pytest.raises(ProcessLookupError):
+        os.kill(scorer.process.pid, 0)
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (
+            "bogus",
+            "error[config]: unknown reranker 'bogus'; "
+            "expected none, lexical, exec:CMD, or file:PATH\n",
+        ),
+        ('exec:python3 "x', "error[protocol]: cannot split scorer command: No closing quotation\n"),
+        ("exec:/nonexistent/scorer", "error[protocol]: cannot start scorer ['/nonexistent/scorer']: "),
+        (broken_scorer_spec("handshake_not_object"), "error[protocol]: scorer handshake is not a JSON object\n"),
+        ("file:/nonexistent/scores.jsonl", "error[protocol]: /nonexistent/scores.jsonl: "),
+    ],
+    ids=["unknown-spec", "unsplittable-command", "missing-command", "refused-handshake", "missing-scores"],
+)
+def test_bad_reranker_with_a_bad_input_reports_the_input(tmp_path, capsys, monkeypatch, spec, error):
+    """A reranker fault is reported where the inputs have loaded, so with
+    an input at fault too, the input's error is the one reported, and a
+    scorer that was started is killed and reaped."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    argv = ["eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa]
+    assert run_fail(capsys, *argv, "--reranker", spec).startswith(error)
+    break_eval_ir_input("index", paras, index, qa)
+    expected = run_fail(capsys, *argv, "--reranker", "lexical")
+    started = record_started_scorers(monkeypatch)
+    assert run_fail(capsys, *argv, "--reranker", spec) == expected
+    for scorer in started:
+        assert scorer.process.returncode is not None
+
+
+def test_eval_ir_reads_the_handshake_after_loading_and_reaps_after_writing(
+    tmp_path, capsys, monkeypatch
+):
+    """The exec: scorer is spawned before the inputs load and its handshake
+    read after they have; its stdin is closed after the last response, and
+    it is reaped after both outputs are written, having exited by itself."""
+    import bookqa.ir_eval
+    import bookqa.reranker
+
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    events = []
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("load_indexes", "load_paragraphs", "load_qa", "require_book_coverage",
+                 "write_requests_file", "write_lines"):
+        monkeypatch.setattr(bookqa.ir_eval, name, logged(name, getattr(bookqa.ir_eval, name)))
+    scorer_class = bookqa.reranker.ExternalProcessReranker
+    for name in ("__init__", "read_handshake", "score", "end_requests", "close"):
+        monkeypatch.setattr(scorer_class, name, logged(name, getattr(scorer_class, name)))
+    started = record_started_scorers(monkeypatch)
+    run_ok(
+        capsys,
+        "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
+        "--reranker", length_scorer_spec(),
+        "--emit-rerank-requests", tmp_path / "requests.jsonl", "--out", tmp_path / "table.json",
+    )
+    assert events == [
+        "__init__", "load_indexes", "load_paragraphs", "load_qa", "require_book_coverage",
+        "read_handshake", "score", "end_requests", "write_requests_file", "write_lines",
+        "close", "end_requests",
+    ]
+    [scorer] = started
+    assert scorer.process.returncode == 0
 
 
 @pytest.mark.parametrize("stage", ["chunk", "index", "eval-ir"])

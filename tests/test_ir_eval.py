@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bookqa.bm25 import build_index, oracle_query, question_query, retrieve
@@ -173,18 +175,18 @@ def test_format_table_shape():
 
 def test_run_ablation_keeps_requests_only_when_asked():
     """Without ``keep_requests`` the requests are dropped once scored; with
-    it they come back in question order, and the rows are the same."""
+    it their lines come back in question order, and the rows are the same."""
     paragraphs, indexes, qa, _ = _setup(seed=6)
     rows, requests = run_ablation(indexes, paragraphs, qa, LexicalReranker())
     assert requests is None
     kept_rows, kept = run_ablation(indexes, paragraphs, qa, LexicalReranker(), keep_requests=True)
     assert kept_rows == rows
-    assert [r.question_id for r in kept] == [q.question_id for q in qa]
-    for q, request in zip(qa, kept):
+    assert [json.loads(line)["question_id"] for line in kept] == [q.question_id for q in qa]
+    for q, line in zip(qa, kept):
         _, expected = ablation_for_question(
             indexes[q.book_id], paragraphs[q.book_id], q, LexicalReranker()
         )
-        assert request == expected
+        assert line == expected.to_json_line()
 
 
 def test_aggregate_requires_items():

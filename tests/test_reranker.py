@@ -291,7 +291,7 @@ def test_scorer_refused_at_start_up_is_stopped(tmp_path):
 def test_file_exchange_roundtrip(tmp_path):
     requests = [make_request(["a", "bb"], qid="q1"), make_request(["ccc"], qid="q2")]
     requests_path = tmp_path / "requests.jsonl"
-    write_requests_file(requests_path, requests)
+    write_requests_file(requests_path, [r.to_json_line() for r in requests])
     parsed = [json.loads(line) for line in requests_path.read_text().splitlines()]
     assert parsed == [request_record(r) for r in requests]
 
