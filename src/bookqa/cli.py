@@ -25,8 +25,7 @@ runs it as ``__main__``, so a second import would compile it again.
 
 Per-question work goes through ``fileio.map_grouped``, one task per book,
 and ``index`` maps its books through ``fileio.parallel_map``; only
-``eval-ir``'s ``exec:`` and ``file:`` scorers stay in the stage process,
-where ``map_grouped`` runs their questions in QA order (``in_order``).
+``eval-ir``'s ``exec:`` scorer maps at ``jobs=1``, in the stage process.
 At ``--jobs 2`` or more a map runs its tasks in the stage process until
 they have taken ``fileio.FORK_AFTER_S``, and forks workers for the rest
 only then, so a map too short to pay for a fork forks nothing.  Workers are
@@ -36,10 +35,9 @@ drops each paragraph's tokens once it has counted them, so it holds one
 paragraph's tokens at a time.  ``supervise``, ``span-oracle`` and
 ``eval-ir`` drop a book's tokens once the book's last question is done
 (``map_grouped``'s ``release``), wherever the book ran, so each holds one
-book's tokens at a time; in QA order, that is every book until its last
-question.  ``chunk`` tokenizes, cuts and serializes one book before it
-reads the next.  No layer imports ``dataclasses``: records are made by
-``records.record``.
+book's tokens at a time.  ``chunk`` tokenizes, cuts and serializes one
+book before it reads the next.  No layer imports ``dataclasses``: records
+are made by ``records.record``.
 
 ``main`` pauses the cyclic garbage collector for the whole stage, and its
 forked workers inherit the pause.  Stage data are acyclic (records of

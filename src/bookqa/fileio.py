@@ -319,7 +319,6 @@ def map_grouped(
     keys: Sequence[Hashable],
     jobs: int,
     release: Callable[[Hashable], None] | None = None,
-    in_order: bool = False,
 ) -> list[R]:
     """``[fn(item) for item in items]``, in ``items`` order.
 
@@ -331,18 +330,9 @@ def map_grouped(
 
     ``release(key)``, if given, runs in the process that ran a key's last
     item, right after it, so that what only that key's items need (a book's
-    tokens) is dropped before the next key's items run.  With ``in_order``,
-    the items run one at a time in ``items`` order in this process, for a
-    callee that must see them so (one external scorer), and ``release``
-    follows the same rule: it runs after the last item of its key."""
-    if in_order:
-        last = {key: i for i, key in enumerate(keys)}
-        results = []
-        for i, item in enumerate(items):
-            results.append(fn(item))
-            if release is not None and last[keys[i]] == i:
-                release(keys[i])
-        return results
+    tokens) is dropped before the next key's items run.  At ``jobs == 1``
+    every item runs in this process, key by key, for a callee that must see
+    them one at a time (one external scorer)."""
     groups: dict[Hashable, list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)

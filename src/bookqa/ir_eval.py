@@ -18,6 +18,7 @@ Callers check first that each book's index covers exactly its paragraphs.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
@@ -38,8 +39,6 @@ from .fileio import map_grouped, rounded, stage_output, write_lines
 from .reranker import (
     ExternalProcessReranker,
     FileReranker,
-    IdentityReranker,
-    LexicalReranker,
     RerankCandidate,
     RerankRequest,
     Scorer,
@@ -175,11 +174,12 @@ def run_ablation(
     in question order (None without it).  A request is kept as its line, the
     one an ``exec:`` scorer was sent: the requests file needs nothing else.
 
-    The built-in scorers are mapped per book over forked workers.  Any other
-    scorer stays in this process and sees the questions one at a time, in
-    order: an external scorer is one process with one request in flight,
-    which forked workers must not share.  Either way a book's lazily loaded
-    tokens are released once its last question is done."""
+    The questions are mapped per book, and a book's lazily loaded tokens
+    are released once its last question is done.  Every scorer but
+    ``exec:`` maps over forked workers; an ``exec:`` scorer is one process
+    with one request in flight, which forked workers must not share, so it
+    sees the questions one at a time, book by book in the order the books
+    first appear."""
 
     def ablation(q: QaExample):
         book = q.book_id
@@ -191,9 +191,10 @@ def run_ablation(
     def release(book):
         release_tokens(paragraphs_by_book[book])
 
-    in_order = not isinstance(scorer, (IdentityReranker, LexicalReranker))
+    if isinstance(scorer, ExternalProcessReranker):
+        jobs = 1
     keys = [q.book_id for q in examples]
-    items = map_grouped(ablation, examples, keys, jobs, release, in_order)
+    items = map_grouped(ablation, examples, keys, jobs, release)
     rows = aggregate_ablation([rouges for rouges, _ in items], k_base, k_top)
     return rows, [line for _, line in items] if keep_requests else None
 
@@ -205,6 +206,10 @@ def run_ablation(
 def _cmd_eval_ir(args) -> int:
     if args.top > args.candidates:  # the bm25 and reranked rows select from the pool
         raise ConfigError(f"--top {args.top} exceeds --candidates {args.candidates}")
+    requests = args.emit_rerank_requests
+    if requests and args.out and Path(requests).resolve() == Path(args.out).resolve():
+        # The table would replace the requests, and its sidecar theirs.
+        raise ConfigError(f"--emit-rerank-requests and --out name the same file: {args.out}")
     inputs = [args.index, args.paragraphs, args.qa]
     # An exec: scorer starts up while the inputs load; its handshake is read,
     # and any fault of the spec raised, only once they have loaded.
@@ -222,7 +227,7 @@ def _cmd_eval_ir(args) -> int:
             args.candidates,
             args.top,
             jobs=args.jobs,
-            keep_requests=bool(args.emit_rerank_requests),
+            keep_requests=bool(requests),
         )
         if isinstance(scorer, ExternalProcessReranker):
             # It exits while the outputs are written, and is reaped after.
@@ -230,10 +235,9 @@ def _cmd_eval_ir(args) -> int:
         if lines is not None:
             # Its sidecar keeps only the options that shape the requests, so
             # it is the same whichever reranker scored them.
-            out = args.emit_rerank_requests
             unused = ("top", "reranker", "emit_rerank_requests")
-            with stage_output(args, out, inputs, "eval-ir-requests", unused, out=out):
-                write_requests_file(out, lines)
+            with stage_output(args, requests, inputs, "eval-ir-requests", unused, out=requests):
+                write_requests_file(requests, lines)
         if isinstance(scorer, FileReranker):
             inputs.append(scorer.scores_path)
         if args.out:

@@ -158,12 +158,12 @@ class ExternalProcessReranker:
     """Spawns a scorer subprocess speaking the line protocol, one request in
     flight at a time.
 
-    With ``handshake=False`` the scorer is only spawned, so that it starts
-    up while the caller works; ``read_handshake`` must then come before the
-    first request.  A scorer whose handshake was not read and accepted is
-    killed, not asked to exit, by ``close``."""
+    The scorer is only spawned, so that it starts up while the caller works;
+    ``read_handshake`` must come before the first request.  A scorer whose
+    handshake was not read and accepted is killed, not asked to exit, by
+    ``close``."""
 
-    def __init__(self, command: str, handshake: bool = True):
+    def __init__(self, command: str):
         # Imported here: only this scorer starts a process.
         import subprocess
 
@@ -185,8 +185,6 @@ class ExternalProcessReranker:
             )
         except OSError as exc:
             raise ProtocolError(f"cannot start scorer {argv!r}: {exc}") from exc
-        if handshake:
-            self.read_handshake()
 
     def read_handshake(self) -> None:
         """Read and check the scorer's handshake line; a scorer it refuses
@@ -355,7 +353,7 @@ def open_scorer(spec: str) -> Iterator[Callable[[], Scorer]]:
     failure: ProtocolError | None = None
     if kind == "exec" and arg:
         try:
-            started = ExternalProcessReranker(arg, handshake=False)
+            started = ExternalProcessReranker(arg)
         except ProtocolError as exc:
             failure = exc
 

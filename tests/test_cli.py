@@ -172,6 +172,28 @@ def test_eval_ir_refuses_top_above_candidates_before_reading_inputs(tmp_path, ca
     ]
 
 
+def test_eval_ir_refuses_requests_and_table_in_one_file(tmp_path, capsys, monkeypatch):
+    """The table would replace the requests, and its sidecar theirs.  The
+    pair is refused however the two paths are spelled, before an exec:
+    scorer is started, and no file is written."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    started = record_started_scorers(monkeypatch)
+    err = run_fail(
+        capsys,
+        "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
+        "--reranker", length_scorer_spec(),
+        "--emit-rerank-requests", "same.json", "--out", tmp_path / "same.json",
+    )
+    assert err == (
+        "error[config]: --emit-rerank-requests and --out name the same file: "
+        f"{tmp_path / 'same.json'}\n"
+    )
+    assert started == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_determinism_byte_identical_across_jobs(tmp_path, capsys):
     """With the default fork bound these maps are too short to fork."""
     assert_identical_across_jobs(tmp_path, capsys)
@@ -631,6 +653,33 @@ def test_eval_ir_lexical_table_identical_across_jobs(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_eval_ir_file_outputs_identical_across_jobs_when_forked(tmp_path, capsys, monkeypatch):
+    """A file: scorer's questions are mapped per book over forked workers,
+    which inherit its scores.  The table, its sidecar and stdout are the
+    same at --jobs 1, in one process, and at --jobs 2, in two workers."""
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    requests = tmp_path / "requests.jsonl"
+    run_ok(capsys, *eval_ir_args(work, "none", "--emit-rerank-requests", requests))
+    spec = f"file:{length_scores(requests, tmp_path / 'scores.jsonl')}"
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    table = tmp_path / "table.json"
+    outputs = []
+    for jobs in (1, 2):
+        captured = run_ok(capsys, *eval_ir_args(work, spec, "--out", table, "--jobs", jobs))
+        outputs.append((captured.out, table.read_bytes(), Path(f"{table}.meta.json").read_bytes()))
+        assert len(forks) == (0 if jobs == 1 else 2)
+    assert outputs[0] == outputs[1]
+
+
 def test_emitted_requests_identical_across_rerankers(tmp_path, capsys):
     work = tmp_path / "run"
     pipeline(capsys, work)
@@ -725,6 +774,19 @@ def test_worker_failure_exits_with_error_code(tmp_path, capsys, monkeypatch, fai
 def write_jsonl(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     return path
+
+
+def length_scores(requests, scores):
+    """Write to ``scores`` a score per candidate of each request in the file
+    ``requests``: the length of its text, as tests/scorers/length_scorer.py
+    scores."""
+    return write_jsonl(
+        scores,
+        [
+            {"question_id": r["question_id"], "scores": [len(c["text"]) for c in r["candidates"]]}
+            for r in map(json.loads, requests.read_text(encoding="utf-8").splitlines())
+        ],
+    )
 
 
 def tiny_corpus(tmp_path, capsys):
@@ -840,8 +902,9 @@ def test_question_stages_release_each_books_tokens_after_its_last_question(
     """As ``index`` does per book, each question stage drops a book's
     cached tokens once the book's last question is done: when a question
     starts, no book whose questions are all done holds tokens, and none
-    does at the end.  ``exec:`` and ``file:`` scorers see the questions in
-    qa order, so there a book is done at its last question in the qa file."""
+    does at the end.  Every stage and scorer runs the books in the order
+    they first appear, one at a time, so a question starts with no tokens
+    cached but its own book's."""
     import bookqa.ir_eval
     import bookqa.spans
     import bookqa.supervision
@@ -857,14 +920,7 @@ def test_question_stages_release_each_books_tokens_after_its_last_question(
     elif reranker == "file":
         requests = tmp_path / "requests.jsonl"
         run_ok(capsys, *argv, "--reranker", "none", "--emit-rerank-requests", requests)
-        scores = write_jsonl(
-            tmp_path / "scores.jsonl",
-            [
-                {"question_id": r["question_id"], "scores": [len(c["text"]) for c in r["candidates"]]}
-                for r in map(json.loads, requests.read_text(encoding="utf-8").splitlines())
-            ],
-        )
-        reranker = f"file:{scores}"
+        reranker = f"file:{length_scores(requests, tmp_path / 'scores.jsonl')}"
     if reranker is not None:
         argv += ["--reranker", reranker]
 
@@ -897,16 +953,55 @@ def test_question_stages_release_each_books_tokens_after_its_last_question(
 
     books = [book for book, _ in probe.starts]
     qa_order = [json.loads(line)["book_id"] for line in qa.read_text(encoding="utf-8").splitlines()]
-    in_order = reranker is not None and reranker.startswith(("exec:", "file:"))
-    assert books == (qa_order if in_order else sorted(qa_order, key=qa_order.index))
+    assert books == sorted(qa_order, key=qa_order.index)
     checked = 0
     for i, (book, holding) in enumerate(probe.starts):
         done = set(books[:i]) - set(books[i:])
-        assert not holding & done, (i, book)
+        assert holding <= {book}, (i, book)
         checked += bool(done)
     assert checked >= 2  # books were done while later ones ran
     assert any(book in holding for book, holding in probe.starts)  # tokens were cached
     assert probe.holding() == set()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exec_scorer_receives_interleaved_questions_book_by_book(
+    tmp_path, capsys, monkeypatch, jobs
+):
+    """On a qa file that interleaves books, an exec: scorer is sent the
+    questions from the stage process, book by book, the books in the order
+    they first appear, even where a map at --jobs 2 would fork.  The
+    requests file stays in qa order, and its bytes and its sidecar's are
+    those of the ``none`` run."""
+    import bookqa.reranker
+
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+    paras, index, qa, _ = interleaved_corpus(tmp_path, capsys)
+    requests = tmp_path / "requests.jsonl"
+    argv = [*stage_argv("eval-ir", paras, index, qa, tmp_path / "table.json"),
+            "--emit-rerank-requests", requests, "--jobs", jobs]
+    emitted = []
+    run_ok(capsys, *argv, "--reranker", "none")
+    emitted.append((requests.read_bytes(), Path(f"{requests}.meta.json").read_bytes()))
+
+    sent = []
+    score = bookqa.reranker.ExternalProcessReranker.score
+
+    def recording_score(self, request, meanwhile=None):
+        sent.append(request.question_id)
+        return score(self, request, meanwhile)
+
+    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "score", recording_score)
+    run_ok(capsys, *argv, "--reranker", length_scorer_spec())
+    emitted.append((requests.read_bytes(), Path(f"{requests}.meta.json").read_bytes()))
+
+    records = [json.loads(line) for line in qa.read_text(encoding="utf-8").splitlines()]
+    books = [r["book_id"] for r in records]
+    grouped = sorted(records, key=lambda r: books.index(r["book_id"]))
+    assert sent == [r["question_id"] for r in grouped] != [r["question_id"] for r in records]
+    lines = requests.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["question_id"] for line in lines] == [r["question_id"] for r in records]
+    assert emitted[0] == emitted[1]
 
 
 def write_books_dir(directory, texts):

@@ -459,28 +459,3 @@ def test_map_grouped_releases_each_key_after_its_last_item_where_it_ran(jobs, tm
         assert {events[i][2] for i in runs} == {pid}
         assert events.index(["release", key, pid]) > max(runs)
     assert ({pid for _, pid in released} == {str(os.getpid())}) == (jobs == 1)
-
-
-@pytest.mark.usefixtures("fork_at_once")
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_map_grouped_in_order_runs_items_in_order_and_releases_after_each_last(jobs):
-    """With ``in_order`` the items run in ``items`` order in this process, at
-    any ``jobs``, and each key is released right after its last item."""
-    events = []
-
-    def run(i):
-        events.append(("run", i, os.getpid()))
-        return 2 * i
-
-    items = list(range(len(INTERLEAVED_KEYS)))  # keys a b a c b a c
-    results = map_grouped(
-        run, items, INTERLEAVED_KEYS, jobs,
-        lambda key: events.append(("release", key, os.getpid())), in_order=True,
-    )
-    assert results == [2 * i for i in items]
-    pid = os.getpid()
-    assert events == [
-        ("run", 0, pid), ("run", 1, pid), ("run", 2, pid), ("run", 3, pid), ("run", 4, pid),
-        ("release", "b", pid), ("run", 5, pid), ("release", "a", pid),
-        ("run", 6, pid), ("release", "c", pid),
-    ]

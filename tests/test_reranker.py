@@ -199,6 +199,7 @@ def test_lexical_reranker_ranks_unique_match_first():
 
 def test_external_scorer_roundtrip():
     with ExternalProcessReranker(scorer_cmd("length_scorer.py")) as scorer:
+        scorer.read_handshake()
         request = make_request(["aa", "bbbb", "c"])
         assert scorer.score(request) == [2.0, 4.0, 1.0]
         ranked = apply_scores(request, scorer.score(request))
@@ -209,6 +210,7 @@ def test_external_scorer_pipelined():
     # A handshake declaring "concurrent" is accepted; requests still go one
     # at a time.
     with ExternalProcessReranker(scorer_cmd("concurrent_scorer.py")) as scorer:
+        scorer.read_handshake()
         requests = [make_request(["a", "b"], qid=f"q{i}") for i in range(4)]
         assert [scorer.score(r) for r in requests] == [[0.0, 1.0]] * 4
 
@@ -228,6 +230,7 @@ def test_external_scorer_protocol_errors(mode, match):
     ``apply_scores``."""
     request = make_request(["a", "b"])
     with ExternalProcessReranker(scorer_cmd("broken_scorer.py", mode)) as scorer:
+        scorer.read_handshake()
         with pytest.raises(ProtocolError, match=match):
             apply_scores(request, scorer.score(request))
 
@@ -254,6 +257,7 @@ def test_external_scorer_lines_fail_as_file_lines_do(mode, error):
     """A response line fails for the reasons, and in the words, that a line
     of a JSONL input does."""
     with ExternalProcessReranker(scorer_cmd("broken_scorer.py", mode)) as scorer:
+        scorer.read_handshake()
         with pytest.raises(ProtocolError) as info:
             scorer.score(make_request(["a", "b"]))
     assert str(info.value) == error
@@ -261,7 +265,7 @@ def test_external_scorer_lines_fail_as_file_lines_do(mode, error):
 
 def test_external_scorer_bad_handshake():
     with pytest.raises(ProtocolError, match="protocol_version"):
-        ExternalProcessReranker(scorer_cmd("broken_scorer.py", "bad_handshake"))
+        ExternalProcessReranker(scorer_cmd("broken_scorer.py", "bad_handshake")).read_handshake()
 
 
 @pytest.mark.parametrize(
@@ -276,14 +280,15 @@ def test_external_scorer_bad_handshake():
 def test_external_scorer_handshake_must_be_version_1_exactly(mode, problem):
     """``True == 1`` and ``1.0 == 1`` in Python; neither is the version."""
     with pytest.raises(ProtocolError) as info:
-        ExternalProcessReranker(scorer_cmd("broken_scorer.py", mode))
+        ExternalProcessReranker(scorer_cmd("broken_scorer.py", mode)).read_handshake()
     assert str(info.value) == problem
 
 
 def test_scorer_refused_at_start_up_is_stopped(tmp_path):
     pid_path = tmp_path / "scorer.pid"
+    scorer = ExternalProcessReranker(scorer_cmd("broken_scorer.py", "refused_sleeping", str(pid_path)))
     with pytest.raises(ProtocolError, match="^unsupported protocol_version 2$"):
-        ExternalProcessReranker(scorer_cmd("broken_scorer.py", "refused_sleeping", str(pid_path)))
+        scorer.read_handshake()
     with pytest.raises(ProcessLookupError):
         os.kill(int(pid_path.read_text()), 0)
 
@@ -317,6 +322,7 @@ def test_closing_a_scorer_that_exits_on_eof_does_not_sleep(monkeypatch):
     slept = []
     monkeypatch.setattr(time, "sleep", slept.append)
     scorer = ExternalProcessReranker(scorer_cmd("length_scorer.py"))
+    scorer.read_handshake()
     assert scorer.score(make_request(["aa"])) == [2.0]
     scorer.close()
     assert scorer.process.returncode == 0
@@ -336,6 +342,7 @@ def test_closing_a_scorer_that_outlives_its_stdin_kills_it(monkeypatch, pidfds):
     if not pidfds:
         monkeypatch.delattr(os, "pidfd_open", raising=False)
     scorer = ExternalProcessReranker(scorer_cmd("broken_scorer.py", "linger"))
+    scorer.read_handshake()
     assert scorer.score(make_request(["a", "b"])) == [0.0, 0.0]
     started = time.monotonic()
     scorer.close()

@@ -193,7 +193,7 @@ def stage_argv(work, out, stage, jobs):
     return [str(a) for a in argv]
 
 
-@pytest.mark.parametrize("stage", ["chunk", "eval-qa", "eval-ir-file", "index-jobs-1"])
+@pytest.mark.parametrize("stage", ["chunk", "eval-qa", "eval-ir-exec", "index-jobs-1"])
 def test_stages_without_a_pool_never_load_it(small_run, tmp_path, stage):
     stage, jobs = ("index", 1) if stage == "index-jobs-1" else (stage, 2)
     result = fresh_run(stage_argv(small_run, tmp_path, stage, jobs))
@@ -210,11 +210,10 @@ def test_pooled_stages_load_no_pool_machinery(small_run, tmp_path, stage):
     """At --jobs 2 over two books these stages fork two workers with
     ``os.fork``, from a process with no second thread (forking a threaded
     process can deadlock the child), and load no ``concurrent.futures`` or
-    ``multiprocessing``, nor ``subprocess``, since they start no scorer.
-    ``file:`` scores in the stage process and forks nothing."""
+    ``multiprocessing``, nor ``subprocess``, since they start no scorer."""
     result = fresh_run(stage_argv(small_run, tmp_path, stage, 2))
     assert result["code"] == 0
-    assert result["fork_threads"] == ([] if stage == "eval-ir-file" else [1, 1])
+    assert result["fork_threads"] == [1, 1]
     loaded = set(result["loaded"])
     assert "bookqa.cli" in loaded
     assert sorted(loaded & {"concurrent.futures", "multiprocessing", "subprocess"}) == []
