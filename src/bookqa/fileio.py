@@ -178,6 +178,12 @@ def sha256_file(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+def sidecar_path(artifact: Path | str) -> Path:
+    """Where ``artifact``'s sidecar goes: ``<artifact>.meta.json``."""
+    artifact = Path(artifact)
+    return artifact.parent / f"{artifact.name}.meta.json"  # not ``with_name``: "." has none
+
+
 @contextmanager
 def write_sidecar(
     artifact: Path | str,
@@ -202,7 +208,7 @@ def write_sidecar(
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
     text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    sidecar = artifact.parent / f"{artifact.name}.meta.json"  # not ``with_name``: "." has none
+    sidecar = sidecar_path(artifact)
     for path in (artifact, sidecar):
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

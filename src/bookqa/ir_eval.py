@@ -18,8 +18,9 @@ Callers check first that each book's index covers exactly its paragraphs.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
 from .corpus import (
@@ -35,7 +36,7 @@ from .corpus import (
     require_book_coverage,
 )
 from .errors import ConfigError, EvalError, ProtocolError
-from .fileio import map_grouped, rounded, stage_output, write_lines
+from .fileio import map_grouped, rounded, sidecar_path, stage_output, write_lines
 from .reranker import (
     ExternalProcessReranker,
     FileReranker,
@@ -75,24 +76,49 @@ def row_labels(k_base: int, k_top: int) -> tuple[str, str, str, str]:
     )
 
 
+class QuestionAblation:
+    """One question's rerank request and its rows' best-span Rouge-L.
+
+    ``rouges`` holds the four rows in table order.  ``cover_unscored`` fills
+    in the three that the scores do not change, and ``cover_reranked`` the
+    reranked row from the candidates in scored order.  Each row is the
+    maximum over its paragraphs of one cached coverage per paragraph."""
+
+    def __init__(
+        self,
+        request: RerankRequest,
+        coverage: AnswerCoverage,
+        pool: list[int],
+        oracle: list[int],
+        k_top: int,
+    ) -> None:
+        self.request = request
+        self.rouges = [0.0] * 4
+        self._cover, self._pool, self._oracle, self._k_top = coverage.best, pool, oracle, k_top
+
+    def cover_unscored(self) -> None:
+        cover, pool = self._cover, self._pool
+        self.rouges[0], self.rouges[2] = cover(pool[: self._k_top]), cover(pool)
+        self.rouges[3] = cover(self._oracle)
+
+    def cover_reranked(self, ranked: Sequence[RerankCandidate]) -> None:
+        self.rouges[1] = self._cover([c.para_index for c in ranked[: self._k_top]])
+
+
 def ablation_for_question(
     index: Bm25Index,
     paragraphs: Sequence[Paragraph],
     example: QaExample,
-    scorer: Scorer,
     k_base: int = DEFAULT_K_BASE,
     k_top: int = DEFAULT_K_TOP,
-) -> tuple[tuple[float, float, float, float], RerankRequest]:
-    """The four rows' best-span Rouge-L for one question, and the rerank
-    request that was scored.
+) -> QuestionAblation:
+    """One question's two BM25 retrievals and its rerank request, with
+    nothing covered yet.
 
     ``paragraphs`` is the book's list, dense from 0, which ``index`` covers,
-    so a paragraph is found by its index.  Each row is the maximum over its
-    paragraphs of one cached coverage per paragraph.  The three rows the
-    scores do not change are covered while an ``exec:`` scorer scores,
-    between its request and its response.  Every term of the
-    question is in the q+a query and weighs more than 0, so a question with
-    BM25 candidates has oracle candidates."""
+    so a paragraph is found by its index.  Every term of the question is in
+    the q+a query and weighs more than 0, so a question with BM25
+    candidates has oracle candidates."""
     baseline = retrieve(
         index, question_query(example), k_base, example.question_id, MODE_QUESTION
     )
@@ -105,43 +131,91 @@ def ablation_for_question(
         index, oracle_query(example), k_top, example.question_id, MODE_QUESTION_ANSWER
     )
     pool = baseline.para_indexes()
-
     request = RerankRequest(
         question_id=example.question_id,
         question=example.question,
         candidates=tuple(RerankCandidate(p, paragraphs[p].text()) for p in pool),
     )
-    cover = AnswerCoverage(paragraphs, example.answers).best
-    unscored: list[float] = []
+    coverage = AnswerCoverage(paragraphs, example.answers)
+    return QuestionAblation(request, coverage, pool, oracle.para_indexes(), k_top)
 
-    def cover_unscored() -> None:
-        # The rows that do not depend on the scores.
-        unscored.extend((cover(pool[:k_top]), cover(pool), cover(oracle.para_indexes())))
 
+@contextmanager
+def scoring(question: QuestionAblation) -> Iterator[None]:
+    """Any fault raised in the body is the reranker's on ``question``."""
     try:
-        if isinstance(scorer, ExternalProcessReranker):
-            # Covered while the scorer scores: one request is in flight.
-            scores = scorer.score(request, cover_unscored)
-        else:
-            scores = scorer.score(request)
-        reranked = apply_scores(request, scores)
+        yield
     except Exception as exc:
         # A scorer that breaks the wire protocol keeps the protocol code.
         error = ProtocolError if isinstance(exc, ProtocolError) else EvalError
         raise error(
-            f"reranker failed on question {example.question_id!r}: {exc}"
+            f"reranker failed on question {question.request.question_id!r}: {exc}"
         ) from exc
-    if not unscored:
-        cover_unscored()
-    top, upper, oracle_row = unscored
-    reranked_row = cover([c.para_index for c in reranked[:k_top]])
-    return (top, reranked_row, upper, oracle_row), request
+
+
+def scored(question: QuestionAblation, scorer: Scorer) -> QuestionAblation:
+    """``question`` with its four rows covered, its request scored in one
+    call."""
+    with scoring(question):
+        ranked = apply_scores(question.request, scorer.score(question.request))
+    question.cover_unscored()
+    question.cover_reranked(ranked)
+    return question
+
+
+def pipelined(
+    scorer: ExternalProcessReranker,
+    begin: Callable[[QaExample], QuestionAblation],
+    examples: Sequence[QaExample],
+) -> Callable[[QaExample], QuestionAblation]:
+    """A function that takes ``examples`` one at a time, each book's in
+    order, to their ``begin`` results, each request sent to ``scorer`` as
+    soon as the response before it has been read.
+
+    While a question's request is in flight, the previous question's
+    reranked row, the question's own three score-free rows, and the next
+    question's retrievals and request line run.  So a question is returned
+    without its reranked row, which it gets once the next question of its
+    book has sent its request.  A book's last question is returned
+    finished, so nothing is in flight across a book boundary.  If a
+    question fails while the one before it is in flight, that one's
+    response is read first, and any fault in it is the one raised."""
+    last = {q.book_id: q for q in examples}
+    sent: QuestionAblation | None = None  # the question whose request is in flight
+
+    def received(question: QuestionAblation) -> list[RerankCandidate]:
+        with scoring(question):
+            return apply_scores(question.request, scorer.receive(question.request))
+
+    def take(q: QaExample) -> QuestionAblation:
+        nonlocal sent
+        before, sent = sent, None
+        try:
+            question = begin(q)
+        except Exception:
+            if before is not None:
+                received(before)
+            raise
+        question.request.to_json_line()  # encoded, and kept, while the request before is in flight
+        ranked = None if before is None else received(before)
+        with scoring(question):
+            scorer.send(question.request)
+        if before is not None:
+            before.cover_reranked(ranked)
+        question.cover_unscored()
+        if last[q.book_id] is q:
+            question.cover_reranked(received(question))
+        else:
+            sent = question
+        return question
+
+    return take
 
 
 def aggregate_ablation(
-    rouges: Sequence[tuple[float, float, float, float]], k_base: int, k_top: int
+    rouges: Sequence[Sequence[float]], k_base: int, k_top: int
 ) -> list[dict]:
-    """The four rows from each question's ``ablation_for_question`` values."""
+    """The four rows from each question's ``QuestionAblation.rouges``."""
     return [
         coverage_report(label, [question[i] for question in rouges])
         for i, label in enumerate(row_labels(k_base, k_top))
@@ -176,23 +250,31 @@ def run_ablation(
 
     The questions are mapped per book, and a book's lazily loaded tokens
     are released once its last question is done.  Every scorer but
-    ``exec:`` maps over forked workers; an ``exec:`` scorer is one process
-    with one request in flight, which forked workers must not share, so it
-    sees the questions one at a time, book by book in the order the books
-    first appear."""
+    ``exec:`` maps over forked workers, each question scored in one call.
+    An ``exec:`` scorer is one process with one request in flight, which
+    forked workers must not share, so it sees the questions one at a time,
+    book by book in the order the books first appear, each book's
+    pipelined (``pipelined``)."""
 
-    def ablation(q: QaExample):
+    def begin(q: QaExample) -> QuestionAblation:
         book = q.book_id
-        rouges, request = ablation_for_question(
-            indexes[book], paragraphs_by_book[book], q, scorer, k_base, k_top
-        )
-        return rouges, request.to_json_line() if keep_requests else None
+        return ablation_for_question(indexes[book], paragraphs_by_book[book], q, k_base, k_top)
+
+    if isinstance(scorer, ExternalProcessReranker):
+        take, jobs = pipelined(scorer, begin, examples), 1
+    else:
+
+        def take(q: QaExample) -> QuestionAblation:
+            return scored(begin(q), scorer)
+
+    def ablation(q: QaExample) -> tuple[list[float], str | None]:
+        # An exec: question's rows are finished before the map returns.
+        question = take(q)
+        return question.rouges, question.request.to_json_line() if keep_requests else None
 
     def release(book):
         release_tokens(paragraphs_by_book[book])
 
-    if isinstance(scorer, ExternalProcessReranker):
-        jobs = 1
     keys = [q.book_id for q in examples]
     items = map_grouped(ablation, examples, keys, jobs, release)
     rows = aggregate_ablation([rouges for rouges, _ in items], k_base, k_top)
@@ -207,9 +289,15 @@ def _cmd_eval_ir(args) -> int:
     if args.top > args.candidates:  # the bm25 and reranked rows select from the pool
         raise ConfigError(f"--top {args.top} exceeds --candidates {args.candidates}")
     requests = args.emit_rerank_requests
-    if requests and args.out and Path(requests).resolve() == Path(args.out).resolve():
-        # The table would replace the requests, and its sidecar theirs.
-        raise ConfigError(f"--emit-rerank-requests and --out name the same file: {args.out}")
+    if requests and args.out:
+        # One output would replace the other, or the other's sidecar.
+        requests_path, out_path = Path(requests).resolve(), Path(args.out).resolve()
+        if requests_path == out_path:
+            raise ConfigError(f"--emit-rerank-requests and --out name the same file: {args.out}")
+        if requests_path == sidecar_path(args.out).resolve():
+            raise ConfigError(f"--emit-rerank-requests names the sidecar of --out: {requests}")
+        if out_path == sidecar_path(requests).resolve():
+            raise ConfigError(f"--out names the sidecar of --emit-rerank-requests: {args.out}")
     inputs = [args.index, args.paragraphs, args.qa]
     # An exec: scorer starts up while the inputs load; its handshake is read,
     # and any fault of the spec raised, only once they have loaded.

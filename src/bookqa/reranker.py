@@ -9,7 +9,9 @@ External scorers speak newline-delimited JSON over stdin/stdout: one
 handshake line ``{"protocol_version": 1}`` (a JSON object; the version is
 the integer 1), then one response line per request, in order, with one
 request in flight at a time (a ``concurrent`` handshake field is accepted
-and ignored).  A line that is not UTF-8 or not JSON fails with
+and ignored).  Sending a request and reading its response are separate
+steps (``ExternalProcessReranker.send`` and ``receive``), so a caller works
+while the scorer scores.  A line that is not UTF-8 or not JSON fails with
 ``ProtocolError`` for the reason a line of a JSONL input would; so do a
 command ``shlex`` cannot split and a refused handshake, whose scorer is
 killed and reaped first.  A file-exchange mode (requests file out, scores
@@ -156,7 +158,8 @@ class LexicalReranker:
 
 class ExternalProcessReranker:
     """Spawns a scorer subprocess speaking the line protocol, one request in
-    flight at a time.
+    flight at a time: ``send`` writes a request, ``receive`` reads its
+    response, and the caller may work in between (``score`` does both).
 
     The scorer is only spawned, so that it starts up while the caller works;
     ``read_handshake`` must come before the first request.  A scorer whose
@@ -232,19 +235,17 @@ class ExternalProcessReranker:
             reason = json_failure_reason(exc)
             raise ProtocolError(f"scorer {what}: invalid JSON ({reason})") from exc
 
-    def score(
-        self, request: RerankRequest, meanwhile: Callable[[], None] | None = None
-    ) -> list[float]:
-        """The scores of one round trip.  ``meanwhile``, if given, runs after
-        the request is sent and before the response is read, so the caller
-        works while the scorer scores."""
+    def send(self, request: RerankRequest) -> None:
+        """Write one request.  ``receive`` reads its response, and the caller
+        sends no other request before then."""
         try:
             self.process.stdin.write(request.to_json_line() + "\n")
             self.process.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ProtocolError(f"scorer pipe closed: {exc}") from exc
-        if meanwhile is not None:
-            meanwhile()
+
+    def receive(self, request: RerankRequest) -> list[float]:
+        """The scores in the response to ``request``, the one in flight."""
         question_id, scores = response_from_record(
             self._read_json(f"response for {request.question_id!r}")
         )
@@ -254,6 +255,11 @@ class ExternalProcessReranker:
                 f"request {request.question_id!r}"
             )
         return scores
+
+    def score(self, request: RerankRequest) -> list[float]:
+        """The scores of one round trip: ``send``, then ``receive``."""
+        self.send(request)
+        return self.receive(request)
 
     def end_requests(self) -> None:
         """Close the scorer's stdin: no request follows, so the scorer can

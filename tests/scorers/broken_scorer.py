@@ -5,7 +5,8 @@ Modes (argv[1]):
               handshake_float | refused_sleeping PIDFILE (writes its pid to
               PIDFILE, sends protocol_version 2, then sleeps 8 s)
   responses:  wrong_id | short | nan | string_scores | die | not_utf8 |
-              nested | long_int
+              nested | long_int [QUESTION_ID] (with a question id, only that
+              question's response is broken; the others score 0.0 each)
   exit:       linger (answers like a good scorer, then sleeps 8 s after
               its stdin closes)
 """
@@ -34,10 +35,13 @@ if mode == "refused_sleeping":
     sys.exit(0)
 
 print(json.dumps({"protocol_version": 1, "concurrent": False}), flush=True)
+target = sys.argv[2] if len(sys.argv) > 2 else None
 for line in sys.stdin:
     request = json.loads(line)
     n = len(request["candidates"])
-    if mode == "wrong_id":
+    if target is not None and request["question_id"] != target:
+        print(json.dumps({"question_id": request["question_id"], "scores": [0.0] * n}), flush=True)
+    elif mode == "wrong_id":
         print(json.dumps({"question_id": "someone-else", "scores": [0.0] * n}), flush=True)
     elif mode == "short":
         print(json.dumps({"question_id": request["question_id"], "scores": [0.0] * (n - 1)}), flush=True)

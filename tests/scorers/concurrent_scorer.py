@@ -1,4 +1,6 @@
-"""Toy external scorer that opts into pipelined requests via the handshake."""
+"""Toy external scorer whose handshake carries ``"concurrent": true``, a
+field the protocol accepts and ignores: it is still sent one request at a
+time."""
 import json
 import sys
 

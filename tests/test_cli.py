@@ -194,6 +194,35 @@ def test_eval_ir_refuses_requests_and_table_in_one_file(tmp_path, capsys, monkey
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "requests, out, error",
+    [
+        ("t.json.meta.json", "t.json", "--emit-rerank-requests names the sidecar of --out: t.json.meta.json"),
+        ("r.jsonl", "r.jsonl.meta.json", "--out names the sidecar of --emit-rerank-requests: {out}"),
+    ],
+    ids=["requests-on-the-tables-sidecar", "table-on-the-requests-sidecar"],
+)
+def test_eval_ir_refuses_an_output_on_the_other_outputs_sidecar(
+    tmp_path, capsys, monkeypatch, requests, out, error
+):
+    """Either output would replace the other's sidecar, which would then
+    describe the wrong file.  The pair is refused however the paths are
+    spelled, before an exec: scorer is started, and no file is written."""
+    paras, index, qa = tiny_corpus(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    started = record_started_scorers(monkeypatch)
+    err = run_fail(
+        capsys,
+        "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
+        "--reranker", length_scorer_spec(),
+        "--emit-rerank-requests", requests, "--out", tmp_path / out,
+    )
+    assert err == f"error[config]: {error.format(out=tmp_path / out)}\n"
+    assert started == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_determinism_byte_identical_across_jobs(tmp_path, capsys):
     """With the default fork bound these maps are too short to fork."""
     assert_identical_across_jobs(tmp_path, capsys)
@@ -728,14 +757,14 @@ def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
     assert pickled, "the lexical run should have mapped per-book tasks"
 
     pids = tmp_path / "scoring_pids.txt"
-    score = bookqa.reranker.ExternalProcessReranker.score
+    send = bookqa.reranker.ExternalProcessReranker.send
 
-    def recording_score(self, request, meanwhile=None):
+    def recording_send(self, request):
         with open(pids, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return score(self, request, meanwhile)
+        return send(self, request)
 
-    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "score", recording_score)
+    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "send", recording_send)
     captured = run_ok(capsys, *eval_ir_args(work, exec_spec, "--jobs", 2))
     assert len(captured.out.splitlines()) == 5
     assert pids.read_text(encoding="utf-8").split() == [str(os.getpid())] * 6
@@ -985,13 +1014,13 @@ def test_exec_scorer_receives_interleaved_questions_book_by_book(
     emitted.append((requests.read_bytes(), Path(f"{requests}.meta.json").read_bytes()))
 
     sent = []
-    score = bookqa.reranker.ExternalProcessReranker.score
+    send = bookqa.reranker.ExternalProcessReranker.send
 
-    def recording_score(self, request, meanwhile=None):
+    def recording_send(self, request):
         sent.append(request.question_id)
-        return score(self, request, meanwhile)
+        return send(self, request)
 
-    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "score", recording_score)
+    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "send", recording_send)
     run_ok(capsys, *argv, "--reranker", length_scorer_spec())
     emitted.append((requests.read_bytes(), Path(f"{requests}.meta.json").read_bytes()))
 
@@ -1002,6 +1031,127 @@ def test_exec_scorer_receives_interleaved_questions_book_by_book(
     lines = requests.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["question_id"] for line in lines] == [r["question_id"] for r in records]
     assert emitted[0] == emitted[1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exec_scorer_never_has_two_requests_in_flight(tmp_path, capsys, monkeypatch, jobs):
+    """The strict scorer exits with code 5 if a second request can be read
+    before it has answered the first.  eval-ir passes with it on the
+    interleaved corpus, even where a map at --jobs 2 would fork, and writes
+    the table and stdout of the length scorer, which scores alike."""
+    monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+    paras, index, qa, _ = interleaved_corpus(tmp_path, capsys)
+    table = tmp_path / "table.json"
+    argv = [*stage_argv("eval-ir", paras, index, qa, table), "--jobs", jobs]
+    strict = f"exec:{sys.executable} {SCORERS / 'strict_scorer.py'}"
+    started = record_started_scorers(monkeypatch)
+    outputs = []
+    for spec in (strict, length_scorer_spec()):
+        printed = run_ok(capsys, *argv, "--reranker", spec).out
+        outputs.append((printed, table.read_bytes()))
+    assert [scorer.process.returncode for scorer in started] == [0, 0]
+    assert outputs[0] == outputs[1]
+
+
+def test_exec_scorer_overlaps_each_request_with_the_next_questions_retrieval(
+    tmp_path, capsys, monkeypatch
+):
+    """With an exec: scorer, each question but a book's last has its
+    successor in the book retrieved for between its request's send and its
+    response's read.  A book's last response is read before its tokens are
+    released and before the next book's first retrieval, and only one
+    request is ever in flight."""
+    import bookqa.ir_eval
+    import bookqa.reranker
+
+    paras, index, qa, _ = interleaved_corpus(tmp_path, capsys)
+    events = []
+    retrieve, release = bookqa.ir_eval.retrieve, bookqa.ir_eval.release_tokens
+    send, receive = bookqa.reranker.ExternalProcessReranker.send, bookqa.reranker.ExternalProcessReranker.receive
+
+    def retrieving(index, query, k, question_id, mode):
+        events.append(("retrieve", question_id))
+        return retrieve(index, query, k, question_id, mode)
+
+    def releasing(paragraphs):
+        events.append(("release", paragraphs[0].book_id))
+        return release(paragraphs)
+
+    def sending(self, request):
+        events.append(("send", request.question_id))
+        return send(self, request)
+
+    def receiving(self, request):
+        events.append(("receive", request.question_id))
+        return receive(self, request)
+
+    monkeypatch.setattr(bookqa.ir_eval, "retrieve", retrieving)
+    monkeypatch.setattr(bookqa.ir_eval, "release_tokens", releasing)
+    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "send", sending)
+    monkeypatch.setattr(bookqa.reranker.ExternalProcessReranker, "receive", receiving)
+    run_ok(capsys, *stage_argv("eval-ir", paras, index, qa, tmp_path / "t.json"),
+           "--reranker", length_scorer_spec())
+
+    exchanges = [e for e in events if e[0] in ("send", "receive")]
+    assert exchanges == [(kind, e[1]) for e in exchanges[::2] for kind in ("send", "receive")]
+    assert len(exchanges) == 2 * 9
+    records = [json.loads(line) for line in qa.read_text(encoding="utf-8").splitlines()]
+    by_book = {}
+    for r in records:
+        by_book.setdefault(r["book_id"], []).append(r["question_id"])
+    for book, questions in by_book.items():
+        for question, successor in zip(questions, questions[1:] + [None]):
+            sent = events.index(("send", question))
+            read = events.index(("receive", question), sent)
+            in_flight = events[sent + 1 : read]
+            if successor is not None:
+                assert in_flight.count(("retrieve", successor)) == 2, (question, in_flight)
+            else:
+                released = events.index(("release", book))
+                assert read < released
+                assert all(kind != "retrieve" for kind, _ in events[read:released])
+                assert in_flight == [], question
+    assert [e for e in events if e[0] == "release"] == [("release", book) for book in by_book]
+
+
+@pytest.mark.parametrize(
+    "questions, mode, target, error",
+    [
+        (["red", "none"], "wrong_id", "q1", "error[protocol]: reranker failed on question 'q1': "
+                                            "response for 'someone-else' does not match request 'q1'\n"),
+        (["red", "none"], "short", "q1", "error[protocol]: reranker failed on question 'q1': "
+                                         "question 'q1': got 0 scores for 1 candidates\n"),
+        (["red", "none"], "die", "q1", "error[protocol]: reranker failed on question 'q1': "
+                                       "scorer exited before sending response for 'q1' (code 3)\n"),
+        (["red", "sky", "none"], "nan", "q2", "error[protocol]: reranker failed on question 'q2': "
+                                              "bad rerank response record: non-finite score nan\n"),
+        (["none", "sky"], "wrong_id", "q2", "error[eval]: question 'q1' has no BM25 candidates; "
+                                            "its query shares no terms with the book\n"),
+    ],
+    ids=["bad-response", "short-scores", "scorer-died", "mid-book", "no-candidates-first"],
+)
+def test_exec_scorer_reports_the_earlier_of_two_faulty_questions(
+    tmp_path, capsys, questions, mode, target, error
+):
+    """Of two faulty questions, the one earlier in the qa file is reported,
+    with its own message and exit code.  A bad response, scores that do not
+    fit the candidates, or a scorer gone is reported although the next
+    question, retrieved for while that request was in flight, has no BM25
+    candidates; and a question without candidates is reported before the
+    next one's bad response."""
+    paras, index, _ = tiny_corpus(tmp_path, capsys)
+    texts = {"red": "what is red", "sky": "where is the sky", "none": "xqzv wqqp"}
+    qa = write_jsonl(tmp_path / "qa.jsonl", [
+        {"question_id": f"q{i}", "book_id": "b", "question": texts[q], "answers": ["door"]}
+        for i, q in enumerate(questions, 1)
+    ])
+    out = tmp_path / "table.json"
+    err = run_fail(
+        capsys, "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
+        "--reranker", f"{broken_scorer_spec(mode)} {target}", "--out", out,
+    )
+    assert err == error
+    assert not out.exists()
 
 
 def write_books_dir(directory, texts):
@@ -1662,7 +1812,7 @@ def test_eval_ir_reads_the_handshake_after_loading_and_reaps_after_writing(
                  "write_requests_file", "write_lines"):
         monkeypatch.setattr(bookqa.ir_eval, name, logged(name, getattr(bookqa.ir_eval, name)))
     scorer_class = bookqa.reranker.ExternalProcessReranker
-    for name in ("__init__", "read_handshake", "score", "end_requests", "close"):
+    for name in ("__init__", "read_handshake", "send", "receive", "end_requests", "close"):
         monkeypatch.setattr(scorer_class, name, logged(name, getattr(scorer_class, name)))
     started = record_started_scorers(monkeypatch)
     run_ok(
@@ -1673,7 +1823,7 @@ def test_eval_ir_reads_the_handshake_after_loading_and_reaps_after_writing(
     )
     assert events == [
         "__init__", "load_indexes", "load_paragraphs", "load_qa", "require_book_coverage",
-        "read_handshake", "score", "end_requests", "write_requests_file", "write_lines",
+        "read_handshake", "send", "receive", "end_requests", "write_requests_file", "write_lines",
         "close", "end_requests",
     ]
     [scorer] = started

@@ -14,6 +14,7 @@ from bookqa.ir_eval import (
     format_table,
     row_labels,
     run_ablation,
+    scored,
 )
 from bookqa.reranker import IdentityReranker, LexicalReranker, RerankRequest
 from bookqa.spans import coverage_rouge
@@ -183,9 +184,7 @@ def test_run_ablation_keeps_requests_only_when_asked():
     assert kept_rows == rows
     assert [json.loads(line)["question_id"] for line in kept] == [q.question_id for q in qa]
     for q, line in zip(qa, kept):
-        _, expected = ablation_for_question(
-            indexes[q.book_id], paragraphs[q.book_id], q, LexicalReranker()
-        )
+        expected = ablation_for_question(indexes[q.book_id], paragraphs[q.book_id], q).request
         assert line == expected.to_json_line()
 
 
@@ -237,8 +236,8 @@ def test_pool_rows_never_exceed_the_upper_bound_per_question(make_scorer):
         paragraphs, indexes, qa, _ = _setup(seed=seed)
         scorer = make_scorer(qa)
         for q in qa:
-            (base, reranked, upper, _), _ = ablation_for_question(
-                indexes[q.book_id], paragraphs[q.book_id], q, scorer
-            )
+            base, reranked, upper, _ = scored(
+                ablation_for_question(indexes[q.book_id], paragraphs[q.book_id], q), scorer
+            ).rouges
             assert base <= upper
             assert reranked <= upper

@@ -215,6 +215,40 @@ def test_external_scorer_pipelined():
         assert [scorer.score(r) for r in requests] == [[0.0, 1.0]] * 4
 
 
+def test_external_scorer_sends_and_receives_as_separate_steps():
+    """``send`` returns before the response is read, and ``receive`` reads
+    it; the strict scorer, which fails on a second request in flight,
+    answers each and exits cleanly."""
+    import select
+
+    with ExternalProcessReranker(scorer_cmd("strict_scorer.py")) as scorer:
+        scorer.read_handshake()
+        for request, scores in ((make_request(["aa", "b"], qid="q1"), [2.0, 1.0]),
+                                (make_request(["ccc"], qid="q2"), [3.0])):
+            scorer.send(request)
+            assert select.select([scorer.process.stdout], [], [], 30)[0]  # answered, not yet read
+            assert scorer.receive(request) == scores
+    assert scorer.process.returncode == 0
+
+
+def test_strict_scorer_fails_on_two_requests_in_flight():
+    """The control for the strict scorer: a client that writes two requests
+    back to back, before reading a response, makes it exit with code 5 and
+    answer neither."""
+    import subprocess
+
+    lines = "".join(make_request(["a"], qid=q).to_json_line() + "\n" for q in ("q1", "q2"))
+    with subprocess.Popen(
+        [sys.executable, str(SCORERS / "strict_scorer.py")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as process:
+        assert json.loads(process.stdout.readline()) == {"protocol_version": 1}
+        out, err = process.communicate(lines, timeout=30)
+    assert process.returncode == 5
+    assert out == ""
+    assert "before the one in flight was answered" in err
+
+
 @pytest.mark.parametrize(
     "mode,match",
     [

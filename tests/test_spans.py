@@ -288,7 +288,7 @@ def test_each_answer_and_paragraph_is_normalized_once_per_question(tmp_path, mon
     cfg = supervision.SupervisionConfig(k_retrieve=4, negative_pool="whole_book")
     supervision.generate_pairs(index, paragraphs, question, cfg)
     check("supervise", None)
-    ir_eval.ablation_for_question(index, paragraphs, question, IdentityReranker(), 4, 2)
+    ir_eval.scored(ir_eval.ablation_for_question(index, paragraphs, question, 4, 2), IdentityReranker())
     check("eval-ir", None)
 
     selected = retrieve(index, question_query(question), 3, "q1")
