@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from array import array
+from itertools import chain
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .corpus import (
@@ -35,7 +36,7 @@ from .corpus import (
 from .errors import CorpusError, FormatError
 from .fileio import iter_jsonl, json_line, map_grouped, parallel_map, stage_output, write_lines
 from .records import record
-from .text import TokenSeq, normalize_eval_tokens, tokenize
+from .text import TokenSeq, normalize_eval, normalize_eval_tokens
 
 # JSON puts no bound on integers, and float arithmetic on an int larger than
 # this raises ``OverflowError``; a float outside it is infinite or NaN.
@@ -246,16 +247,20 @@ def retrieve(
 
 def question_query(example: QaExample) -> TokenSeq:
     """Question-only query, normalized as for indexing."""
-    return TokenSeq(tuple(normalize_eval_tokens(example.question_tokens().tokens)))
+    return normalize_eval(example.question)
 
 
 def oracle_query(example: QaExample) -> TokenSeq:
     """Question plus every reference answer, normalized as for indexing;
     duplicate terms across answers are preserved."""
-    terms = normalize_eval_tokens(example.question_tokens().tokens)
-    for answer in example.answers:
-        terms.extend(normalize_eval_tokens(tokenize(answer).tokens))
-    return TokenSeq(tuple(terms))
+    return with_answers(question_query(example), (normalize_eval(a) for a in example.answers))
+
+
+def with_answers(question: TokenSeq, answers: Iterable[Iterable[str]]) -> TokenSeq:
+    """``oracle_query`` from the question's query and its answers, already
+    normalized, for a caller that needs both and tokenizes each string
+    once."""
+    return TokenSeq(question.tokens + tuple(chain.from_iterable(answers)))
 
 
 def index_to_record(index: Bm25Index) -> dict:

@@ -65,9 +65,6 @@ class QaExample:
     question: str
     answers: tuple[str, ...]
 
-    def question_tokens(self) -> TokenSeq:
-        return tokenize(self.question)
-
 
 def chunk_book(book: Book, width: int = DEFAULT_CHUNK_WIDTH) -> list[Paragraph]:
     """Partition the book token stream into consecutive windows of ``width``.

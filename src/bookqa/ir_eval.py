@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
+from .bm25 import Bm25Index, load_indexes, question_query, retrieve, with_answers
 from .corpus import (
     DEFAULT_K_BASE,
     DEFAULT_K_TOP,
@@ -47,7 +47,7 @@ from .reranker import (
     open_scorer,
     write_requests_file,
 )
-from .spans import AnswerCoverage
+from .spans import AnswerCoverage, answer_tokens
 
 
 def coverage_report(label: str, rouges: Sequence[float]) -> dict:
@@ -118,17 +118,18 @@ def ablation_for_question(
     ``paragraphs`` is the book's list, dense from 0, which ``index`` covers,
     so a paragraph is found by its index.  Every term of the question is in
     the q+a query and weighs more than 0, so a question with BM25
-    candidates has oracle candidates."""
-    baseline = retrieve(
-        index, question_query(example), k_base, example.question_id, MODE_QUESTION
-    )
+    candidates has oracle candidates.  The question and each answer are
+    tokenized once."""
+    question = question_query(example)
+    baseline = retrieve(index, question, k_base, example.question_id, MODE_QUESTION)
     if not baseline.ranked:
         raise EvalError(
             f"question {example.question_id!r} has no BM25 candidates; "
             "its query shares no terms with the book"
         )
+    answers = answer_tokens(example.answers)
     oracle = retrieve(
-        index, oracle_query(example), k_top, example.question_id, MODE_QUESTION_ANSWER
+        index, with_answers(question, answers), k_top, example.question_id, MODE_QUESTION_ANSWER
     )
     pool = baseline.para_indexes()
     request = RerankRequest(
@@ -136,7 +137,7 @@ def ablation_for_question(
         question=example.question,
         candidates=tuple(RerankCandidate(p, paragraphs[p].text()) for p in pool),
     )
-    coverage = AnswerCoverage(paragraphs, example.answers)
+    coverage = AnswerCoverage(paragraphs, answers)
     return QuestionAblation(request, coverage, pool, oracle.para_indexes(), k_top)
 
 

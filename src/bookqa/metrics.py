@@ -127,65 +127,68 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
     transposition table, ordered by longest common run; its first descent is
     the greedy extension-first alignment.  It runs over the candidate
     positions whose token the reference holds, in order: the others only
-    end the chunk in progress.  One call on a 2-core Xeon,
-    Python 3.11.7: 45 us for an 8- against a 10-token answer, 11-22 ms for
-    a 31-token sentence against its shuffle, 0.17-1.2 s for 60 tokens drawn
-    from a 15-word reference, 0.01-0.39 s for two 24-token sequences over 3
+    end the chunk in progress.  A position is left unmatched only while its
+    token has an occurrence to spare, so every path it takes ends at a
+    maximum matching.  One call on an Intel Xeon with 2 vCPUs, Python
+    3.11.7: 15 us for an 8- against a 10-token answer, 5-7 ms for a
+    31-token sentence against its shuffle, 0.08-0.55 s for 60 tokens drawn
+    from a 15-word reference, 0.01-0.81 s for two 24-token sequences over 3
     words (ranges over five seeded draws); long pairs over one tiny, heavily
     repeated vocabulary approach the exponential worst case.
     """
     # Matches and chunks are symmetric in the two sequences, so keep the
-    # bitmask over the shorter one.
+    # bitmasks over the shorter one.
     if len(reference) > len(candidate):
         candidate, reference = reference, candidate
-    masks = position_masks(reference)
+    positions: dict[str, list[int]] = {}
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(reference):
+        if tok in masks:
+            positions[tok].append(j)
+            masks[tok] |= 1 << j
+        else:
+            positions[tok] = [j]
+            masks[tok] = 1 << j
     # The search steps through the candidate positions that hold a reference
-    # token; step i is at ``shared[i]``.  ``joined[i]``: whether step i + 1
-    # is the next position, so a chunk can run on from step i to it.
-    shared = [i for i, tok in enumerate(candidate) if tok in masks]
-    n = len(shared)
-    tokens = [candidate[i] for i in shared]
-    joined = [shared[i + 1] == shared[i] + 1 for i in range(n - 1)] + [False]
-
-    # suffix[i]: (count in tokens[i:], reference position mask) of each
-    # token the two share.  The matches still possible from step i are,
-    # per token, the smaller of that count and its free reference positions.
-    suffix: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
-    counts: dict[str, int] = {}
-    for i in range(n - 1, -1, -1):
-        tok = tokens[i]
-        counts[tok] = counts.get(tok, 0) + 1
-        suffix[i] = tuple((c, masks[t]) for t, c in counts.items())
-
-    def remaining_possible(i: int, used: int) -> int:
-        free = ~used
-        possible = 0
-        for cnt, mask in suffix[i]:
-            k = (mask & free).bit_count()
-            possible += cnt if cnt < k else k
-        return possible
-
-    target = remaining_possible(0, 0)
-    if target == 0:
+    # token, in order.
+    shared = [(i, tok) for i, tok in enumerate(candidate) if tok in masks]
+    if not shared:
         return 0, 0
 
-    # run[i][j]: length of the common run starting at (step i, ref j), for
-    # each j where the two tokens are equal; branches are tried longest-run
-    # first so good alignments surface early.
-    positions_by_token: dict[str, list[int]] = {}
-    for j, tok in enumerate(reference):
-        positions_by_token.setdefault(tok, []).append(j)
-    run: list[dict[int, int]] = [{}] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        nxt = run[i + 1] if joined[i] else {}
-        run[i] = {j: nxt.get(j + 1, 0) + 1 for j in positions_by_token[tokens[i]]}
-    # ``reverse`` keeps the sort stable: equal runs stay in reference order.
-    branch_order = [sorted(row, key=row.__getitem__, reverse=True) for row in run[:n]]
-    # Longest run available anywhere from step i onward: an optimistic
-    # per-chunk capacity for the remaining matches.
-    best_run_from = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        best_run_from[i] = max(best_run_from[i + 1], max(run[i].values(), default=0))
+    # step[i], for step i at candidate position ``pos`` with token ``tok``:
+    # - run: the length of the common run starting at (step i, ref j), for
+    #   each j that holds ``tok``;
+    # - order: those j, longest run first, so good alignments surface early
+    #   (``reverse`` keeps the sort stable: equal runs stay in reference
+    #   order);
+    # - capacity: the longest run available anywhere from step i onward, an
+    #   optimistic per-chunk capacity for the remaining matches;
+    # - runs_on: whether step i + 1 is at ``pos + 1``, so that a chunk can
+    #   run on from step i to it;
+    # - mask and slack, the skip rule: a maximum matching matches exactly
+    #   min(c, r) of a token's c candidate and r reference occurrences, so
+    #   it skips at most c - min(c, r) of the token's steps.  Step i may be
+    #   skipped only while the token's free reference positions are fewer
+    #   than its steps from i on, that is while
+    #   ``(used & mask).bit_count() > slack``, ``slack`` being r less those
+    #   steps.  Where it may not, a free position is left for it, so every
+    #   path ends at ``target`` matches, one per step whose slack is not
+    #   negative, and no node needs a feasibility check.
+    step: list[tuple[dict[int, int], list[int], int, bool, int, int]] = []
+    slacks = {tok: len(js) for tok, js in positions.items()}
+    target = capacity = 0
+    next_pos, next_run = -1, {}
+    for pos, tok in reversed(shared):
+        runs_on = pos + 1 == next_pos
+        ahead = next_run if runs_on else {}
+        run = {j: ahead.get(j + 1, 0) + 1 for j in positions[tok]}
+        capacity = max(capacity, max(run.values()))
+        slack = slacks[tok] = slacks[tok] - 1
+        target += slack >= 0
+        order = sorted(run, key=run.__getitem__, reverse=True)
+        step.append((run, order, capacity, runs_on, masks[tok], slack))
+        next_pos, next_run = pos, run
+    step.reverse()
 
     # A maximum matching never needs more chunks than matches, so every
     # value below INF is exact.
@@ -201,20 +204,18 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
         when the returned value is < budget (fail-soft otherwise)."""
         if matched == target:
             return 0
-        if i == n or matched + remaining_possible(i, used) < target:
-            return INF
+        run, order, capacity, runs_on, mask, slack = step[i]
         # The run extending the previous match's chunk, or 0 if there is none.
         extend_ref = prev_ref + 1 if prev_ref >= 0 else -1
-        extend_run = run[i].get(extend_ref, 0)
+        extend_run = run.get(extend_ref, 0)
         if extend_run and used >> extend_ref & 1:
             extend_run = 0
         remaining = target - matched
-        capacity = best_run_from[i]
         if extend_run:
             free_now = remaining - extend_run
             floor = -(-free_now // capacity) if free_now > 0 else 0
         else:
-            floor = -(-remaining // capacity) if capacity else INF
+            floor = -(-remaining // capacity)
         if floor >= budget:
             return floor
         key = (i, used, prev_ref)
@@ -227,14 +228,13 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
         value = INF
         # A match at step i can be extended at step i + 1 only if it is the
         # next position.
-        runs_on = joined[i]
         if extend_run:
             value = search(
                 i + 1, used | (1 << extend_ref), extend_ref if runs_on else -1, matched + 1, budget
             )
             budget = min(budget, value)
         if floor < budget:
-            for j in branch_order[i]:
+            for j in order:
                 if j == extend_ref or used >> j & 1:
                     continue
                 sub = 1 + search(
@@ -245,7 +245,7 @@ def align_exact(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int
                     budget = min(budget, value)
                 if floor >= budget:
                     break
-        if floor < budget:
+        if floor < budget and (used & mask).bit_count() > slack:
             sub = search(i + 1, used, -1, matched, budget)
             if sub < value:
                 value = sub

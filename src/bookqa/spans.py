@@ -118,7 +118,7 @@ def best_span_tokens(
 
 def best_span(paragraph: Paragraph, answer: str, question_id: str = "") -> WeakSpanLabel:
     """Weak label for one (paragraph, reference answer) pair."""
-    coverage = AnswerCoverage([paragraph], [answer])
+    coverage = AnswerCoverage([paragraph], answer_tokens([answer]))
     if not coverage.answers:
         raise EvalError(f"answer normalizes to nothing: {answer!r}")
     [span] = coverage.spans(0)
@@ -134,14 +134,16 @@ def answer_tokens(answers: Sequence[str]) -> list[tuple[str, ...]]:
 class AnswerCoverage:
     """How one book's paragraphs score against one question's answers: for
     ``supervise`` (``rouge``), ``eval-ir`` and ``coverage_rouge`` (``best``)
-    and ``span-oracle`` (``spans``).  The answers are normalized once, here,
-    and ``rouge`` keeps each paragraph's value.  ``paragraphs`` is indexed
-    by position: a book's list is dense from 0, and callers have checked
-    that every index they pass is in range."""
+    and ``span-oracle`` (``spans``).  ``answers`` are the question's
+    ``answer_tokens``, and ``rouge`` keeps each paragraph's value.
+    ``paragraphs`` is indexed by position: a book's list is dense from 0,
+    and callers have checked that every index they pass is in range."""
 
-    def __init__(self, paragraphs: Sequence[Paragraph], answers: Sequence[str]) -> None:
+    def __init__(
+        self, paragraphs: Sequence[Paragraph], answers: Sequence[tuple[str, ...]]
+    ) -> None:
         self.paragraphs = paragraphs
-        self.answers = answer_tokens(answers)
+        self.answers = answers
         self._rouge: dict[int, float] = {}
 
     def _tokens(self, para_index: int) -> list[str]:
@@ -181,7 +183,7 @@ def coverage_rouge(paragraphs: Sequence[Paragraph], answers: Sequence[str]) -> f
     that normalize to nothing are skipped."""
     if not paragraphs or not answers:
         raise EvalError("coverage needs at least one paragraph and one answer")
-    return AnswerCoverage(paragraphs, answers).best(range(len(paragraphs)))
+    return AnswerCoverage(paragraphs, answer_tokens(answers)).best(range(len(paragraphs)))
 
 
 def contains_answer(paragraph: Paragraph, answers: Sequence[str]) -> bool:
@@ -240,7 +242,7 @@ def _cmd_span_oracle(args) -> int:
 
     def labels(selection):
         q, top = selection
-        coverage = AnswerCoverage(grouped_paras[q.book_id], q.answers)
+        coverage = AnswerCoverage(grouped_paras[q.book_id], answer_tokens(q.answers))
         lines = []
         for para_index in top:
             for span in coverage.spans(para_index):

@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from typing import Sequence
 
-from .bm25 import Bm25Index, load_indexes, oracle_query, question_query, retrieve
+from .bm25 import Bm25Index, load_indexes, question_query, retrieve, with_answers
 from .corpus import (
     DEFAULT_K_RETRIEVE,
     DEFAULT_NEG_THRESHOLD,
@@ -35,7 +35,7 @@ from .corpus import (
 from .errors import ConfigError
 from .fileio import json_line, map_grouped, stage_output, write_lines
 from .records import record
-from .spans import AnswerCoverage
+from .spans import AnswerCoverage, answer_tokens
 
 LABEL_POSITIVE = "positive"
 LABEL_NEGATIVE = "negative"
@@ -91,15 +91,16 @@ def generate_pairs(
     from 0 (``corpus.require_book_coverage``), so a paragraph is found by
     its index.  The negative sampler draws from a per-question RNG stream
     derived from ``(rng_seed, question_id)``, so output is independent of
-    scheduling.
+    scheduling.  The question and each answer are tokenized once.
     """
-    retrieved_q = retrieve(index, question_query(example), cfg.k_retrieve)
-    retrieved_qa = retrieve(index, oracle_query(example), cfg.k_retrieve)
+    question, answers = question_query(example), answer_tokens(example.answers)
+    retrieved_q = retrieve(index, question, cfg.k_retrieve)
+    retrieved_qa = retrieve(index, with_answers(question, answers), cfg.k_retrieve)
     set_q = set(retrieved_q.para_indexes())
     set_qa = set(retrieved_qa.para_indexes())
     intersection = set_q & set_qa
 
-    filter_score = AnswerCoverage(paragraphs, example.answers).rouge
+    filter_score = AnswerCoverage(paragraphs, answers).rouge
 
     positives = [p for p in sorted(intersection) if filter_score(p) > cfg.pos_threshold]
 

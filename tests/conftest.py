@@ -1,5 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
+from bookqa import text
 from bookqa.corpus import Book, Paragraph, QaExample
 from bookqa.text import TokenSeq, tokenize
 
@@ -10,6 +14,26 @@ def make_paragraph(book_id, para_index, tokens):
 
 def make_book(book_id, text, title=""):
     return Book(book_id, title or book_id, tokenize(text))
+
+
+@pytest.fixture
+def tokenize_calls(monkeypatch):
+    """How many times each string is tokenized: every ``bookqa`` module that
+    holds ``text.tokenize`` gets a counting wrapper, as ``bench/tracer.py``
+    installs its own."""
+    calls = Counter()
+    original = text.tokenize
+
+    def counted(string):
+        calls[string] += 1
+        return original(string)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bookqa"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -133,6 +134,13 @@ def test_reranker_failure_aborts_with_question_named():
 
     with pytest.raises(EvalError, match=qa[0].question_id):
         run_ablation(indexes, paragraphs, qa, Exploding())
+
+
+def test_one_question_tokenizes_its_question_and_each_answer_once(tokenize_calls):
+    paragraphs, indexes, qa, _ = _setup()
+    q = qa[0]
+    scored(ablation_for_question(indexes[q.book_id], paragraphs[q.book_id], q), IdentityReranker())
+    assert tokenize_calls == Counter([q.question, *q.answers])
 
 
 def test_question_with_no_candidates_errors():

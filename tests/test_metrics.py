@@ -3,6 +3,7 @@ import json
 import math
 import random
 import signal
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from bookqa.oracles import (
     exhaustive_meteor_alignment,
 )
 from bookqa.text import normalize_eval
-from test_oracles import check_meteor_filler
+from test_oracles import check_meteor_filler, skewed_vocabulary_pairs
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_eval.json").read_text())
 
@@ -237,6 +238,72 @@ def test_align_exact_symmetric_in_arguments():
         assert align_exact(cand, ref) == align_exact(ref, cand)
 
 
+@pytest.mark.parametrize(
+    "cand, ref",
+    [
+        # "a": 3 in the longer sequence, 1 in the shorter, so 2 may be skipped.
+        (["a", "b", "a", "a", "c"], ["c", "a", "b"]),
+        # "a": 1 in the longer sequence, 3 in the shorter, so none may be.
+        (["b", "a", "c", "d", "e"], ["a", "a", "b", "a"]),
+        # Equal counts of every shared token, around tokens only one side has.
+        (["a", "x", "b", "a", "y", "b"], ["b", "a", "b", "a"]),
+        # A permutation: no spare anywhere.
+        (["a", "b", "a", "c", "b"], ["b", "a", "c", "b", "a"]),
+        # "a": 4 against 2, so a path that skips the first two must match
+        # both later ones.
+        (["a", "a", "b", "a", "c", "a"], ["b", "a", "c", "a"]),
+    ],
+    ids=["commoner-in-candidate", "commoner-in-reference", "equal-counts", "permutation", "spare-runs-out"],
+)
+def test_align_exact_skip_rule_cases_equal_exhaustive(cand, ref):
+    want = exhaustive_meteor_alignment(cand, ref)
+    assert align_exact(cand, ref) == want
+    assert align_exact(ref, cand) == want
+
+
+def _nodes_that_cannot_reach_a_maximum_matching(cand, ref):
+    """The ``search`` nodes of ``align_exact(cand, ref)`` from which no
+    maximum matching can be completed, found from each node's arguments:
+    per token, the matches so far plus the fewer of its steps left and its
+    free reference positions."""
+    longer, shorter = (ref, cand) if len(ref) > len(cand) else (cand, ref)
+    steps = [tok for tok in longer if tok in shorter]
+    target = sum(min(steps.count(t), shorter.count(t)) for t in set(steps))
+    dead = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "search" and code.co_filename == align_exact.__code__.co_filename:
+            i, used, matched = frame.f_locals["i"], frame.f_locals["used"], frame.f_locals["matched"]
+            possible = sum(
+                min(steps[i:].count(t), sum(1 for j, r in enumerate(shorter) if r == t and not used >> j & 1))
+                for t in set(steps[i:])
+            )
+            if matched + possible < target:
+                dead.append((i, used, matched))
+
+    sys.setprofile(profile)
+    try:
+        align_exact(cand, ref)
+    finally:
+        sys.setprofile(None)
+    return dead
+
+
+def test_align_exact_searches_no_node_that_cannot_reach_a_maximum_matching():
+    # The skip rule's promise: every path ends at a maximum matching.  A
+    # looser rule still gives the right result here, only slower, so this
+    # checks the nodes themselves.
+    pairs = [
+        (["a", "a", "b", "a", "c", "a"], ["b", "a", "c", "a"]),
+        (["a", "b", "a", "c"] * 3, ["c", "b", "a"] * 3),
+        *skewed_vocabulary_pairs(random.Random(31), 40),
+    ]
+    for cand, ref in pairs:
+        for a, b in ((cand, ref), (ref, cand)):
+            assert _nodes_that_cannot_reach_a_maximum_matching(a, b) == [], (a, b)
+
+
 def test_align_exact_leaves_no_cyclic_garbage():
     # Stage processes run with the cyclic collector paused, so the search's
     # self-referencing closure and its memo must be freed without it.
@@ -254,26 +321,9 @@ def test_align_exact_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-# Pairs shaped like the shared-vocab reader set: a Zipf-weighted vocabulary
-# of 4-6 words and lengths 6-12.  The exhaustive oracle enumerates every
-# maximum matching, so pairs sharing more than this many equal-token pairs
-# are redrawn to keep it to seconds.
-_MAX_MATCH_PAIRS = 30
-
-
 def test_align_exact_equals_exhaustive_on_skewed_vocabulary_pairs():
-    rng = random.Random(1010)
-    vocab = ["ash", "bay", "cob", "dun", "elm", "fen"]
     longer = {"candidate": 0, "reference": 0}
-    checked = 0
-    while checked < 300:
-        words = vocab[: rng.randint(4, 6)]
-        weights = [1 / rank for rank in range(1, len(words) + 1)]
-        cand = rng.choices(words, weights, k=rng.randint(6, 12))
-        ref = rng.choices(words, weights, k=rng.randint(6, 12))
-        if sum(x == y for x in cand for y in ref) > _MAX_MATCH_PAIRS:
-            continue
-        checked += 1
+    for cand, ref in skewed_vocabulary_pairs(random.Random(1010), 300):
         if len(cand) != len(ref):
             longer["candidate" if len(cand) > len(ref) else "reference"] += 1
         want = exhaustive_meteor_alignment(cand, ref)

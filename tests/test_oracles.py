@@ -42,6 +42,12 @@ _SWEEP_CELLS = 20_000
 # recursion limit of 1,000 frames.
 _FILLER_BEFORE = [f"f{i}" for i in range(1100)]
 _FILLER_AFTER = [f"g{i}" for i in range(1100)]
+# Pairs shaped like the shared-vocab reader set: a Zipf-weighted vocabulary
+# of 4-6 words and lengths 6-12.  The exhaustive oracle enumerates every
+# maximum matching, so pairs sharing more than this many equal-token pairs
+# are redrawn to keep it to seconds.
+_SKEWED_VOCAB = ("ash", "bay", "cob", "dun", "elm", "fen")
+_MAX_MATCH_PAIRS = 30
 
 
 def _rand_tokens(rng, max_len):
@@ -123,6 +129,33 @@ def check_meteor(rng, cases):
         ref = _rand_tokens(rng, 8)
         got, want = metrics.align_exact(cand, ref), exhaustive_meteor_alignment(cand, ref)
         assert got == want, f"align_exact(cand={cand}, ref={ref}) = {got}, want {want}"
+
+
+def skewed_vocabulary_pairs(rng, cases):
+    """``cases`` (candidate, reference) pairs shaped like the shared-vocab
+    reader set: ``1/rank`` weights over the first 4-6 words of
+    ``_SKEWED_VOCAB``, 6-12 tokens a side, and at most ``_MAX_MATCH_PAIRS``
+    equal-token pairs."""
+    drawn = 0
+    while drawn < cases:
+        words = _SKEWED_VOCAB[: rng.randint(4, 6)]
+        weights = [1 / rank for rank in range(1, len(words) + 1)]
+        cand = rng.choices(words, weights, k=rng.randint(6, 12))
+        ref = rng.choices(words, weights, k=rng.randint(6, 12))
+        if sum(x == y for x in cand for y in ref) > _MAX_MATCH_PAIRS:
+            continue
+        drawn += 1
+        yield cand, ref
+
+
+def check_meteor_skewed(rng, cases):
+    """``metrics.align_exact`` against the exhaustive assignment search on
+    ``skewed_vocabulary_pairs``, in both argument orders."""
+    for cand, ref in skewed_vocabulary_pairs(rng, cases):
+        want = exhaustive_meteor_alignment(cand, ref)
+        for a, b in ((cand, ref), (ref, cand)):
+            got = metrics.align_exact(a, b)
+            assert got == want, f"align_exact(cand={a}, ref={b}) = {got}, want {want}"
 
 
 def check_meteor_filler(rng, cases):
@@ -222,6 +255,10 @@ def test_best_span_passes_every_field_width_at_reduced_size():
         pytest.param(
             metrics, "align_exact", lambda cand, ref: (0, len(cand)), check_meteor_filler,
             id="align_exact-filler",
+        ),
+        pytest.param(
+            metrics, "align_exact", lambda cand, ref: (0, 0), check_meteor_skewed,
+            id="align_exact-skewed",
         ),
     ],
 )

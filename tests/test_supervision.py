@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,13 @@ def _synth_setup(seed, **kwargs):
     paragraphs = {b.book_id: chunk_book(b, width=kwargs["width"]) for b in books}
     indexes = {b.book_id: build_index(paragraphs[b.book_id]) for b in books}
     return paragraphs, indexes, qa, truths
+
+
+def test_one_question_tokenizes_its_question_and_each_answer_once(tokenize_calls):
+    paragraphs, indexes, qa, _ = _synth_setup(seed=4)
+    q = qa[0]
+    generate_pairs(indexes[q.book_id], paragraphs[q.book_id], q, SupervisionConfig())
+    assert tokenize_calls == Counter([q.question, *q.answers])
 
 
 def test_config_validation():
