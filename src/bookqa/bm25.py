@@ -2,7 +2,8 @@
 
 Two query modes mirror the two weak retrievers used for distant supervision:
 the plain question, and the question concatenated with every reference
-answer (the oracle upper-bound diagnostic).
+answer (the oracle upper-bound diagnostic).  The ranked paragraphs ``retrieve``
+writes for a question are ``selections.RetrievalResult`` records.
 
 Indexing and query normalization both apply ``normalize_eval`` (lowercase,
 punctuation-only tokens dropped); articles are retained since article
@@ -34,13 +35,14 @@ from .corpus import (
     require_book_coverage,
 )
 from .errors import CorpusError, FormatError
-from .fileio import iter_jsonl, json_line, map_grouped, parallel_map, stage_output, write_lines
+from .fileio import iter_jsonl, map_grouped, parallel_map, stage_output, write_lines
 from .records import record
+# ``retrieve``'s output record lives in ``selections``, so that ``span-oracle``
+# loads no ``bm25``; ``retrieval_from_record`` is named here as well, as
+# ``bm25.retrieval_from_record``, the name the benchmark's tracer wraps.
+from .selections import _FLOAT_MAX, RetrievalResult, retrieval_from_record  # noqa: F401
 from .text import TokenSeq, normalize_eval, normalize_eval_tokens
 
-# JSON puts no bound on integers, and float arithmetic on an int larger than
-# this raises ``OverflowError``; a float outside it is infinite or NaN.
-_FLOAT_MAX = sys.float_info.max
 # The unsigned C int of the packed postings, and the largest value it holds.
 _PACKED = "I"
 _PACKED_MAX = (1 << 8 * array(_PACKED).itemsize) - 1
@@ -89,56 +91,6 @@ class Bm25Index:
     n_docs: int
     k1: float
     b: float
-
-
-@record
-class RetrievalResult:
-    question_id: str
-    ranked: tuple[tuple[int, float], ...]  # (para_index, score), score non-increasing
-    mode: str
-
-    def para_indexes(self) -> list[int]:
-        return [p for p, _ in self.ranked]
-
-    def to_json_line(self) -> str:
-        ranked = [{"para_index": p, "score": float(s)} for p, s in self.ranked]
-        return json_line({"question_id": self.question_id, "mode": self.mode, "ranked": ranked})
-
-
-def retrieval_from_record(obj: dict) -> RetrievalResult:
-    """The result a line of ``RetrievalResult.to_json_line`` describes.
-
-    Nothing is converted: ``question_id`` and ``mode`` must be strings,
-    every ``para_index`` an int and every ``score`` a finite int or float
-    no larger than the largest float, and a bool is none of these.  As
-    ``retrieve`` writes them, the paragraphs are distinct and the scores
-    non-increasing.  A record that is not so fails with ``FormatError``."""
-    try:
-        question_id, mode = obj["question_id"], obj["mode"]
-        ranked = tuple((e["para_index"], e["score"]) for e in obj["ranked"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad retrieval record: {exc}") from exc
-    for field, value in (("question_id", question_id), ("mode", mode)):
-        if type(value) is not str:
-            raise FormatError(f"bad retrieval record: {field} {value!r} is not a string")
-    seen: set[int] = set()
-    previous: float = math.inf
-    for p, s in ranked:
-        if type(p) is not int:
-            raise FormatError(f"bad retrieval record: para_index {p!r} is not an int")
-        if type(s) is not int and type(s) is not float:
-            raise FormatError(f"bad retrieval record: score {s!r} is not a number")
-        if not -_FLOAT_MAX <= s <= _FLOAT_MAX:
-            # Such an int would print hundreds of digits.
-            why = "is an int too large for a float" if type(s) is int else f"{s!r} is not finite"
-            raise FormatError(f"bad retrieval record: score {why}")
-        if s > previous:
-            raise FormatError(f"bad retrieval record: score {s!r} follows the lower {previous!r}")
-        if p in seen:
-            raise FormatError(f"bad retrieval record: para_index {p} is ranked twice")
-        seen.add(p)
-        previous = s
-    return RetrievalResult(question_id, ranked, mode)
 
 
 def build_index(

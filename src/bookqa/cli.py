@@ -20,15 +20,21 @@ one module after parsing.  ``build_parser`` registers every subcommand with
 its help, but given an argv that names a subcommand it adds arguments to
 that subcommand only.  Importing this module loads argument parsing and the
 shared data model (``corpus``, ``text``, ``fileio``, ``records``,
-``errors``) and nothing else.  No module may import ``bookqa.cli``: a stage
-runs it as ``__main__``, so a second import would compile it again.
+``errors``) and nothing else.  What two layers share sits in a small module
+of its own, so that no stage compiles a layer it does not run:
+``span-oracle`` reads ``retrieve``'s records through ``selections`` and
+loads no ``bm25``, and ``spans`` and ``metrics`` take their LCS primitives
+from ``lcs``, so ``eval-qa`` loads no ``spans``.  No module may import
+``bookqa.cli``: a stage runs it as ``__main__``, so a second import would
+compile it again.
 
 Per-question work goes through ``fileio.map_grouped``, one task per book,
 and ``index`` maps its books through ``fileio.parallel_map``; only
 ``eval-ir``'s ``exec:`` scorer maps at ``jobs=1``, in the stage process.
 At ``--jobs 2`` or more a map runs its tasks in the stage process until
 they have taken ``fileio.FORK_AFTER_S``, and forks workers for the rest
-only then, so a map too short to pay for a fork forks nothing.  Workers are
+only then, so a map too short to pay for a fork forks nothing; the workers'
+code (``pool``) and ``pickle`` load at that first fork.  Workers are
 forked from the stage process and inherit the mapped function, its items
 and the loaded modules, so no worker imports a layer again.  ``index``
 drops each paragraph's tokens once it has counted them, so it holds one

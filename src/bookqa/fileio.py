@@ -1,19 +1,20 @@
 """Strict JSONL I/O, artifact sidecars, and bounded fork-based maps.
 
 ``hashlib`` loads on the first digest, so a stage that digests no input
-(``synth``) does not load it or OpenSSL."""
+(``synth``) does not load it or OpenSSL.  The forked workers of
+``parallel_map`` live in ``pool``, which loads, with ``pickle``, only when a
+map forks, so a stage whose maps never fork compiles none of it."""
 
 from __future__ import annotations
 
 import errno
 import json
 import os
-import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
-    IO, Any, Callable, ContextManager, Hashable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+    IO, Any, Callable, ContextManager, Hashable, Iterable, Iterator, Sequence, TypeVar
 )
 
 from . import __version__
@@ -274,48 +275,15 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     started = time.perf_counter()
     for i, item in enumerate(items):
         if len(items) - i >= 2 and time.perf_counter() - started >= FORK_AFTER_S:
-            return results + _forked_map(fn, items, i, min(jobs, len(items) - i))
+            from .pool import forked_map  # see the module docstring
+
+            return results + forked_map(fn, items, i, min(jobs, len(items) - i))
         try:
             results.append(fn(item))
         except BookQaError:
             raise
         except Exception as exc:
             raise WorkerError(f"a worker task failed: {type(exc).__name__}: {exc}") from exc
-    return results
-
-
-def _forked_map(fn: Callable[[T], R], items: Sequence[T], start: int, n: int) -> list[R]:
-    """``fn`` over ``items[start:]`` in ``n`` forked workers."""
-    # Loaded before the fork so that the workers inherit it; a process that
-    # never forks does not pay for it.
-    import pickle  # noqa: F401
-
-    # A worker that flushes its copy of a non-empty buffer would write it twice.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pending: list[tuple[int, IO[bytes]]] = []  # (pid, read end), worker order
-    outcomes = []
-    try:
-        for w in range(n):
-            pending.append(_start_worker(fn, items, range(start + w, len(items), n)))
-        while pending:
-            pid, pipe = pending[0]
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del pending[0]
-            outcomes.append(_decode(data, os.waitstatus_to_exitcode(status)))
-    finally:
-        _kill_and_reap(pending)
-    failures = [(i, error) for i, error in outcomes if i is not None]
-    if failures:
-        _, error = min(failures, key=lambda failure: failure[0])
-        if isinstance(error, BookQaError):
-            raise error
-        raise WorkerError(f"a worker task failed: {error}")
-    results: list[Any] = [None] * (len(items) - start)
-    for w, (_, values) in enumerate(outcomes):
-        results[w::n] = values
     return results
 
 
@@ -356,80 +324,3 @@ def map_grouped(
         for i, value in zip(task, values):
             results[i] = value
     return results
-
-
-def _start_worker(
-    fn: Callable[[T], R], items: Sequence[T], indexes: range
-) -> tuple[int, IO[bytes]]:
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise WorkerError(f"cannot start a worker process: {exc}") from exc
-    if pid == 0:
-        os.close(read_fd)
-        _run_worker(fn, items, indexes, write_fd)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _run_worker(
-    fn: Callable[[T], R], items: Sequence[T], indexes: range, write_fd: int
-) -> NoReturn:
-    """The body of a forked worker.  It leaves through ``os._exit`` whatever
-    happens, so it never runs the caller's code that follows the fork."""
-    import pickle
-
-    status = 1
-    try:
-        values: list[R] = []
-        payload: tuple[int | None, Any] = (None, values)
-        for i in indexes:
-            try:
-                values.append(fn(items[i]))
-            except BookQaError as exc:
-                payload = (i, exc)
-                break
-            except Exception as exc:
-                payload = (i, f"{type(exc).__name__}: {exc}")
-                break
-        try:
-            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            reason = f"cannot send its results back: {type(exc).__name__}: {exc}"
-            data = pickle.dumps((indexes[0], reason), pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-
-
-def _decode(data: bytes, exit_code: int) -> tuple[int | None, Any]:
-    import pickle
-
-    if exit_code != 0:
-        how = f"signal {-exit_code}" if exit_code < 0 else f"exit code {exit_code}"
-        raise WorkerError(f"a worker process died ({how})")
-    try:
-        return pickle.loads(data)
-    except Exception as exc:
-        raise WorkerError(
-            f"a worker process died: its result is incomplete ({type(exc).__name__})"
-        ) from exc
-
-
-def _kill_and_reap(pending: list[tuple[int, IO[bytes]]]) -> None:
-    """Stop the workers not yet collected when the parent fails part-way."""
-    import signal
-
-    for pid, pipe in pending:
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from .corpus import QaExample, load_qa
 from .errors import EvalError
 from .fileio import iter_jsonl, require_field, rounded, stage_output, write_lines
-from .spans import position_masks, rouge_from_lcs
+from .lcs import position_masks, rouge_from_lcs
 from .text import normalize_eval, normalize_squad
 
 
@@ -43,7 +43,7 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> float:
-    """LCS-based F-measure with recall weighted by ``spans.ROUGE_BETA``."""
+    """LCS-based F-measure with recall weighted by ``lcs.ROUGE_BETA``."""
     if not candidate or not reference:
         return 0.0
     lcs = lcs_length(candidate, reference)

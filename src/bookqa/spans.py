@@ -7,8 +7,9 @@ paragraph contains an answer verbatim exactly when its best same-length
 window reaches a Rouge-L of 1.0.
 
 Span search runs the bit-parallel LCS recurrence for all of a paragraph's
-windows at once.  ``metrics`` takes ``position_masks`` and ``rouge_from_lcs``
-from here, so that the stages that search spans never load ``metrics``.
+windows at once.  It takes ``position_masks`` and ``rouge_from_lcs`` from
+``lcs``, as ``metrics`` does, so that the stages that search spans never
+load ``metrics`` and ``eval-qa`` never loads this module.
 """
 
 from __future__ import annotations
@@ -19,32 +20,13 @@ from typing import Iterable, Sequence
 from .corpus import Paragraph, load_paragraphs, load_qa, release_tokens, require_book_coverage
 from .errors import CorpusError, EvalError, FormatError
 from .fileio import iter_jsonl, json_line, map_grouped, stage_output, write_lines
+from .lcs import position_masks, rouge_from_lcs
 from .records import record
+from .selections import retrieval_from_record
 from .text import normalize_eval, normalize_eval_tokens
-
-ROUGE_BETA = 1.2
 
 # The number of set bits of each byte value, for ``bytes.translate``.
 _BYTE_POPCOUNT = bytes(i.bit_count() for i in range(256))
-
-
-def position_masks(reference: Sequence[str]) -> dict[str, int]:
-    """Map each token to a bitmask of its positions in ``reference``."""
-    masks: dict[str, int] = {}
-    for i, tok in enumerate(reference):
-        masks[tok] = masks.get(tok, 0) | (1 << i)
-    return masks
-
-
-def rouge_from_lcs(lcs: int, cand_len: int, ref_len: int) -> float:
-    """Rouge-L F-measure, recall weighted by ``ROUGE_BETA``, from an LCS
-    length and the two sequence lengths."""
-    if lcs == 0:
-        return 0.0
-    precision = lcs / cand_len
-    recall = lcs / ref_len
-    beta_sq = ROUGE_BETA * ROUGE_BETA
-    return (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 
 @record
@@ -209,10 +191,6 @@ def contains_answer(paragraph: Paragraph, answers: Sequence[str]) -> bool:
 
 
 def _cmd_span_oracle(args) -> int:
-    # Not at module level: ``metrics`` imports this module, and ``eval-qa``
-    # has no use for ``bm25``.
-    from .bm25 import retrieval_from_record
-
     grouped_paras = load_paragraphs(args.paragraphs)
     qa = load_qa(args.qa)
     require_book_coverage(None, qa, grouped_paras)

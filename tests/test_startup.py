@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from bookqa import bm25, corpus, ir_eval, reranker, supervision, synth
+from bookqa import bm25, corpus, ir_eval, reranker, selections, supervision, synth
 from bookqa.cli import MODES, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +44,10 @@ NOT_AT_IMPORT = (
     "bookqa.metrics",
     "bookqa.synth",
     "bookqa.oracles",
+    "bookqa.selections",
+    "bookqa.lcs",
+    "bookqa.pool",
+    "pickle",
 )
 
 # Modules no subcommand may load at all: ``dataclasses`` brings ``inspect``
@@ -201,6 +205,8 @@ def test_stages_without_a_pool_never_load_it(small_run, tmp_path, stage):
     assert "bookqa.cli" in result["loaded"]
     assert "concurrent.futures" not in result["loaded"]
     assert "multiprocessing" not in result["loaded"]
+    assert "bookqa.pool" not in result["loaded"]
+    assert "pickle" not in result["loaded"]
 
 
 @pytest.mark.parametrize(
@@ -233,17 +239,23 @@ SHARED = {
     "bookqa", "bookqa.cli", "bookqa.corpus", "bookqa.errors", "bookqa.fileio",
     "bookqa.records", "bookqa.text",
 }
-EVAL_IR = {"bookqa.bm25", "bookqa.ir_eval", "bookqa.reranker", "bookqa.spans"}
+BM25 = {"bookqa.bm25", "bookqa.selections"}
+SPANS = {"bookqa.spans", "bookqa.lcs", "bookqa.selections"}
+EVAL_IR = BM25 | SPANS | {"bookqa.ir_eval", "bookqa.reranker"}
+# The fork pool, which loads only in a stage whose map forks: at --jobs 2
+# over two books, with the probe's ``FORK_AFTER_S = 0``, every stage that
+# maps at --jobs 2.
+POOL = {"bookqa.pool"}
 STAGE_LAYERS = {
     "synth": {"bookqa.synth"},
     "chunk": set(),
-    "index": {"bookqa.bm25"},
-    "retrieve": {"bookqa.bm25"},
-    "supervise": {"bookqa.bm25", "bookqa.spans", "bookqa.supervision"},
-    "span-oracle": {"bookqa.bm25", "bookqa.spans"},
-    "eval-qa": {"bookqa.metrics", "bookqa.spans"},
-    "eval-ir-lexical": EVAL_IR,
-    "eval-ir-file": EVAL_IR,
+    "index": BM25 | POOL,
+    "retrieve": BM25 | POOL,
+    "supervise": BM25 | SPANS | {"bookqa.supervision"} | POOL,
+    "span-oracle": SPANS | POOL,
+    "eval-qa": {"bookqa.metrics", "bookqa.lcs"},
+    "eval-ir-lexical": EVAL_IR | POOL,
+    "eval-ir-file": EVAL_IR | POOL,
     "eval-ir-exec": EVAL_IR,
 }
 
@@ -252,13 +264,22 @@ STAGE_LAYERS = {
 def test_each_stage_loads_only_its_own_layers(small_run, tmp_path, stage):
     """A stage process compiles every bookqa module it loads, so each loads
     the shared modules and the layers its subcommand runs, and no other:
-    only ``eval-qa`` loads ``metrics`` (the span search takes its LCS
-    kernel from ``spans``), only ``synth`` loads ``synth``, and no stage
-    loads ``oracles``."""
+    only ``eval-qa`` loads ``metrics``, and it loads no ``spans`` (both
+    take their LCS primitives from ``lcs``), ``span-oracle`` reads its
+    selections without ``bm25``, only ``synth`` loads ``synth``, only a
+    stage that forks loads ``pool``, and no stage loads ``oracles``."""
     result = fresh_run(stage_argv(small_run, tmp_path, stage, 2))
     assert result["code"] == 0
     loaded = {name for name in result["loaded"] if name.split(".")[0] == "bookqa"}
     assert loaded == SHARED | STAGE_LAYERS[stage]
+    assert ("bookqa.pool" in loaded) == bool(result["fork_threads"])
+
+
+def test_bm25_and_selections_share_one_retrieval_record():
+    """``span-oracle`` reads selections through ``selections``, and every
+    other caller through ``bm25``: one class and one reader either way."""
+    assert bm25.RetrievalResult is selections.RetrievalResult
+    assert bm25.retrieval_from_record is selections.retrieval_from_record
 
 
 @pytest.mark.parametrize("stage", ["synth", "eval-qa", "retrieve"])
