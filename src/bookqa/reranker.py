@@ -16,6 +16,12 @@ while the scorer scores.  A line that is not UTF-8 or not JSON fails with
 command ``shlex`` cannot split and a refused handshake, whose scorer is
 killed and reaped first.  A file-exchange mode (requests file out, scores
 file in) covers batch scoring on other machines.
+
+On Linux, a caller whose CPU mask holds two CPUs or more steps off the CPU
+an ``exec:`` scorer was started on until its handshake has been read, so
+the scorer's start-up and the caller's work run side by side, and the two
+stay apart after (``step_off_cpu_of``).  The scorer's own mask is never
+touched, and the caller gets its mask back exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from .text import normalize_eval, tokenize
 PROTOCOL_VERSION = 1
 # How long ``ExternalProcessReranker.close`` waits for the scorer to exit.
 CLOSE_TIMEOUT_S = 10
+# Where Linux shows the CPU a process last ran on (``step_off_cpu_of``).
+PROC_STAT = "/proc/{pid}/stat"
 
 
 @record
@@ -156,15 +164,48 @@ class LexicalReranker:
         return [scores.get(position, 0.0) for position in range(len(request.candidates))]
 
 
+def step_off_cpu_of(pid: int) -> set[int] | None:
+    """Take the calling thread off the CPU process ``pid`` last ran on, and
+    return the mask to restore it to, or None if nothing was changed.
+
+    A scorer is born on its caller's CPU, and the scheduler may leave the
+    two there together, one running at a time beside an idle CPU, as it
+    did on a 2-vCPU KVM host (ROADMAP item 17): each request wakes the
+    scorer where the caller runs.  Once the caller has moved away, the two
+    stay apart.  Best effort: with no
+    ``sched_getaffinity``, a mask of one CPU, a scorer on a CPU outside the
+    mask, or an ``OSError`` reading ``/proc`` or setting the mask, nothing
+    changes.  Never the scorer's mask: it keeps the one it was started
+    with, or sets."""
+    if not hasattr(os, "sched_getaffinity"):  # Linux only
+        return None
+    try:
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            return None
+        with open(PROC_STAT.format(pid=pid), "rb") as fh:
+            stat = fh.read()
+        # The name in parentheses may hold spaces; field 39 is ``processor``.
+        cpu = int(stat[stat.rindex(b")") + 2 :].split()[36])
+        if cpu in mask:
+            os.sched_setaffinity(0, mask - {cpu})
+            return mask
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 class ExternalProcessReranker:
     """Spawns a scorer subprocess speaking the line protocol, one request in
     flight at a time: ``send`` writes a request, ``receive`` reads its
     response, and the caller may work in between (``score`` does both).
 
     The scorer is only spawned, so that it starts up while the caller works;
-    ``read_handshake`` must come before the first request.  A scorer whose
-    handshake was not read and accepted is killed, not asked to exit, by
-    ``close``."""
+    ``read_handshake`` must come before the first request.  Until then the
+    caller runs off the scorer's CPU (``step_off_cpu_of``); its own mask is
+    restored as the handshake is read, accepted or refused, or else by
+    ``close``.  A scorer whose handshake was not read and accepted is
+    killed, not asked to exit, by ``close``."""
 
     def __init__(self, command: str):
         # Imported here: only this scorer starts a process.
@@ -188,10 +229,20 @@ class ExternalProcessReranker:
             )
         except OSError as exc:
             raise ProtocolError(f"cannot start scorer {argv!r}: {exc}") from exc
+        self._caller_mask = step_off_cpu_of(self.process.pid)
+
+    def _restore_caller_mask(self) -> None:
+        mask, self._caller_mask = self._caller_mask, None
+        if mask is not None:
+            try:
+                os.sched_setaffinity(0, mask)
+            except OSError:
+                pass
 
     def read_handshake(self) -> None:
         """Read and check the scorer's handshake line; a scorer it refuses
-        is killed and reaped before the error is raised."""
+        is killed and reaped before the error is raised.  Either way the
+        caller's CPU mask is then restored."""
         try:
             handshake = self._read_json("handshake")
             if type(handshake) is not dict:
@@ -204,6 +255,8 @@ class ExternalProcessReranker:
             # A refused scorer may be in any state: it is not asked to exit.
             self._kill()
             raise
+        finally:
+            self._restore_caller_mask()
         self._ready = True
 
     def _kill(self) -> None:
@@ -272,7 +325,9 @@ class ExternalProcessReranker:
     def close(self) -> None:
         """Close the scorer's stdin and reap it once it exits; a scorer still
         running ``CLOSE_TIMEOUT_S`` later is killed, and so at once is one
-        whose handshake was not read and accepted."""
+        whose handshake was not read and accepted.  The caller's CPU mask is
+        restored if the handshake was never read."""
+        self._restore_caller_mask()
         if not self._ready:
             self._kill()
             return

@@ -1,3 +1,4 @@
+import os
 import sys
 from collections import Counter
 
@@ -14,6 +15,21 @@ def make_paragraph(book_id, para_index, tokens):
 
 def make_book(book_id, text, title=""):
     return Book(book_id, title or book_id, tokenize(text))
+
+
+@pytest.fixture(autouse=True)
+def cpu_mask_kept():
+    """Fails a test that leaves this process's CPU mask changed, and gives
+    the mask back: an ``exec:`` scorer's caller steps off the scorer's CPU
+    until the handshake (``reranker.step_off_cpu_of``), and a path that
+    forgot to restore it would run every later test on fewer CPUs."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    before = getaffinity(0) if getaffinity else None
+    yield
+    after = getaffinity(0) if getaffinity else None
+    if after != before:
+        os.sched_setaffinity(0, before)
+        pytest.fail(f"the test left the CPU mask {sorted(after)}, not {sorted(before)}")
 
 
 @pytest.fixture
