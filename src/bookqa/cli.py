@@ -29,8 +29,8 @@ from ``lcs``, so ``eval-qa`` loads no ``spans``.  No module may import
 compile it again.
 
 Per-question work goes through ``fileio.map_grouped``, one task per book,
-and ``index`` maps its books through ``fileio.parallel_map``; only
-``eval-ir``'s ``exec:`` scorer maps at ``jobs=1``, in the stage process.
+and ``index`` maps its books through ``fileio.parallel_map``; only an
+``eval-ir`` scorer that is not ``in_process`` (``exec:``) maps at ``jobs=1``.
 At ``--jobs 2`` or more a map runs its tasks in the stage process until
 they have taken ``fileio.FORK_AFTER_S``, and forks workers for the rest
 only then, so a map too short to pay for a fork forks nothing; the workers'

@@ -13,6 +13,7 @@ occurrence is exactly a Rouge-L of 1.0, so EM is the share of questions whose
 row value is 1.0.  The baseline and reranked rows are drawn from the pool and
 read the same cached values, so they never exceed the upper-bound row.
 Callers check first that each book's index covers exactly its paragraphs.
+Every scorer's questions take one loop, ``pipelined``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .corpus import (
 from .errors import ConfigError, EvalError, ProtocolError
 from .fileio import map_grouped, rounded, sidecar_path, stage_output, write_lines
 from .reranker import (
-    ExternalProcessReranker,
     FileReranker,
     RerankCandidate,
     RerankRequest,
@@ -154,18 +154,8 @@ def scoring(question: QuestionAblation) -> Iterator[None]:
         ) from exc
 
 
-def scored(question: QuestionAblation, scorer: Scorer) -> QuestionAblation:
-    """``question`` with its four rows covered, its request scored in one
-    call."""
-    with scoring(question):
-        ranked = apply_scores(question.request, scorer.score(question.request))
-    question.cover_unscored()
-    question.cover_reranked(ranked)
-    return question
-
-
 def pipelined(
-    scorer: ExternalProcessReranker,
+    scorer: Scorer,
     begin: Callable[[QaExample], QuestionAblation],
     examples: Sequence[QaExample],
 ) -> Callable[[QaExample], QuestionAblation]:
@@ -175,12 +165,13 @@ def pipelined(
 
     While a question's request is in flight, the previous question's
     reranked row, the question's own three score-free rows, and the next
-    question's retrievals and request line run.  So a question is returned
-    without its reranked row, which it gets once the next question of its
-    book has sent its request.  A book's last question is returned
-    finished, so nothing is in flight across a book boundary.  If a
-    question fails while the one before it is in flight, that one's
-    response is read first, and any fault in it is the one raised."""
+    question's retrievals run, and its request line unless ``scorer`` is
+    ``in_process``.  So a question is returned without its reranked row,
+    which it gets once the next question of its book has sent its request.
+    A book's last question is returned finished, so nothing is in flight
+    across a book boundary.  If a question fails while the one before it is
+    in flight, that one's response is read first, and any fault in it is
+    the one raised: an in-process scorer scores at ``receive``."""
     last = {q.book_id: q for q in examples}
     sent: QuestionAblation | None = None  # the question whose request is in flight
 
@@ -197,7 +188,8 @@ def pipelined(
             if before is not None:
                 received(before)
             raise
-        question.request.to_json_line()  # encoded, and kept, while the request before is in flight
+        if not scorer.in_process:
+            question.request.to_json_line()  # encoded, and kept, while the request before is in flight
         ranked = None if before is None else received(before)
         with scoring(question):
             scorer.send(question.request)
@@ -249,27 +241,22 @@ def run_ablation(
     in question order (None without it).  A request is kept as its line, the
     one an ``exec:`` scorer was sent: the requests file needs nothing else.
 
-    The questions are mapped per book, and a book's lazily loaded tokens
-    are released once its last question is done.  Every scorer but
-    ``exec:`` maps over forked workers, each question scored in one call.
-    An ``exec:`` scorer is one process with one request in flight, which
+    The questions are mapped per book, each book's through ``pipelined``,
+    and a book's lazily loaded tokens are released once its last question
+    is done.  A map task is a whole book, so nothing is in flight when a
+    worker forks, and an ``in_process`` scorer maps over forked workers.
+    One that is not is one process with one request in flight, which
     forked workers must not share, so it sees the questions one at a time,
-    book by book in the order the books first appear, each book's
-    pipelined (``pipelined``)."""
+    book by book in the order the books first appear."""
 
     def begin(q: QaExample) -> QuestionAblation:
         book = q.book_id
         return ablation_for_question(indexes[book], paragraphs_by_book[book], q, k_base, k_top)
 
-    if isinstance(scorer, ExternalProcessReranker):
-        take, jobs = pipelined(scorer, begin, examples), 1
-    else:
-
-        def take(q: QaExample) -> QuestionAblation:
-            return scored(begin(q), scorer)
+    take = pipelined(scorer, begin, examples)
 
     def ablation(q: QaExample) -> tuple[list[float], str | None]:
-        # An exec: question's rows are finished before the map returns.
+        # The reranked row may come with its book's next question (``pipelined``).
         question = take(q)
         return question.rouges, question.request.to_json_line() if keep_requests else None
 
@@ -277,7 +264,7 @@ def run_ablation(
         release_tokens(paragraphs_by_book[book])
 
     keys = [q.book_id for q in examples]
-    items = map_grouped(ablation, examples, keys, jobs, release)
+    items = map_grouped(ablation, examples, keys, jobs if scorer.in_process else 1, release)
     rows = aggregate_ablation([rouges for rouges, _ in items], k_base, k_top)
     return rows, [line for _, line in items] if keep_requests else None
 
@@ -318,9 +305,8 @@ def _cmd_eval_ir(args) -> int:
             jobs=args.jobs,
             keep_requests=bool(requests),
         )
-        if isinstance(scorer, ExternalProcessReranker):
-            # It exits while the outputs are written, and is reaped after.
-            scorer.end_requests()
+        # An exec: scorer exits while the outputs are written; it is reaped after.
+        scorer.end_requests()
         if lines is not None:
             # Its sidecar keeps only the options that shape the requests, so
             # it is the same whichever reranker scored them.

@@ -5,17 +5,17 @@ returns one finite score per candidate; candidates are then ordered by
 descending score with ties keeping the incoming (BM25) order, so a constant
 scorer is exactly the identity reranker.
 
-External scorers speak newline-delimited JSON over stdin/stdout: one
-handshake line ``{"protocol_version": 1}`` (a JSON object; the version is
-the integer 1), then one response line per request, in order, with one
-request in flight at a time (a ``concurrent`` handshake field is accepted
-and ignored).  Sending a request and reading its response are separate
-steps (``ExternalProcessReranker.send`` and ``receive``), so a caller works
-while the scorer scores.  A line that is not UTF-8 or not JSON fails with
-``ProtocolError`` for the reason a line of a JSONL input would; so do a
-command ``shlex`` cannot split and a refused handshake, whose scorer is
-killed and reaped first.  A file-exchange mode (requests file out, scores
-file in) covers batch scoring on other machines.
+Every scorer is asked through one protocol (``Scorer``): ``send`` a request,
+then ``receive`` its scores, one request in flight at a time, so a caller
+works while an external scorer scores; an in-process one scores at
+``receive``.  External scorers speak newline-delimited JSON over
+stdin/stdout: one handshake line ``{"protocol_version": 1}`` (a JSON object;
+the version is the integer 1), then one response line per request, in order
+(a ``concurrent`` handshake field is accepted and ignored).  A line that is
+not UTF-8 or not JSON fails with ``ProtocolError`` for the reason a line of
+a JSONL input would; so do a command ``shlex`` cannot split and a refused
+handshake, whose scorer is killed and reaped first.  A file-exchange mode
+(requests file out, scores file in) covers batch scoring on other machines.
 
 On Linux, a caller whose CPU mask holds two CPUs or more steps off the CPU
 an ``exec:`` scorer was started on until its handshake has been read, so
@@ -32,7 +32,7 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .bm25 import accumulate_scores, build_index
 from .corpus import DEFAULT_B, DEFAULT_K1, Paragraph
@@ -125,18 +125,31 @@ def apply_scores(
     return [request.candidates[i] for i in order]
 
 
-class Scorer(Protocol):
-    def score(self, request: RerankRequest) -> list[float]: ...
+class Scorer:
+    """The scorer protocol: ``send`` a request, ``receive`` its scores, and
+    ``end_requests`` once none follows.  This base scores in the caller's
+    process, at ``receive``, with its subclass's ``score``."""
+
+    in_process = True  # False: a process of its own, which forked workers must not share
+
+    def send(self, request: RerankRequest) -> None:
+        """Keeps nothing: ``receive`` is given the request again."""
+
+    def receive(self, request: RerankRequest) -> list[float]:
+        return self.score(request)
+
+    def end_requests(self) -> None:
+        """Nothing to end."""
 
 
-class IdentityReranker:
+class IdentityReranker(Scorer):
     """Constant scores: preserves the incoming candidate order exactly."""
 
     def score(self, request: RerankRequest) -> list[float]:
         return [0.0] * len(request.candidates)
 
 
-class LexicalReranker:
+class LexicalReranker(Scorer):
     """BM25 of the question recomputed inside the candidate micro-collection
     (document statistics taken over the candidates alone)."""
 
@@ -195,10 +208,10 @@ def step_off_cpu_of(pid: int) -> set[int] | None:
     return None
 
 
-class ExternalProcessReranker:
+class ExternalProcessReranker(Scorer):
     """Spawns a scorer subprocess speaking the line protocol, one request in
     flight at a time: ``send`` writes a request, ``receive`` reads its
-    response, and the caller may work in between (``score`` does both).
+    response, and the caller may work in between.
 
     The scorer is only spawned, so that it starts up while the caller works;
     ``read_handshake`` must come before the first request.  Until then the
@@ -206,6 +219,8 @@ class ExternalProcessReranker:
     restored as the handshake is read, accepted or refused, or else by
     ``close``.  A scorer whose handshake was not read and accepted is
     killed, not asked to exit, by ``close``."""
+
+    in_process = False
 
     def __init__(self, command: str):
         # Imported here: only this scorer starts a process.
@@ -289,8 +304,7 @@ class ExternalProcessReranker:
             raise ProtocolError(f"scorer {what}: invalid JSON ({reason})") from exc
 
     def send(self, request: RerankRequest) -> None:
-        """Write one request.  ``receive`` reads its response, and the caller
-        sends no other request before then."""
+        """Write one request; no other is sent before ``receive`` reads its response."""
         try:
             self.process.stdin.write(request.to_json_line() + "\n")
             self.process.stdin.flush()
@@ -310,7 +324,7 @@ class ExternalProcessReranker:
         return scores
 
     def score(self, request: RerankRequest) -> list[float]:
-        """The scores of one round trip: ``send``, then ``receive``."""
+        """One round trip, ``send`` then ``receive``; no stage calls it."""
         self.send(request)
         return self.receive(request)
 
@@ -369,7 +383,7 @@ class ExternalProcessReranker:
         self.close()
 
 
-class FileReranker:
+class FileReranker(Scorer):
     """Scores read from a file produced by an out-of-band batch scorer."""
 
     def __init__(self, scores_path):

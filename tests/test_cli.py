@@ -715,15 +715,49 @@ def test_emitted_requests_identical_across_rerankers(tmp_path, capsys):
     requests_path = tmp_path / "requests.jsonl"
     sidecar = tmp_path / "requests.jsonl.meta.json"
     exec_spec = f"exec:{sys.executable} {SCORERS / 'length_scorer.py'}"
+    for_scores = tmp_path / "for_scores.jsonl"
+    run_ok(capsys, *eval_ir_args(work, "none", "--emit-rerank-requests", for_scores))
+    file_spec = f"file:{length_scores(for_scores, tmp_path / 'scores.jsonl')}"
     emitted = []
-    for spec in ("none", "lexical", exec_spec):
+    for spec in ("none", "lexical", exec_spec, file_spec):
         run_ok(
             capsys,
             *eval_ir_args(work, spec, "--emit-rerank-requests", requests_path, "--jobs", 2),
         )
         emitted.append((requests_path.read_bytes(), sidecar.read_bytes()))
     assert emitted[0][0].count(b"\n") == 2 * 3  # one request per question
-    assert emitted[0] == emitted[1] == emitted[2]
+    assert emitted[0] == emitted[1] == emitted[2] == emitted[3]
+
+
+@pytest.mark.parametrize("scorer", ["none", "lexical", "file"])
+def test_in_process_scorers_encode_requests_only_when_asked(tmp_path, capsys, monkeypatch, scorer):
+    """Only an exec: scorer's pipe needs a request's JSON line, so a run
+    with an in-process scorer encodes none, unless --emit-rerank-requests
+    asks for the requests file: then it encodes each question's once."""
+    from bookqa.reranker import RerankRequest
+
+    work = tmp_path / "run"
+    pipeline(capsys, work)
+    spec = scorer
+    if scorer == "file":
+        requests = tmp_path / "for_scores.jsonl"
+        run_ok(capsys, *eval_ir_args(work, "none", "--emit-rerank-requests", requests))
+        spec = f"file:{length_scores(requests, tmp_path / 'scores.jsonl')}"
+    encoded = []
+    to_json_line = RerankRequest.to_json_line
+
+    def counting(self):
+        if "_line" not in self.__dict__:
+            encoded.append(self.question_id)
+        return to_json_line(self)
+
+    monkeypatch.setattr(RerankRequest, "to_json_line", counting)
+    run_ok(capsys, *eval_ir_args(work, spec, "--jobs", 1))
+    assert encoded == []
+    run_ok(capsys, *eval_ir_args(work, spec, "--emit-rerank-requests", tmp_path / "r.jsonl", "--jobs", 1))
+    questions = (work / "corpus" / "qa.jsonl").read_text(encoding="utf-8").splitlines()
+    assert sorted(encoded) == sorted(json.loads(line)["question_id"] for line in questions)
+    assert len(encoded) == 2 * 3
 
 
 def test_exec_scorer_survives_pickled_tasks(tmp_path, capsys, monkeypatch):
@@ -1127,18 +1161,32 @@ def test_exec_scorer_overlaps_each_request_with_the_next_questions_retrieval(
                                               "bad rerank response record: non-finite score nan\n"),
         (["none", "sky"], "wrong_id", "q2", "error[eval]: question 'q1' has no BM25 candidates; "
                                             "its query shares no terms with the book\n"),
+        (["red", "none"], "file", 1, "error[protocol]: reranker failed on question 'q1': "
+                                     "{scores}: no scores for question 'q1'\n"),
+        (["red", "none"], "file", 2, "error[protocol]: reranker failed on question 'q1': "
+                                     "{scores}: no scores for question 'q1'\n"),
+        (["none", "red"], "file", 1, "error[eval]: question 'q1' has no BM25 candidates; "
+                                     "its query shares no terms with the book\n"),
+        (["none", "red"], "file", 2, "error[eval]: question 'q1' has no BM25 candidates; "
+                                     "its query shares no terms with the book\n"),
     ],
-    ids=["bad-response", "short-scores", "scorer-died", "mid-book", "no-candidates-first"],
+    ids=[
+        "bad-response", "short-scores", "scorer-died", "mid-book", "no-candidates-first",
+        "file-no-scores-first-jobs1", "file-no-scores-first-jobs2",
+        "file-no-candidates-first-jobs1", "file-no-candidates-first-jobs2",
+    ],
 )
 def test_exec_scorer_reports_the_earlier_of_two_faulty_questions(
-    tmp_path, capsys, questions, mode, target, error
+    tmp_path, capsys, monkeypatch, questions, mode, target, error
 ):
     """Of two faulty questions, the one earlier in the qa file is reported,
     with its own message and exit code.  A bad response, scores that do not
     fit the candidates, or a scorer gone is reported although the next
     question, retrieved for while that request was in flight, has no BM25
     candidates; and a question without candidates is reported before the
-    next one's bad response."""
+    next one's bad response.  A file: scorer, which scores in the stage
+    process as its response is read, keeps that order at --jobs 1 and 2
+    (``target``): its scores file has no question's scores."""
     paras, index, _ = tiny_corpus(tmp_path, capsys)
     texts = {"red": "what is red", "sky": "where is the sky", "none": "xqzv wqqp"}
     qa = write_jsonl(tmp_path / "qa.jsonl", [
@@ -1146,9 +1194,15 @@ def test_exec_scorer_reports_the_earlier_of_two_faulty_questions(
         for i, q in enumerate(questions, 1)
     ])
     out = tmp_path / "table.json"
+    if mode == "file":
+        monkeypatch.setattr(bookqa.fileio, "FORK_AFTER_S", 0)
+        scores = write_jsonl(tmp_path / "scores.jsonl", [{"question_id": "q9", "scores": []}])
+        reranker, jobs, error = f"file:{scores}", ["--jobs", target], error.format(scores=scores)
+    else:
+        reranker, jobs = f"{broken_scorer_spec(mode)} {target}", []
     err = run_fail(
         capsys, "eval-ir", "--index", index, "--paragraphs", paras, "--qa", qa,
-        "--reranker", f"{broken_scorer_spec(mode)} {target}", "--out", out,
+        "--reranker", reranker, "--out", out, *jobs,
     )
     assert err == error
     assert not out.exists()

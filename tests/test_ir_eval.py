@@ -13,11 +13,11 @@ from bookqa.ir_eval import (
     aggregate_ablation,
     coverage_report,
     format_table,
+    pipelined,
     row_labels,
     run_ablation,
-    scored,
 )
-from bookqa.reranker import IdentityReranker, LexicalReranker, RerankRequest
+from bookqa.reranker import IdentityReranker, LexicalReranker, RerankRequest, Scorer
 from bookqa.spans import coverage_rouge
 from bookqa.synth import synth_corpus
 from bookqa.text import normalize_eval, normalize_eval_tokens
@@ -36,7 +36,17 @@ def _setup(seed=4, **kwargs):
     return paragraphs, indexes, qa, truths
 
 
-class OracleScorer:
+def ablated(indexes, paragraphs, q, scorer):
+    """``q``'s ablation with its four rows covered, through the question
+    loop every scorer takes, on a one-question list."""
+
+    def begin(example):
+        return ablation_for_question(indexes[example.book_id], paragraphs[example.book_id], example)
+
+    return pipelined(scorer, begin, [q])(q)
+
+
+class OracleScorer(Scorer):
     """Scores each candidate by its span coverage of the gold answers."""
 
     def __init__(self, qa):
@@ -128,7 +138,7 @@ def test_oracle_score_reranker_matches_upperbound_and_dominates_others():
 def test_reranker_failure_aborts_with_question_named():
     paragraphs, indexes, qa, _ = _setup(seed=2, n_books=1)
 
-    class Exploding:
+    class Exploding(Scorer):
         def score(self, request):
             raise RuntimeError("boom")
 
@@ -139,7 +149,7 @@ def test_reranker_failure_aborts_with_question_named():
 def test_one_question_tokenizes_its_question_and_each_answer_once(tokenize_calls):
     paragraphs, indexes, qa, _ = _setup()
     q = qa[0]
-    scored(ablation_for_question(indexes[q.book_id], paragraphs[q.book_id], q), IdentityReranker())
+    ablated(indexes, paragraphs, q, IdentityReranker())
     assert tokenize_calls == Counter([q.question, *q.answers])
 
 
@@ -244,8 +254,6 @@ def test_pool_rows_never_exceed_the_upper_bound_per_question(make_scorer):
         paragraphs, indexes, qa, _ = _setup(seed=seed)
         scorer = make_scorer(qa)
         for q in qa:
-            base, reranked, upper, _ = scored(
-                ablation_for_question(indexes[q.book_id], paragraphs[q.book_id], q), scorer
-            ).rouges
+            base, reranked, upper, _ = ablated(indexes, paragraphs, q, scorer).rouges
             assert base <= upper
             assert reranked <= upper
